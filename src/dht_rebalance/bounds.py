@@ -19,14 +19,19 @@ storage and bandwidth bounds; clear stabilization (writes backlogged during
 the join) by the time bound alone.  All bounds are strict: feasibility means
 lambda < bound.  The replication factor cancels out of every bound; it is
 kept in ClusterParams for capacity and simulator accounting.
+
+The six closed forms are written once, in ``bound_table`` (N an int or an
+ndarray); the scalar functions, bound_report and min_feasible_n all read it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
+
+import numpy as np
 
 
 class InsufficientBandwidth(RuntimeError):
@@ -88,10 +93,11 @@ class ClusterParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.bandwidth <= 0 or self.value_size <= 0 or self.storage <= 0:
-            raise ValueError("bandwidth, value_size and storage must be positive")
+        link = (self.bandwidth, self.value_size, self.storage)
+        if not all(0 < x < math.inf for x in link):
+            raise ValueError("bandwidth, value_size and storage must be finite and > 0")
         if not 0 < self.mu <= 1:
-            raise ValueError("mu must be in (0, 1]")
+            raise ValueError(f"mu={self.mu} outside (0, 1]")
         if self.replication < 1:
             raise ValueError("replication must be >= 1")
 
@@ -124,44 +130,58 @@ class BoundReport:
 # ---------------------------------------------------------------------------
 # the six bounds
 
+def bound_table(n, mu, b_rate, workload: WorkloadKind) -> dict:
+    """{BoundKind value: writes/s per node} for one workload at size n (an
+    int or an integer ndarray), b_rate = B.  The only place the six closed
+    forms are written; a scalar n gives the bits of an ndarray element."""
+    root = np.sqrt(4.0 * n + 1.0) - 1.0
+    if workload is WorkloadKind.INCREASING_PER_NODE:
+        return {"storage": (1.0 - n / (n + 1.0) * mu) * b_rate,
+                "bandwidth": b_rate / (n + 1.0),
+                "time": root / (2.0 * n) * b_rate}
+    # stable storage (1 + 1/N - mu) * B, grouped so integer-valued cases stay exact
+    return {"storage": (n + 1.0 - n * mu) / n * b_rate,
+            "bandwidth": b_rate / n,
+            "time": (n + 1.0) * root / (2.0 * n * n) * b_rate}
+
+
+def _bound(params: ClusterParams, workload: WorkloadKind, kind: str) -> float:
+    table = bound_table(params.n, params.mu, params.max_write_rate, workload)
+    return float(table[kind])
+
+
 def storage_bound_increasing(params: ClusterParams) -> float:
     """Max per-node write rate before writes fill the remaining (1-mu)S
     during a concurrent join, workload growing with the cluster."""
-    n = params.n
-    return (1.0 - n / (n + 1.0) * params.mu) * params.max_write_rate
+    return _bound(params, WorkloadKind.INCREASING_PER_NODE, "storage")
 
 
 def bandwidth_bound_increasing(params: ClusterParams) -> float:
     """Max per-node write rate before migration falls behind data arrival,
     workload growing with the cluster."""
-    return params.max_write_rate / (params.n + 1.0)
+    return _bound(params, WorkloadKind.INCREASING_PER_NODE, "bandwidth")
 
 
 def time_bound_clear_increasing(params: ClusterParams) -> float:
     """Max per-node write rate for which the post-join backlog catch-up
     completes before the next expansion, workload growing with the cluster."""
-    n = params.n
-    return (math.sqrt(4.0 * n + 1.0) - 1.0) / (2.0 * n) * params.max_write_rate
+    return _bound(params, WorkloadKind.INCREASING_PER_NODE, "time")
 
 
 def storage_bound_stable(params: ClusterParams) -> float:
     """Storage-constrained per-node rate with a stable total workload."""
-    n = params.n
-    # (1 + 1/N - mu) * B, grouped so integer-valued cases stay exact
-    return (n + 1.0 - n * params.mu) / n * params.max_write_rate
+    return _bound(params, WorkloadKind.STABLE_TOTAL, "storage")
 
 
 def bandwidth_bound_stable(params: ClusterParams) -> float:
     """Bandwidth-constrained per-node rate with a stable total workload:
     the system-wide rate N*lambda must stay below B."""
-    return params.max_write_rate / params.n
+    return _bound(params, WorkloadKind.STABLE_TOTAL, "bandwidth")
 
 
 def time_bound_clear_stable(params: ClusterParams) -> float:
     """Catch-up-constrained per-node rate with a stable total workload."""
-    n = params.n
-    return ((n + 1.0) * (math.sqrt(4.0 * n + 1.0) - 1.0)
-            / (2.0 * n * n) * params.max_write_rate)
+    return _bound(params, WorkloadKind.STABLE_TOTAL, "time")
 
 
 def stable_increasing_storage_gap(params: ClusterParams) -> float:
@@ -170,29 +190,24 @@ def stable_increasing_storage_gap(params: ClusterParams) -> float:
     return 1.0 / params.n - params.mu / (params.n + 1.0)
 
 
+def applicable_kinds(scenario: Scenario) -> tuple[BoundKind, ...]:
+    """Concurrent scenarios apply the storage and bandwidth bounds; clear
+    scenarios apply the time bound only."""
+    if scenario.mode is StabilizationMode.CONCURRENT:
+        return (BoundKind.STORAGE, BoundKind.BANDWIDTH)
+    return (BoundKind.TIME,)
+
+
 def bound_report(params: ClusterParams, scenario: Scenario) -> BoundReport:
     """All three bound kinds for a scenario; binding = min over applicable.
 
-    Concurrent scenarios apply the storage and bandwidth bounds; clear
-    scenarios apply the time bound only.  Non-applicable entries still carry
-    the closed-form value from the other mode, for reference.
+    Non-applicable entries still carry the closed-form value from the other
+    mode, for reference.
     """
-    increasing = scenario.workload is WorkloadKind.INCREASING_PER_NODE
-    if increasing:
-        storage = storage_bound_increasing(params)
-        bandwidth = bandwidth_bound_increasing(params)
-        time_ = time_bound_clear_increasing(params)
-    else:
-        storage = storage_bound_stable(params)
-        bandwidth = bandwidth_bound_stable(params)
-        time_ = time_bound_clear_stable(params)
-
-    concurrent = scenario.mode is StabilizationMode.CONCURRENT
-    entries = (
-        BoundEntry(BoundKind.STORAGE, storage, concurrent),
-        BoundEntry(BoundKind.BANDWIDTH, bandwidth, concurrent),
-        BoundEntry(BoundKind.TIME, time_, not concurrent),
-    )
+    table = bound_table(params.n, params.mu, params.max_write_rate, scenario.workload)
+    applicable = applicable_kinds(scenario)
+    entries = tuple(BoundEntry(kind, float(table[kind.value]), kind in applicable)
+                    for kind in BoundKind)
     binding = min((e for e in entries if e.applicable), key=lambda e: e.value)
     return BoundReport(scenario, entries, binding)
 
@@ -284,6 +299,9 @@ def _check_alpha(alpha: float, strict: bool = False) -> None:
 # ---------------------------------------------------------------------------
 # capacity planning
 
+_SCAN_BLOCK = 4_096  # sizes per min_feasible_n block: keeps memory flat
+
+
 def min_feasible_n(
     scenario: Scenario,
     rate: float,
@@ -303,43 +321,23 @@ def min_feasible_n(
     per-node writes/s for an increasing one.  ``kinds`` optionally restricts
     which of the applicable bounds are enforced (capacity-planning what-ifs).
     """
-    if rate <= 0:
-        raise ValueError("rate must be positive")
+    if not 0 < rate < math.inf:
+        raise ValueError("rate must be positive and finite")
     b_rate = bandwidth / value_size
     stable = scenario.workload is WorkloadKind.STABLE_TOTAL
-    concurrent = scenario.mode is StabilizationMode.CONCURRENT
-
-    def enforced(kind: BoundKind) -> bool:
-        return kinds is None or kind in kinds
-
+    enforced = [k for k in applicable_kinds(scenario)
+                if kinds is None or k in kinds]
     # A stable workload under the bandwidth bound requires rate < B outright.
-    if stable and concurrent and enforced(BoundKind.BANDWIDTH) and rate >= b_rate:
+    if stable and BoundKind.BANDWIDTH in enforced and rate >= b_rate:
         return None
-
-    for n in range(1, n_max + 1):
+    # Increasing-workload bounds only fall with N: no N above 1 can work.
+    top = n_max if stable else min(n_max, 1)
+    for start in range(1, top + 1, _SCAN_BLOCK):
+        n = np.arange(start, min(start + _SCAN_BLOCK, top + 1))
+        table = bound_table(n, mu, b_rate, scenario.workload)
         lam = rate / n if stable else rate
-        ok = True
-        if concurrent:
-            if enforced(BoundKind.STORAGE):
-                val = ((1.0 + 1.0 / n - mu) if stable
-                       else (1.0 - n / (n + 1.0) * mu)) * b_rate
-                ok = ok and lam < val
-            if enforced(BoundKind.BANDWIDTH):
-                val = b_rate / (n if stable else n + 1.0)
-                ok = ok and lam < val
-        else:
-            if enforced(BoundKind.TIME):
-                root = math.sqrt(4.0 * n + 1.0) - 1.0
-                val = ((n + 1.0) * root / (2.0 * n * n) if stable
-                       else root / (2.0 * n)) * b_rate
-                ok = ok and lam < val
-        if ok:
-            return n
-        # Increasing-workload bounds only fall with N: no later N can work.
-        if not stable:
-            return None
+        # all() of no enforced kind is True, and then N = 1 qualifies
+        hits = np.flatnonzero(np.all([lam < table[k.value] for k in enforced], axis=0))
+        if hits.size:
+            return int(n[hits[0]])
     return None
-
-
-def with_n(params: ClusterParams, n: int) -> ClusterParams:
-    return replace(params, n=n)

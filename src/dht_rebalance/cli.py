@@ -10,9 +10,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import re
 import sys
+
+import numpy as np
 
 from . import bounds as bnd
 from . import ring as rng_mod
@@ -128,24 +129,17 @@ def sweep_rows(n_min: int, n_max: int, mu_values, scenarios,
     """CurveCSV rows: (n, scenario, bound_kind, lambda).  The storage bound
     depends on mu, so its kind column carries the mu value; the bandwidth and
     time bounds are mu-independent and appear once."""
+    n = np.arange(n_min, n_max + 1)
+    b_rate = bandwidth / value_size
     rows = []
     for scenario in scenarios:
-        concurrent = scenario.mode is StabilizationMode.CONCURRENT
-        kinds = []
-        if concurrent:
-            kinds.append(("bandwidth", None))
-            kinds.extend(("storage", mu) for mu in mu_values)
-        else:
-            kinds.append(("time", None))
-        for kind, mu in kinds:
-            label = kind if mu is None else f"storage(mu={mu:g})"
-            for n in range(n_min, n_max + 1):
-                params = ClusterParams(n=n, bandwidth=bandwidth,
-                                       value_size=value_size,
-                                       mu=mu if mu is not None else 0.5)
-                report = bnd.bound_report(params, scenario)
-                value = {e.kind.value: e.value for e in report.entries}[kind]
-                rows.append((n, scenario.name, label, value))
+        for kind in bnd.applicable_kinds(scenario):
+            curves = ([(f"storage(mu={mu:g})", mu) for mu in mu_values]
+                      if kind is BoundKind.STORAGE else [(kind.value, 0.5)])
+            for label, mu in curves:
+                table = bnd.bound_table(n, mu, b_rate, scenario.workload)
+                rows.extend((k, scenario.name, label, v)
+                            for k, v in zip(n.tolist(), table[kind.value].tolist()))
     rows.sort(key=lambda r: (r[1], r[2], r[0]))
     return rows
 
@@ -155,16 +149,17 @@ def cmd_sweep(args) -> int:
         if not (1 <= args.n_min < args.n_max <= 10 ** 6):
             raise ValueError("need 1 <= n-min < n-max <= 10^6")
         mu_values = [float(x) for x in args.mu_list.split(",") if x]
-        for mu in mu_values:
-            if not 0 < mu <= 1:
-                raise ValueError(f"mu={mu} outside (0, 1]")
         scenarios = _parse_scenarios(args.scenario_list)
         bandwidth = parse_bandwidth(args.bandwidth)
+        value_size = float(args.value_size)
+        # sweep_rows checks nothing itself: check the link and each mu here
+        for mu in mu_values or [1.0]:
+            ClusterParams(n=1, bandwidth=bandwidth, value_size=value_size, mu=mu)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     rows = sweep_rows(args.n_min, args.n_max, mu_values, scenarios,
-                      bandwidth, float(args.value_size))
+                      bandwidth, value_size)
     try:
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -196,6 +191,9 @@ def load_sim_config(doc: dict) -> sim_mod.SimConfig:
     missing = _CONFIG_REQUIRED - set(doc)
     if missing:
         raise ValueError(f"missing config fields: {sorted(missing)}")
+    for key in ("n", "n_target", "replication"):
+        if key in doc and not float(doc[key]).is_integer():
+            raise ValueError(f"{key} must be an integer, got {doc[key]!r}")
     params = ClusterParams(
         n=int(doc["n"]),
         bandwidth=parse_bandwidth(doc["bandwidth"]),
@@ -247,6 +245,8 @@ def cmd_validate(args) -> int:
         n_values = [int(x) for x in args.n_list.split(",") if x]
         if not n_values:
             raise ValueError("n-list is empty")
+        if min(n_values) < 1:
+            raise ValueError("n-list values must be >= 1")
         scenarios = _parse_scenarios(args.scenario_list)
         if args.tol < 1e-6:
             raise ValueError("tol must be >= 1e-6")

@@ -545,12 +545,3 @@ def ring_to_json(ring: RingState) -> str:
 def ring_from_json(s: str) -> RingState:
     return ring_from_dict(json.loads(s))
 
-
-def report_to_dict(report: RebalanceReport) -> dict:
-    return {
-        "node": report.joined_or_left,
-        "kind": report.kind,
-        "moved_partitions": [list(m) for m in report.moved_partitions],
-        "moved_key_estimate": report.moved_key_estimate,
-        "moved_byte_estimate": report.moved_byte_estimate,
-    }

@@ -77,8 +77,8 @@ class SimConfig:
             raise ValueError("n_target must exceed the initial node count")
         if self.max_sim_time <= 0:
             raise ValueError("max_sim_time must be positive")
-        if self.rate < 0:
-            raise ValueError("rate must be >= 0")
+        if not 0 <= self.rate < math.inf:
+            raise ValueError("rate must be finite and >= 0")
         if not 0.0 <= self.initial_fill <= 1.0:
             raise ValueError("initial_fill must be in [0, 1]")
 

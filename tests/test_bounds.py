@@ -3,6 +3,7 @@ import random
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dht_rebalance.bounds import (
     ALL_SCENARIOS,
@@ -277,6 +278,68 @@ def test_min_feasible_n_case_study_numbers():
     # a small stable workload fits on one node
     assert min_feasible_n(stable_conc, 500_000.0, bandwidth=1.25e8,
                           value_size=16.0, mu=0.5) == 1
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            min_feasible_n(stable_conc, bad, **common)
+
+
+def test_min_feasible_n_stable_storage_boundary():
+    # mu = 0.3 as a double lies just below 3/10, so at N = 129 the rate sits
+    # just under the stable storage bound (exactly on it for mu = 3/10).
+    # min_feasible_n must agree with storage_bound_stable, which admits 129.
+    stable_conc = Scenario(WorkloadKind.STABLE_TOTAL, StabilizationMode.CONCURRENT)
+    rate = 713_281_250.0
+    got = min_feasible_n(stable_conc, rate, bandwidth=1.25e8, value_size=16.0,
+                         mu=0.3, kinds={BoundKind.STORAGE})
+    assert got == 129
+    assert rate / 129 < storage_bound_stable(params(129, mu=0.3))
+    assert not rate / 128 < storage_bound_stable(params(128, mu=0.3))
+    mpmath.mp.dps = 40
+    exact = (1 + mpmath.mpf(1) / 129 - mpmath.mpf(0.3)) * mpmath.mpf(B)
+    assert mpmath.mpf(rate) / 129 < exact
+
+
+def _brute_min_n(scenario, rate, bandwidth, value_size, mu, kinds, n_max):
+    stable = scenario.workload is WorkloadKind.STABLE_TOTAL
+    for n in range(1, n_max + 1):
+        p = ClusterParams(n=n, bandwidth=bandwidth, value_size=value_size, mu=mu)
+        lam = rate / n if stable else rate
+        if all(lam < e.value for e in bound_report(p, scenario).entries
+               if e.applicable and (kinds is None or e.kind in kinds)):
+            return n
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario=st.sampled_from(ALL_SCENARIOS),
+       bandwidth=st.floats(1e3, 1e10),
+       value_size=st.floats(1.0, 1e4),
+       mu=st.floats(0.01, 1.0),
+       log_ratio=st.floats(-3.0, 3.0),
+       edge_n=st.one_of(st.none(), st.integers(1, 2000)),
+       kinds=st.sampled_from([None, {BoundKind.STORAGE}, {BoundKind.BANDWIDTH},
+                              {BoundKind.TIME}, set(BoundKind)]),
+       n_max=st.integers(1, 2000))
+def test_min_feasible_n_matches_brute_force(scenario, bandwidth, value_size, mu,
+                                            log_ratio, edge_n, kinds, n_max):
+    """min_feasible_n is the smallest N whose applicable bound_report
+    entries, restricted to kinds, all exceed lambda."""
+    if edge_n is None:
+        rate = 10.0 ** log_ratio * bandwidth / value_size
+    else:
+        # a rate exactly on the lowest enforced bound at edge_n
+        p = ClusterParams(n=edge_n, bandwidth=bandwidth, value_size=value_size,
+                          mu=mu)
+        report = bound_report(p, scenario)
+        rate = min((e.value for e in report.entries
+                    if e.applicable and (kinds is None or e.kind in kinds)),
+                   default=report.binding.value)
+        if scenario.workload is WorkloadKind.STABLE_TOTAL:
+            rate *= edge_n
+    got = min_feasible_n(scenario, rate, bandwidth=bandwidth,
+                         value_size=value_size, mu=mu, kinds=kinds, n_max=n_max)
+    assert got == _brute_min_n(scenario, rate, bandwidth, value_size, mu,
+                               kinds, n_max)
 
 
 def test_cluster_params_validation():
@@ -286,6 +349,14 @@ def test_cluster_params_validation():
         ClusterParams(n=1, bandwidth=1.0, value_size=1.0, mu=1.5)
     with pytest.raises(ValueError):
         ClusterParams(n=1, bandwidth=-1.0, value_size=1.0, mu=0.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ClusterParams(n=1, bandwidth=bad, value_size=1.0, mu=0.5)
+        with pytest.raises(ValueError):
+            ClusterParams(n=1, bandwidth=1.0, value_size=bad, mu=0.5)
+        with pytest.raises(ValueError):
+            ClusterParams(n=1, bandwidth=1.0, value_size=1.0, mu=0.5,
+                          storage=bad)
 
 
 def test_scenario_parsing():

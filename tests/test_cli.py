@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -86,6 +87,15 @@ def test_bounds_bad_mu(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_bounds_non_finite_value_size(capsys):
+    for bad in ("nan", "inf"):
+        rc = main(["bounds", "--n", "4", "--mu", "0.5", "--value-size", bad,
+                   "--scenario", "increasing-clear"])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_bounds_bad_scenario(capsys):
     rc = main(["bounds", "--n", "4", "--mu", "0.5", "--scenario", "bogus"])
     assert rc == EXIT_USAGE
@@ -127,6 +137,14 @@ def test_sweep_rows_sorted_and_monotone():
         vals = [r[3] for r in rows
                 if r[1] == "stable-concurrent" and r[2] == label]
         assert vals == sorted(vals, reverse=True)
+    # each row is exactly the scalar function's value
+    from dht_rebalance.bounds import (
+        ClusterParams, storage_bound_increasing, time_bound_clear_stable)
+    by_key = {r[:3]: r[3] for r in rows}
+    p = ClusterParams(n=17, bandwidth=1.25e8, value_size=16.0, mu=0.5)
+    assert by_key[(17, "stable-clear", "time")] == time_bound_clear_stable(p)
+    assert by_key[(17, "increasing-concurrent", "storage(mu=0.5)")] == \
+        storage_bound_increasing(p)
 
 
 def test_sweep_bad_range(tmp_path, capsys):
@@ -139,6 +157,16 @@ def test_sweep_bad_mu(tmp_path):
     rc = main(["sweep", "--n-min", "2", "--n-max", "4", "--mu-list", "1.5",
                "--out", str(tmp_path / "x.csv")])
     assert rc == EXIT_USAGE
+
+
+def test_sweep_bad_value_size(tmp_path, capsys):
+    for bad in ("-1", "inf", "nan"):
+        rc = main(["sweep", "--n-min", "2", "--n-max", "4", "--value-size", bad,
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_sweep_unwritable_path(tmp_path, capsys):
@@ -206,9 +234,15 @@ def test_simulate_missing_field(tmp_path, capsys):
     assert rc == EXIT_USAGE
 
 
-def test_simulate_bad_mu(tmp_path):
-    cfg = write_config(tmp_path, mu=1.5)
-    assert main(["simulate", "--config", cfg]) == EXIT_USAGE
+def test_simulate_bad_mu(tmp_path, capsys):
+    # mu out of range, and the other values a config must not let through:
+    # a non-finite rate and sizes that int() would truncate
+    for bad in ({"mu": 1.5}, {"rate": math.nan}, {"rate": math.inf},
+                {"n_target": 9.7}, {"n": 8.5}):
+        cfg = write_config(tmp_path, **bad)
+        assert main(["simulate", "--config", cfg]) == EXIT_USAGE, bad
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_simulate_insufficient_bandwidth(tmp_path, capsys):
@@ -247,6 +281,13 @@ def test_validate_empty_n_list(capsys):
     assert rc == EXIT_USAGE
 
 
+def test_validate_n_below_one(capsys):
+    rc = main(["validate", "--n-list", "0,4", "--scenario-list", "all"])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # case study
 
@@ -269,6 +310,13 @@ def test_case_study_cli(capsys):
     assert "storage bound alone: 17" in out
     assert "about 13 nodes" in out and "about 17 nodes" in out
     assert "note:" in out
+
+
+def test_case_study_non_finite_rate(capsys):
+    for bad in ("nan", "inf"):
+        assert main(["case-study", "--override-total-rate", bad]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_case_study_feasible_override(capsys):
