@@ -248,7 +248,7 @@ def cmd_validate(args) -> int:
         if min(n_values) < 1:
             raise ValueError("n-list values must be >= 1")
         scenarios = _parse_scenarios(args.scenario_list)
-        if args.tol < 1e-6:
+        if not args.tol >= 1e-6:
             raise ValueError("tol must be >= 1e-6")
         base = ClusterParams(n=1, bandwidth=parse_bandwidth(args.bandwidth),
                              value_size=float(args.value_size), mu=args.mu,

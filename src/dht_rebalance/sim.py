@@ -24,6 +24,11 @@ join the system triggers again once new writes fill the mu*S headroom, while
 the drained backlog adds to stored bytes without advancing that clock.  This
 matches the closed-form inter-expansion times and makes the bisected
 feasibility thresholds reproduce the time-oriented bounds.
+
+Under symmetry every old node holds the same bytes, so an event stores that
+one ``level`` plus the joining node's ``joining_level`` while a join is in
+progress; the per-node ``SimEvent.stored`` tuple is derived from them on
+access.  ``write_trace`` formats each level once and repeats the token.
 """
 
 from __future__ import annotations
@@ -75,7 +80,7 @@ class SimConfig:
     def __post_init__(self):
         if self.n_target <= self.params.n:
             raise ValueError("n_target must exceed the initial node count")
-        if self.max_sim_time <= 0:
+        if not self.max_sim_time > 0:
             raise ValueError("max_sim_time must be positive")
         if not 0 <= self.rate < math.inf:
             raise ValueError("rate must be finite and >= 0")
@@ -83,19 +88,34 @@ class SimConfig:
             raise ValueError("initial_fill must be in [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimEvent:
+    """One simulator event with its per-node state under symmetry.
+
+    The old nodes all hold ``level`` bytes.  ``joining_level`` is the joining
+    node's bytes while a join is in progress, and ``None`` when every node
+    holds ``level``.
+    """
+
     time: float
     kind: str  # expansion_triggered | join_started | join_completed |
                # catchup_completed | breakdown
     n: int     # system size after the event
-    stored: tuple[float, ...]
+    level: float
+    joining_level: Optional[float] = None
     backlog: float = 0.0
     duration: Optional[float] = None
     breakdown_kind: Optional[str] = None
 
+    @property
+    def stored(self) -> tuple[float, ...]:
+        """Bytes per node, the joining node last; ``len(stored) == n``."""
+        if self.joining_level is None:
+            return (self.level,) * self.n
+        return (self.level,) * (self.n - 1) + (self.joining_level,)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class SimOutcome:
     kind: str  # stabilized | breakdown | max_time_exceeded
     final_n: int
@@ -124,12 +144,6 @@ def run(cfg: SimConfig) -> tuple[list[SimEvent], SimOutcome]:
     stored = cfg.initial_fill * mu_s  # per node; old nodes stay symmetric
     events: list[SimEvent] = []
 
-    def snapshot(count: int, value: float, extra: Optional[float] = None):
-        vals = [value] * count
-        if extra is not None:
-            vals.append(extra)
-        return tuple(vals)
-
     def outcome_max_time() -> tuple[list[SimEvent], SimOutcome]:
         return events, SimOutcome(MAX_TIME_EXCEEDED, n, cfg.max_sim_time)
 
@@ -143,11 +157,10 @@ def run(cfg: SimConfig) -> tuple[list[SimEvent], SimOutcome]:
             stored = mu_s
         if t > cfg.max_sim_time:
             return outcome_max_time()
-        events.append(SimEvent(t, "expansion_triggered", n, snapshot(n, stored)))
+        events.append(SimEvent(t, "expansion_triggered", n, stored))
 
         # ---- join: n -> n + 1 ----
-        events.append(SimEvent(t, "join_started", n + 1,
-                               snapshot(n, stored, 0.0)))
+        events.append(SimEvent(t, "join_started", n + 1, stored, 0.0))
         migration_total = stored * n / (n + 1.0)
 
         if not clear:
@@ -161,8 +174,7 @@ def run(cfg: SimConfig) -> tuple[list[SimEvent], SimOutcome]:
             if old_rate >= 0:
                 # the trigger level is never left behind: the next expansion
                 # fires before this join completes
-                events.append(SimEvent(t, "breakdown", n + 1,
-                                       snapshot(n, stored, 0.0),
+                events.append(SimEvent(t, "breakdown", n + 1, stored, 0.0,
                                        breakdown_kind=EXPANSION_OVERLAP))
                 return events, SimOutcome(BREAKDOWN, n, t, EXPANSION_OVERLAP,
                                           at_n=n, at_time=t)
@@ -172,8 +184,7 @@ def run(cfg: SimConfig) -> tuple[list[SimEvent], SimOutcome]:
                 if t_full > cfg.max_sim_time:
                     return outcome_max_time()
                 events.append(SimEvent(t_full, "breakdown", n + 1,
-                                       snapshot(n, stored + old_rate * (t_full - t),
-                                                s_cap),
+                                       stored + old_rate * (t_full - t), s_cap,
                                        breakdown_kind=STORAGE_OVERFLOW))
                 return events, SimOutcome(BREAKDOWN, n, t_full, STORAGE_OVERFLOW,
                                           at_n=n, at_time=t_full)
@@ -184,8 +195,8 @@ def run(cfg: SimConfig) -> tuple[list[SimEvent], SimOutcome]:
             # share plus its writes, the old nodes drained to the same level
             stored = migration_total + w_post * t_join
             n += 1
-            events.append(SimEvent(t, "join_completed", n,
-                                   snapshot(n, stored), duration=t_join))
+            events.append(SimEvent(t, "join_completed", n, stored,
+                                   duration=t_join))
             if n >= cfg.n_target:
                 return events, SimOutcome(STABILIZED, n, t)
             continue
@@ -199,8 +210,7 @@ def run(cfg: SimConfig) -> tuple[list[SimEvent], SimOutcome]:
             return outcome_max_time()
         s_base = migration_total  # per-node stored right after the join
         n += 1
-        events.append(SimEvent(t0, "join_completed", n,
-                               snapshot(n, s_base), backlog=d_acc,
+        events.append(SimEvent(t0, "join_completed", n, s_base, backlog=d_acc,
                                duration=t_join))
 
         w_next = _per_node_write_bytes(cfg, n)
@@ -238,8 +248,7 @@ def run(cfg: SimConfig) -> tuple[list[SimEvent], SimOutcome]:
             elif s_at_catchup >= s_cap:
                 t_full = catchup_end
         if t_full < math.inf:
-            events.append(SimEvent(t_full, "breakdown", n,
-                                   snapshot(n, s_cap),
+            events.append(SimEvent(t_full, "breakdown", n, s_cap,
                                    breakdown_kind=STORAGE_OVERFLOW))
             return events, SimOutcome(BREAKDOWN, n, t_full, STORAGE_OVERFLOW,
                                       at_n=n, at_time=t_full)
@@ -251,8 +260,8 @@ def run(cfg: SimConfig) -> tuple[list[SimEvent], SimOutcome]:
             if drain_total > 0:
                 remaining = d_acc - drain_total * (t_trig - t0)
             stored_trig = s_base + (d_acc - remaining) / n + w_next * (t_trig - t0)
-            events.append(SimEvent(t_trig, "breakdown", n,
-                                   snapshot(n, stored_trig), backlog=remaining,
+            events.append(SimEvent(t_trig, "breakdown", n, stored_trig,
+                                   backlog=remaining,
                                    breakdown_kind=CATCHUP_STARVATION))
             return events, SimOutcome(BREAKDOWN, n, t_trig, CATCHUP_STARVATION,
                                       at_n=n, at_time=t_trig)
@@ -261,8 +270,7 @@ def run(cfg: SimConfig) -> tuple[list[SimEvent], SimOutcome]:
             if catchup_end > cfg.max_sim_time:
                 return outcome_max_time()
             events.append(SimEvent(catchup_end, "catchup_completed", n,
-                                   snapshot(n, s_base + d_acc / n
-                                            + w_next * (catchup_end - t0)),
+                                   s_base + d_acc / n + w_next * (catchup_end - t0),
                                    duration=catchup_end - t0))
         if n >= cfg.n_target:
             return events, SimOutcome(STABILIZED, n, max(catchup_end, t0))
@@ -300,7 +308,7 @@ def single_expansion_feasible(params: ClusterParams, scenario: Scenario,
 def feasibility_threshold(params: ClusterParams, scenario: Scenario,
                           tol: float = 1e-4, max_iter: int = 60) -> float:
     """Bisect the largest feasible per-node write rate over (0, b/v)."""
-    if tol < 1e-6:
+    if not tol >= 1e-6:
         raise ValueError("tol must be >= 1e-6")
     lo = 0.0
     hi = params.max_write_rate
@@ -356,12 +364,12 @@ def validate_against_bounds(n_values, scenario: Scenario,
 # ---------------------------------------------------------------------------
 # export
 
-def event_to_dict(ev: SimEvent) -> dict:
+def _record(ev: SimEvent, stored: list[float]) -> dict:
     d = {
         "time": ev.time,
         "kind": ev.kind,
         "n": ev.n,
-        "stored": list(ev.stored),
+        "stored": stored,
         "backlog": ev.backlog,
     }
     if ev.duration is not None:
@@ -371,11 +379,30 @@ def event_to_dict(ev: SimEvent) -> dict:
     return d
 
 
+def event_to_dict(ev: SimEvent) -> dict:
+    return _record(ev, list(ev.stored))
+
+
 def write_trace(events: list[SimEvent], path: str) -> None:
-    """JSON-lines trace, one event per line."""
+    """JSON-lines trace, one event per line.
+
+    Each line is byte-identical to ``json.dumps(event_to_dict(ev))``, but
+    the record is dumped with only the distinct levels in ``stored`` and the
+    old nodes' token is then repeated, so each level is formatted once, not
+    n times.
+    """
     with open(path, "w") as fh:
         for ev in events:
-            fh.write(json.dumps(event_to_dict(ev)) + "\n")
+            levels = [ev.level]
+            if ev.joining_level is not None:
+                levels.append(ev.joining_level)
+            # an unescaped quote only opens or closes a JSON string, so the
+            # first match is the "stored" key; number tokens hold no "]"
+            head, rest = json.dumps(_record(ev, levels)).split('"stored": [', 1)
+            levels_json, tail = rest.split("]", 1)
+            tok, _, last = levels_json.partition(", ")
+            fh.write(f'{head}"stored": [{(tok + ", ") * (ev.n - 1)}'
+                     f'{last or tok}]{tail}\n')
 
 
 def summary_dict(events: list[SimEvent], outcome: SimOutcome) -> dict:

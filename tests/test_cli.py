@@ -236,9 +236,9 @@ def test_simulate_missing_field(tmp_path, capsys):
 
 def test_simulate_bad_mu(tmp_path, capsys):
     # mu out of range, and the other values a config must not let through:
-    # a non-finite rate and sizes that int() would truncate
+    # a non-finite rate, sizes that int() would truncate and a NaN time limit
     for bad in ({"mu": 1.5}, {"rate": math.nan}, {"rate": math.inf},
-                {"n_target": 9.7}, {"n": 8.5}):
+                {"n_target": 9.7}, {"n": 8.5}, {"max_sim_time": math.nan}):
         cfg = write_config(tmp_path, **bad)
         assert main(["simulate", "--config", cfg]) == EXIT_USAGE, bad
         err = capsys.readouterr().err
@@ -283,6 +283,14 @@ def test_validate_empty_n_list(capsys):
 
 def test_validate_n_below_one(capsys):
     rc = main(["validate", "--n-list", "0,4", "--scenario-list", "all"])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_validate_nan_tol(capsys):
+    rc = main(["validate", "--n-list", "4",
+               "--scenario-list", "increasing-concurrent", "--tol", "nan"])
     assert rc == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1

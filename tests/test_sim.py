@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -18,8 +19,11 @@ from dht_rebalance.sim import (
     EXPANSION_OVERLAP,
     MAX_TIME_EXCEEDED,
     STABILIZED,
+    STORAGE_OVERFLOW,
     EmptyRange,
     SimConfig,
+    SimEvent,
+    event_to_dict,
     feasibility_threshold,
     run,
     summary_dict,
@@ -214,8 +218,9 @@ def test_config_validation():
     p = params(4)
     with pytest.raises(ValueError):
         SimConfig(p, INCR_CONC, 1.0, n_target=4)
-    with pytest.raises(ValueError):
-        SimConfig(p, INCR_CONC, 1.0, n_target=5, max_sim_time=0.0)
+    for bad_time in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            SimConfig(p, INCR_CONC, 1.0, n_target=5, max_sim_time=bad_time)
     with pytest.raises(ValueError):
         SimConfig(p, INCR_CONC, -1.0, n_target=5)
 
@@ -233,8 +238,9 @@ def test_threshold_matches_bounds_spot():
 
 
 def test_threshold_tol_precondition():
-    with pytest.raises(ValueError):
-        feasibility_threshold(params(4), STAB_CONC, tol=1e-9)
+    for bad_tol in (1e-9, math.nan):
+        with pytest.raises(ValueError):
+            feasibility_threshold(params(4), STAB_CONC, tol=bad_tol)
 
 
 def test_validate_report():
@@ -262,3 +268,57 @@ def test_trace_and_summary_export(tmp_path):
     assert summary["outcome"] == "stabilized"
     assert summary["final_n"] == 5
     assert len(summary["joins"]) == 1
+
+
+def _run_at(n, mu, scenario, frac, n_target):
+    """Events of a run at frac times the binding bound, prefilled to mu*S."""
+    p = params(n, mu)
+    lam = frac * bound_report(p, scenario).binding.value
+    rate = lam if scenario.workload is WorkloadKind.INCREASING_PER_NODE else lam * n
+    events, _ = run(SimConfig(p, scenario, rate, n_target, initial_fill=1.0))
+    return events
+
+
+def test_trace_lines_match_event_to_dict(tmp_path):
+    events = (_run_at(4, 0.5, INCR_CONC, 0.5, 7)       # joins, stabilized
+              + _run_at(1, 0.5, STAB_CLEAR, 0.5, 3)    # catch-up, n = 1
+              + _run_at(4, 0.5, STAB_CONC, 1.05, 6)    # expansion_overlap
+              + _run_at(4, 0.9, INCR_CLEAR, 0.5, 6)    # clear storage_overflow
+              + _run_at(4, 0.5, STAB_CLEAR, 0.95, 6))  # catchup_starvation
+    # with mu <= 1 the joining node passes S only at a write share above
+    # b/(n+1), where run() has already reported expansion_overlap; so build
+    # the concurrent overflow event: old nodes' level, joining node at S
+    events.append(SimEvent(7.5, "breakdown", 5, 3.75e11, 1e12,
+                           breakdown_kind=STORAGE_OVERFLOW))
+    kinds = {(ev.kind, ev.breakdown_kind, ev.joining_level is not None)
+             for ev in events}
+    assert kinds == {
+        ("expansion_triggered", None, False), ("join_started", None, True),
+        ("join_completed", None, False), ("catchup_completed", None, False),
+        ("breakdown", EXPANSION_OVERLAP, True),
+        ("breakdown", STORAGE_OVERFLOW, True),
+        ("breakdown", STORAGE_OVERFLOW, False),
+        ("breakdown", CATCHUP_STARVATION, False)}
+    path = tmp_path / "trace.jsonl"
+    write_trace(events, str(path))
+    lines = path.read_text().split("\n")
+    assert lines.pop() == ""
+    assert len(lines) == len(events)
+    for ev, line in zip(events, lines):
+        assert line == json.dumps(event_to_dict(ev))
+        assert len(json.loads(line)["stored"]) == ev.n == len(ev.stored)
+
+
+def test_run_memory_stays_linear():
+    # each event holds O(1) state, so the peak grows with the event count
+    # (O(n)), not with the per-node bytes of every event (O(n^2))
+    p = ClusterParams(n=2, bandwidth=1.25e8, value_size=16.0, mu=0.5)
+    cfg = SimConfig(p, STAB_CONC, 0.5 * p.max_write_rate, n_target=3000)
+    tracemalloc.start()
+    try:
+        _, outcome = run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome.kind == STABILIZED
+    assert peak < 10e6
