@@ -34,6 +34,7 @@ from .ring import (
     join,
     leave,
     lookup,
+    lookup_many,
 )
 from .sim import (
     SimConfig,

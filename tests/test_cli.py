@@ -366,3 +366,14 @@ def test_ring_stats_replication_exceeds_nodes(capsys):
 def test_ring_stats_missing_q(capsys):
     rc = main(["ring-stats", "--nodes", "4"])
     assert rc == EXIT_USAGE
+
+
+def test_ring_stats_bad_replication(capsys):
+    for bad in ("0", "-1"):
+        rc = main(["ring-stats", "--strategy", "many-token-equal-part",
+                   "--q", "64", "--nodes", "8", "--keys", "1000",
+                   "--replication", bad])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1

@@ -1,7 +1,14 @@
+import bisect
+import dataclasses
+import hashlib
+import json
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dht_rebalance import lookup_many
 from dht_rebalance.ring import (
     CIRCLE,
     DuplicateNode,
@@ -11,6 +18,7 @@ from dht_rebalance.ring import (
     ManyTokenEqualPart,
     QSmallerThanN,
     ReplicationExceedsNodes,
+    RingError,
     UnknownNode,
     ZeroNodes,
     balance_stats,
@@ -21,7 +29,9 @@ from dht_rebalance.ring import (
     lookup,
     mix64,
     partition_of,
+    ring_from_dict,
     ring_from_json,
+    ring_to_dict,
     ring_to_json,
 )
 
@@ -233,3 +243,207 @@ def test_serialization_round_trip():
     for strategy in (ManyTokenEqualPart(96), LimitedTokenRandomPart(3)):
         ring = build_ring(5, strategy, 12)
         assert ring_from_json(ring_to_json(ring)) == ring
+
+
+ALL_STRATEGIES = (ManyTokenEqualPart(96), LimitedTokenEqualPart(8),
+                  LimitedTokenRandomPart(8))
+
+
+def test_replication_below_one_rejected():
+    for strategy in ALL_STRATEGIES:
+        ring = build_ring(4, strategy, 3)
+        for bad in (0, -1):
+            with pytest.raises(RingError):
+                lookup(ring, 5, bad)
+            with pytest.raises(RingError):
+                lookup_many(ring, [5], bad)
+            with pytest.raises(RingError):
+                balance_stats(ring, 100, r=bad)
+            with pytest.raises(RingError):
+                join(ring, 4, 1, key_sample=100, replication=bad)
+            with pytest.raises(RingError):
+                leave(ring, 2, 1, key_sample=100, replication=bad)
+
+
+def _reference_walk(slots, start, r):
+    """First r distinct owners met walking slots clockwise from start."""
+    found = []
+    for i in range(len(slots)):
+        owner = slots[(start + i) % len(slots)]
+        if owner not in found:
+            found.append(owner)
+            if len(found) == r:
+                break
+    return found
+
+
+@st.composite
+def owner_layouts(draw):
+    """(ring, owner per slot, r): runs of one owner up to 40 slots long,
+    every node owning a slot, non-contiguous node ids; q = n when there are
+    no extra runs."""
+    n = draw(st.integers(1, 6))
+    ids = [7 * i + 3 for i in range(n)]
+    runs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, 40)),
+                         max_size=10))
+    seq = [ids[i] for i, length in runs for _ in range(length)]
+    seq += [ids[i] for i in draw(st.permutations(range(n)))]
+    cut = draw(st.integers(0, len(seq) - 1))
+    seq = seq[cut:] + seq[:cut]
+    r = draw(st.one_of(st.just(n), st.integers(1, n)))
+    d = {"nodes": ids, "seed": 0}
+    if draw(st.booleans()):
+        d.update(strategy={"kind": "many-token-equal-part", "q": len(seq)},
+                 q=len(seq), partition_owners=seq)
+    else:
+        points = sorted(draw(st.sets(st.integers(0, CIRCLE - 1),
+                                     min_size=len(seq), max_size=len(seq))))
+        d.update(strategy={"kind": "limited-token-random-part",
+                           "tokens_per_node": 1},
+                 tokens=[[p, o] for p, o in zip(points, seq)])
+    return ring_from_dict(d), seq, r
+
+
+@settings(max_examples=200, deadline=None)
+@given(layout=owner_layouts(), keys=st.lists(st.integers(0, CIRCLE - 1),
+                                             min_size=1, max_size=8))
+def test_replica_tables_match_reference_walk(layout, keys):
+    ring, seq, r = layout
+    table = [[ring.nodes[i] for i in row] for row in ring.replica_table(r).tolist()]
+    assert table == [_reference_walk(seq, p, r) for p in range(len(seq))]
+    expect = []
+    for key in keys:
+        h = hash_key(key)
+        if ring.is_equal_part:
+            start = partition_of(h, ring.q)
+        else:
+            start = bisect.bisect_left([t for t, _ in ring.tokens], h) % len(seq)
+        expect.append(_reference_walk(seq, start, r))
+    assert [lookup(ring, key, r) for key in keys] == expect
+    assert lookup_many(ring, keys, r).tolist() == expect
+
+
+def test_lookup_many_matches_lookup():
+    keys = [0, 1, 2**63, CIRCLE - 1, -5] + list(range(100, 160))
+    for strategy in ALL_STRATEGIES:
+        ring = build_ring(6, strategy, 21)
+        for r in (1, 3, 6):
+            expect = [lookup(ring, k, r) for k in keys]
+            got = lookup_many(ring, keys, r)
+            assert got.shape == (len(keys), r)
+            assert got.tolist() == expect
+            as_array = lookup_many(ring, np.array(keys[5:], dtype=np.uint64), r)
+            assert as_array.tolist() == expect[5:]
+            assert lookup_many(ring, np.array([-5]), r).tolist() == [expect[4]]
+        assert lookup_many(ring, [], 2).shape == (0, 2)
+
+
+def test_views_hold_python_ints():
+    for strategy in ALL_STRATEGIES:
+        ring = build_ring(5, strategy, 4)
+        ring2, report = join(ring, 5, 8)
+        values = ring2.owners if ring2.is_equal_part else [
+            x for pair in ring2.tokens for x in pair]
+        assert all(type(x) is int for x in values)
+        assert all(type(x) is int for x in ring2.token_counts().values())
+        assert all(type(x) is int for move in report.moved_partitions for x in move)
+        assert all(type(x) is int for x in lookup(ring2, 9, 3))
+
+
+def test_ring_from_dict_rejects_broken_layouts():
+    ring = build_ring(3, ManyTokenEqualPart(12), 1)
+    rand = build_ring(3, LimitedTokenRandomPart(2), 1)
+    bad = []
+    for change in (lambda d: d.update(nodes=[2, 1, 0]),           # unsorted
+                   lambda d: d.update(nodes=[0, 1, 2, 3]),        # 3 owns nothing
+                   lambda d: d["partition_owners"].__setitem__(0, 9),
+                   lambda d: d.update(q=13)):
+        d = ring_to_dict(ring)
+        change(d)
+        bad.append(d)
+    d = ring_to_dict(rand)
+    d["tokens"][0], d["tokens"][1] = d["tokens"][1], d["tokens"][0]
+    bad.append(d)
+    for d in bad:
+        with pytest.raises(RingError):
+            ring_from_dict(d)
+
+
+def test_join_rejects_node_id_outside_int32():
+    ring = build_ring(3, ManyTokenEqualPart(12), 1)
+    for node in (2**31, -2**31 - 1):
+        with pytest.raises(RingError):
+            join(ring, node, 1)
+    ring2, _ = join(ring, 2**31 - 1, 1)
+    assert ring2.token_counts()[2**31 - 1] == 3
+
+
+# Recorded with the tuple-based ring (one Python tuple per token) that the
+# array-backed RingState replaced, before ring.py was changed; the arrays
+# must reproduce its seeded output exactly.
+GOLDEN_SCRIPT_SHA256 = "ff93db9094eb40848bc1743da9c67b18a3a7c3ab0f59a20ab7d17337abd724c7"
+GOLDEN_Q65536_JOIN_SHA256 = "ad07736d2e6356c3d827adbf96d103618a12e739e1744824c7fdd895d905e6ae"
+GOLDEN_Q65536_LEAVE_SHA256 = "258b5a0bc19ef3be17691c3391551f45527c6d86e412bbe837ef46077ce1e43f"
+
+
+def _sha256(*parts: str) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part.encode())
+    return h.hexdigest()
+
+
+def test_seeded_output_matches_golden_digest():
+    """A fixed script of 20 joins and leaves per strategy, each with a key
+    sample, followed by balance_stats and four lookups, hashed over
+    ring_to_json, the reports, the stats and the lookups.  The digest was
+    recorded at the commit before the rings became arrays, with the tuple
+    implementation; any change to RNG use, move order or counting shows
+    here."""
+    parts = []
+    for s, strategy in enumerate(ALL_STRATEGIES):
+        rnd = random.Random(1000 + s)
+        ring = build_ring(6, strategy, 31 + s)
+        parts.append(ring_to_json(ring))
+        next_id = 6
+        for step in range(20):
+            if step % 3 == 2:
+                node = rnd.choice(sorted(ring.nodes))
+                ring, report = leave(ring, node, rnd.getrandbits(32),
+                                     key_sample=5000,
+                                     sample_seed=rnd.getrandbits(32),
+                                     replication=2, value_size=8.0)
+            else:
+                ring, report = join(ring, next_id, rnd.getrandbits(32),
+                                    key_sample=5000,
+                                    sample_seed=rnd.getrandbits(32),
+                                    replication=2, value_size=8.0)
+                next_id += 1
+            stats = balance_stats(ring, 4000, r=min(3, ring.n), seed=step)
+            owners = [lookup(ring, rnd.getrandbits(64), min(3, ring.n))
+                      for _ in range(4)]
+            parts += [ring_to_json(ring), json.dumps(dataclasses.asdict(report)),
+                      json.dumps(dataclasses.asdict(stats)), json.dumps(owners)]
+    assert _sha256(*parts) == GOLDEN_SCRIPT_SHA256
+
+
+def test_large_q_join_then_leave():
+    """q = 65536 over 16 nodes: the join moves floor(q/17) partitions, all
+    to the new node, the leave moves only the leaver's partitions, both keep
+    the floor/ceil balance, and the moves equal those of the tuple
+    implementation (digests recorded before the rings became arrays)."""
+    q = 65536
+    ring = build_ring(16, ManyTokenEqualPart(q), 7)
+    ring2, joined = join(ring, 16, 11)
+    assert len(joined.moved_partitions) == q // 17
+    assert all(to == 16 for _, _, to in joined.moved_partitions)
+    assert set(ring2.token_counts().values()) <= {q // 17, -(-q // 17)}
+    ring3, left = leave(ring2, 5, 13)
+    assert len(left.moved_partitions) == ring2.token_counts()[5]
+    assert all(frm == 5 for _, frm, _ in left.moved_partitions)
+    assert set(ring3.token_counts().values()) <= {q // 16, -(-q // 16)}
+    changed = [(p, a, b) for p, (a, b) in
+               enumerate(zip(ring2.owners, ring3.owners)) if a != b]
+    assert changed == list(left.moved_partitions)
+    assert _sha256(json.dumps(joined.moved_partitions)) == GOLDEN_Q65536_JOIN_SHA256
+    assert _sha256(json.dumps(left.moved_partitions)) == GOLDEN_Q65536_LEAVE_SHA256
