@@ -323,7 +323,9 @@ def min_feasible_n(
     """
     if not 0 < rate < math.inf:
         raise ValueError("rate must be positive and finite")
-    b_rate = bandwidth / value_size
+    # ClusterParams validates the link, storage and mu before anything divides
+    b_rate = ClusterParams(1, bandwidth, value_size, mu, replication,
+                           storage).max_write_rate
     stable = scenario.workload is WorkloadKind.STABLE_TOTAL
     enforced = [k for k in applicable_kinds(scenario)
                 if kinds is None or k in kinds]

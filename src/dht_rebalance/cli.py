@@ -280,7 +280,8 @@ def case_study(total_rate: float = 4_800_000.0,
                mu: float = 0.5) -> dict:
     """Metro-IoT sizing exercise: a stable 4.8M writes/s workload of 240 B
     values against 1 Gbps nodes, mu = 0.5."""
-    b_rate = bandwidth / value_size
+    b_rate = ClusterParams(n=1, bandwidth=bandwidth, value_size=value_size,
+                           mu=mu).max_write_rate
     stable_concurrent = Scenario(WorkloadKind.STABLE_TOTAL,
                                  StabilizationMode.CONCURRENT)
     stable_clear = Scenario(WorkloadKind.STABLE_TOTAL, StabilizationMode.CLEAR)

@@ -29,6 +29,12 @@ Under symmetry every old node holds the same bytes, so an event stores that
 one ``level`` plus the joining node's ``joining_level`` while a join is in
 progress; the per-node ``SimEvent.stored`` tuple is derived from them on
 access.  ``write_trace`` formats each level once and repeats the token.
+
+The physics is one event stream with no time-limit guards; ``run`` alone
+decides the outcome.  The first event later than ``max_sim_time`` is dropped
+and gives max_time_exceeded; a breakdown event gives breakdown; a stream
+that ends at ``n_target`` is stabilized, and any other end is
+max_time_exceeded.
 """
 
 from __future__ import annotations
@@ -36,10 +42,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Iterator, Optional
 
 from .bounds import (
-    BoundKind,
     ClusterParams,
     InsufficientBandwidth,
     Scenario,
@@ -117,6 +122,13 @@ class SimEvent:
 
 @dataclass(frozen=True, slots=True)
 class SimOutcome:
+    """How a run ended; ``final_n`` is the size after the last join_completed.
+
+    ``total_time`` is ``max_sim_time`` for max_time_exceeded and the last
+    kept event's time otherwise; a breakdown sets ``at_n == final_n`` and
+    ``at_time == total_time``.
+    """
+
     kind: str  # stabilized | breakdown | max_time_exceeded
     final_n: int
     total_time: float
@@ -133,7 +145,10 @@ def _per_node_write_bytes(cfg: SimConfig, n: int) -> float:
     return cfg.rate * v / n
 
 
-def run(cfg: SimConfig) -> tuple[list[SimEvent], SimOutcome]:
+def _events(cfg: SimConfig) -> Iterator[SimEvent]:
+    """The run's events in time order; ``max_sim_time`` bounds only the
+    clear-mode overflow search.  Stops at ``n_target``, after a breakdown, or
+    when no further expansion can fire."""
     p = cfg.params
     b, s_cap = p.bandwidth, p.storage
     mu_s = p.mu * s_cap
@@ -142,25 +157,19 @@ def run(cfg: SimConfig) -> tuple[list[SimEvent], SimOutcome]:
     n = p.n
     t = 0.0
     stored = cfg.initial_fill * mu_s  # per node; old nodes stay symmetric
-    events: list[SimEvent] = []
 
-    def outcome_max_time() -> tuple[list[SimEvent], SimOutcome]:
-        return events, SimOutcome(MAX_TIME_EXCEEDED, n, cfg.max_sim_time)
-
-    while True:
+    while n < cfg.n_target:
         # ---- fill to the expansion trigger at size n ----
         w = _per_node_write_bytes(cfg, n)
         if stored < mu_s:
             if w <= 0:
-                return outcome_max_time()
+                return
             t += (mu_s - stored) / w
             stored = mu_s
-        if t > cfg.max_sim_time:
-            return outcome_max_time()
-        events.append(SimEvent(t, "expansion_triggered", n, stored))
+        yield SimEvent(t, "expansion_triggered", n, stored)
 
         # ---- join: n -> n + 1 ----
-        events.append(SimEvent(t, "join_started", n + 1, stored, 0.0))
+        yield SimEvent(t, "join_started", n + 1, stored, 0.0)
         migration_total = stored * n / (n + 1.0)
 
         if not clear:
@@ -174,31 +183,24 @@ def run(cfg: SimConfig) -> tuple[list[SimEvent], SimOutcome]:
             if old_rate >= 0:
                 # the trigger level is never left behind: the next expansion
                 # fires before this join completes
-                events.append(SimEvent(t, "breakdown", n + 1, stored, 0.0,
-                                       breakdown_kind=EXPANSION_OVERLAP))
-                return events, SimOutcome(BREAKDOWN, n, t, EXPANSION_OVERLAP,
-                                          at_n=n, at_time=t)
-            # joining node fills at the full b (writes + migration)
+                yield SimEvent(t, "breakdown", n + 1, stored, 0.0,
+                               breakdown_kind=EXPANSION_OVERLAP)
+                return
+            # joining node fills at the full b (writes + migration); in exact
+            # arithmetic the overlap above always comes first, in floating
+            # point this fires at mu = 1 a few ulps below the bandwidth bound
             if (migration_total + w_post * t_join) > s_cap:
                 t_full = t + s_cap / b
-                if t_full > cfg.max_sim_time:
-                    return outcome_max_time()
-                events.append(SimEvent(t_full, "breakdown", n + 1,
-                                       stored + old_rate * (t_full - t), s_cap,
-                                       breakdown_kind=STORAGE_OVERFLOW))
-                return events, SimOutcome(BREAKDOWN, n, t_full, STORAGE_OVERFLOW,
-                                          at_n=n, at_time=t_full)
+                yield SimEvent(t_full, "breakdown", n + 1,
+                               stored + old_rate * (t_full - t), s_cap,
+                               breakdown_kind=STORAGE_OVERFLOW)
+                return
             t += t_join
-            if t > cfg.max_sim_time:
-                return outcome_max_time()
             # all n+1 nodes end symmetric: the joining node holds the migrated
             # share plus its writes, the old nodes drained to the same level
             stored = migration_total + w_post * t_join
             n += 1
-            events.append(SimEvent(t, "join_completed", n, stored,
-                                   duration=t_join))
-            if n >= cfg.n_target:
-                return events, SimOutcome(STABILIZED, n, t)
+            yield SimEvent(t, "join_completed", n, stored, duration=t_join)
             continue
 
         # ---- clear join ----
@@ -206,30 +208,18 @@ def run(cfg: SimConfig) -> tuple[list[SimEvent], SimOutcome]:
         live_total = (n + 1) * _per_node_write_bytes(cfg, n + 1)
         d_acc = live_total * t_join
         t0 = t + t_join
-        if t0 > cfg.max_sim_time:
-            return outcome_max_time()
         s_base = migration_total  # per-node stored right after the join
         n += 1
-        events.append(SimEvent(t0, "join_completed", n, s_base, backlog=d_acc,
-                               duration=t_join))
+        yield SimEvent(t0, "join_completed", n, s_base, backlog=d_acc,
+                       duration=t_join)
 
         w_next = _per_node_write_bytes(cfg, n)
         drain_total = n * (b - w_next)
-        if d_acc > 0 and drain_total > 0:
-            catchup_end = t0 + d_acc / drain_total
-        elif d_acc > 0:
-            catchup_end = math.inf
-        else:
-            catchup_end = t0
-
+        catchup_end = (t0 + d_acc / drain_total if drain_total > 0
+                       else math.inf if d_acc > 0 else t0)
         # next-trigger clock: live writes refilling the mu*S headroom
-        headroom = mu_s - s_base
-        if w_next > 0 and headroom > 0:
-            t_trig = t0 + headroom / w_next
-        elif w_next > 0:
-            t_trig = t0
-        else:
-            t_trig = math.inf
+        t_trig = t0 + max(mu_s - s_base, 0.0) / w_next if w_next > 0 else math.inf
+        s_at_catchup = s_base + d_acc / n + w_next * (catchup_end - t0)
 
         # storage overflow while the backlog drains (per-node inflow is the
         # full b during catch-up, then w_next)
@@ -240,7 +230,6 @@ def run(cfg: SimConfig) -> tuple[list[SimEvent], SimOutcome]:
             if cross <= min(catchup_end, horizon):
                 t_full = cross
         if t_full == math.inf and catchup_end < horizon:
-            s_at_catchup = s_base + d_acc / n + w_next * (catchup_end - t0)
             if w_next > 0 and s_at_catchup < s_cap:
                 cross = catchup_end + (s_cap - s_at_catchup) / w_next
                 if cross <= horizon:
@@ -248,39 +237,48 @@ def run(cfg: SimConfig) -> tuple[list[SimEvent], SimOutcome]:
             elif s_at_catchup >= s_cap:
                 t_full = catchup_end
         if t_full < math.inf:
-            events.append(SimEvent(t_full, "breakdown", n, s_cap,
-                                   breakdown_kind=STORAGE_OVERFLOW))
-            return events, SimOutcome(BREAKDOWN, n, t_full, STORAGE_OVERFLOW,
-                                      at_n=n, at_time=t_full)
+            yield SimEvent(t_full, "breakdown", n, s_cap,
+                           breakdown_kind=STORAGE_OVERFLOW)
+            return
 
         if t_trig <= catchup_end and d_acc > 0:
-            if t_trig > cfg.max_sim_time:
-                return outcome_max_time()
-            remaining = d_acc
-            if drain_total > 0:
-                remaining = d_acc - drain_total * (t_trig - t0)
-            stored_trig = s_base + (d_acc - remaining) / n + w_next * (t_trig - t0)
-            events.append(SimEvent(t_trig, "breakdown", n, stored_trig,
-                                   backlog=remaining,
-                                   breakdown_kind=CATCHUP_STARVATION))
-            return events, SimOutcome(BREAKDOWN, n, t_trig, CATCHUP_STARVATION,
-                                      at_n=n, at_time=t_trig)
-
+            remaining = (d_acc - drain_total * (t_trig - t0) if drain_total > 0
+                         else d_acc)
+            yield SimEvent(t_trig, "breakdown", n,
+                           s_base + (d_acc - remaining) / n + w_next * (t_trig - t0),
+                           backlog=remaining, breakdown_kind=CATCHUP_STARVATION)
+            return
         if d_acc > 0:
-            if catchup_end > cfg.max_sim_time:
-                return outcome_max_time()
-            events.append(SimEvent(catchup_end, "catchup_completed", n,
-                                   s_base + d_acc / n + w_next * (catchup_end - t0),
-                                   duration=catchup_end - t0))
-        if n >= cfg.n_target:
-            return events, SimOutcome(STABILIZED, n, max(catchup_end, t0))
+            yield SimEvent(catchup_end, "catchup_completed", n, s_at_catchup,
+                           duration=catchup_end - t0)
 
         # resume filling; drained bytes count towards stored, the trigger
         # clock keeps running on live writes from t0
         if t_trig == math.inf:
-            return outcome_max_time()
+            return
         t = t_trig
         stored = s_base + d_acc / n + w_next * (t_trig - t0)
+
+
+def run(cfg: SimConfig) -> tuple[list[SimEvent], SimOutcome]:
+    """Replay the scale-out and decide its outcome (see ``SimOutcome``)."""
+    events: list[SimEvent] = []
+    final_n = cfg.params.n  # size after the last join_completed
+    limit = cfg.max_sim_time
+    for ev in _events(cfg):
+        if ev.time > limit:
+            break
+        events.append(ev)
+        if ev.kind == "join_completed":
+            final_n = ev.n
+        elif ev.kind == "breakdown":
+            return events, SimOutcome(BREAKDOWN, final_n, ev.time,
+                                      ev.breakdown_kind, at_n=final_n,
+                                      at_time=ev.time)
+    else:  # the stream ended
+        if final_n >= cfg.n_target:
+            return events, SimOutcome(STABILIZED, final_n, events[-1].time)
+    return events, SimOutcome(MAX_TIME_EXCEEDED, final_n, limit)
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,13 @@ def test_min_feasible_n_case_study_numbers():
     for bad in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             min_feasible_n(stable_conc, bad, **common)
+    # the link, storage and mu are checked before anything divides
+    for key, bad in (("value_size", -240.0), ("value_size", 0.0),
+                     ("value_size", math.nan), ("bandwidth", math.inf),
+                     ("storage", 0.0), ("mu", 5.0), ("mu", 0.0),
+                     ("mu", math.nan), ("replication", 0)):
+        with pytest.raises(ValueError):
+            min_feasible_n(stable_conc, 4_800_000.0, **{**common, key: bad})
 
 
 def test_min_feasible_n_stable_storage_boundary():

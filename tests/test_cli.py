@@ -327,6 +327,19 @@ def test_case_study_non_finite_rate(capsys):
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_case_study_bad_link_and_mu(capsys):
+    for flag, bad in (("--override-value-size", "-240"),
+                      ("--override-value-size", "nan"),
+                      ("--override-value-size", "0"),
+                      ("--override-mu", "5"), ("--override-mu", "0"),
+                      ("--override-mu", "nan"),
+                      ("--override-bandwidth", "1e400")):
+        assert main(["case-study", flag, bad]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 def test_case_study_feasible_override(capsys):
     rc = main(["case-study", "--override-total-rate", "400000"])
     assert rc == EXIT_OK

@@ -1,17 +1,26 @@
+import hashlib
 import json
 import math
+import random
 import tracemalloc
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dht_rebalance.bounds import (
+    ALL_SCENARIOS,
     ClusterParams,
     InsufficientBandwidth,
     Scenario,
     StabilizationMode,
     WorkloadKind,
+    bandwidth_bound_increasing,
+    bandwidth_bound_stable,
     bound_report,
     stabilization_time,
+    time_bound_clear_increasing,
+    time_bound_clear_stable,
 )
 from dht_rebalance.sim import (
     BREAKDOWN,
@@ -22,7 +31,6 @@ from dht_rebalance.sim import (
     STORAGE_OVERFLOW,
     EmptyRange,
     SimConfig,
-    SimEvent,
     event_to_dict,
     feasibility_threshold,
     run,
@@ -279,17 +287,40 @@ def _run_at(n, mu, scenario, frac, n_target):
     return events
 
 
+def _float_edge_config(rate=1132.185717735206, initial_fill=1.0):
+    """increasing-concurrent at mu = 1, where the storage and bandwidth bounds
+    meet.  In exact arithmetic the joining node reaches S only above the
+    bandwidth bound, where the join overlaps the next expansion; in floating
+    point this rate, one ulp below the bound, fills it first."""
+    p = ClusterParams(n=100, bandwidth=45669206.033838026,
+                      value_size=399.37825542896167, mu=1.0,
+                      storage=12101084162.998093)
+    return SimConfig(p, INCR_CONC, rate, n_target=101,
+                     initial_fill=initial_fill)
+
+
+def test_float_edge_concurrent_storage_overflow():
+    cfg = _float_edge_config()
+    assert cfg.rate < bandwidth_bound_increasing(cfg.params)
+    events, outcome = run(cfg)
+    assert outcome.kind == BREAKDOWN
+    assert outcome.breakdown_kind == STORAGE_OVERFLOW
+    assert (outcome.at_n, outcome.final_n) == (100, 100)
+    last = events[-1]
+    assert (last.kind, last.n) == ("breakdown", 101)
+    assert last.joining_level == cfg.params.storage
+    assert outcome.total_time == last.time == pytest.approx(
+        cfg.params.storage / cfg.params.bandwidth, rel=1e-12)
+
+
 def test_trace_lines_match_event_to_dict(tmp_path):
     events = (_run_at(4, 0.5, INCR_CONC, 0.5, 7)       # joins, stabilized
               + _run_at(1, 0.5, STAB_CLEAR, 0.5, 3)    # catch-up, n = 1
               + _run_at(4, 0.5, STAB_CONC, 1.05, 6)    # expansion_overlap
               + _run_at(4, 0.9, INCR_CLEAR, 0.5, 6)    # clear storage_overflow
               + _run_at(4, 0.5, STAB_CLEAR, 0.95, 6))  # catchup_starvation
-    # with mu <= 1 the joining node passes S only at a write share above
-    # b/(n+1), where run() has already reported expansion_overlap; so build
-    # the concurrent overflow event: old nodes' level, joining node at S
-    events.append(SimEvent(7.5, "breakdown", 5, 3.75e11, 1e12,
-                           breakdown_kind=STORAGE_OVERFLOW))
+    # concurrent storage_overflow: old nodes' level, joining node at S
+    events += run(_float_edge_config())[0]
     kinds = {(ev.kind, ev.breakdown_kind, ev.joining_level is not None)
              for ev in events}
     assert kinds == {
@@ -322,3 +353,118 @@ def test_run_memory_stays_linear():
         tracemalloc.stop()
     assert outcome.kind == STABILIZED
     assert peak < 10e6
+
+
+# ---------------------------------------------------------------------------
+# outcome rule
+
+# per-node rate scale of each scenario: its binding bound for mu <= 1
+_RATE_SCALE = dict(zip(ALL_SCENARIOS, (
+    bandwidth_bound_increasing, time_bound_clear_increasing,
+    bandwidth_bound_stable, time_bound_clear_stable)))
+
+GOLDEN_RUNS_SHA256 = "b97160117e9ff2bd180f9fc8dabafb86d4fda2200763f033c02a979e1fba470e"
+
+
+def _golden_configs():
+    """1994 seeded configs: all four scenarios, mu up to 1.0, initial_fill
+    0, 1 or random, rates from 0 to 3x the scenario's bound, the float-edge
+    overflow and ulp steps below it; each run is repeated with up to three
+    time limits cut at its own event times or between two of them."""
+    rnd = random.Random(20261018)
+    bases = []
+    for i in range(600):
+        sc = ALL_SCENARIOS[i % 4]
+        n = rnd.choice((1, 2, rnd.randint(1, 40)))
+        p = ClusterParams(n=n, bandwidth=10 ** rnd.uniform(6, 9),
+                          value_size=10 ** rnd.uniform(0, 3),
+                          mu=rnd.choice((1.0, rnd.uniform(0.05, 1.0))),
+                          storage=10 ** rnd.uniform(9, 13))
+        lam = rnd.choice((0.0, rnd.uniform(0.0, 1.0), rnd.uniform(0.0, 3.0),
+                          rnd.uniform(0.9, 1.1)))
+        lam *= _RATE_SCALE[sc](p)
+        rate = lam if sc.workload is WorkloadKind.INCREASING_PER_NODE else lam * n
+        fill = rnd.choice((0.0, 1.0, rnd.random()))
+        bases.append(SimConfig(p, sc, rate, n + rnd.randint(1, 5), fill))
+    rate = _float_edge_config().rate
+    for _ in range(12):
+        bases += [_float_edge_config(rate, fill) for fill in (0.0, 1.0)]
+        rate = math.nextafter(rate, 0.0)
+    configs = []
+    for cfg in bases:
+        configs.append(cfg)
+        try:
+            times = [ev.time for ev in run(cfg)[0]]
+        except InsufficientBandwidth:
+            continue
+        cuts = [t for t in times if t > 0]
+        cuts += [(a + b) / 2 for a, b in zip(times, times[1:]) if b > a]
+        for limit in rnd.sample(cuts, min(3, len(cuts))):
+            configs.append(SimConfig(cfg.params, cfg.scenario, cfg.rate,
+                                     cfg.n_target, cfg.initial_fill, limit))
+    return configs
+
+
+def test_runs_match_golden_digest():
+    """sha256 over repr((events, outcome)), or the exception name, of every
+    golden config.  The digest was recorded with the simulator that decided
+    its outcome at each time-limit guard inside the physics loop, before
+    run() was split into an event stream and one outcome rule; the configs
+    reach every one of those guards and every outcome kind."""
+    configs = _golden_configs()
+    assert len(configs) == 1994
+    h = hashlib.sha256()
+    for cfg in configs:
+        try:
+            h.update(repr(run(cfg)).encode())
+        except InsufficientBandwidth as exc:
+            h.update(type(exc).__name__.encode())
+    assert h.hexdigest() == GOLDEN_RUNS_SHA256
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenario=st.sampled_from(ALL_SCENARIOS),
+       n=st.integers(1, 30),
+       mu=st.floats(0.05, 1.0),
+       bandwidth=st.floats(1e6, 1e9),
+       value_size=st.floats(1.0, 1e3),
+       storage=st.floats(1e9, 1e13),
+       frac=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+       fill=st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)),
+       joins=st.integers(1, 6),
+       limit_frac=st.one_of(st.none(), st.floats(1e-6, 1.0)))
+def test_outcome_rule(scenario, n, mu, bandwidth, value_size, storage, frac,
+                      fill, joins, limit_frac):
+    p = ClusterParams(n=n, bandwidth=bandwidth, value_size=value_size, mu=mu,
+                      storage=storage)
+    lam = frac * _RATE_SCALE[scenario](p)
+    rate = lam if scenario.workload is WorkloadKind.INCREASING_PER_NODE else lam * n
+    cfg = SimConfig(p, scenario, rate, n + joins, fill)
+    if limit_frac is not None:
+        # a time limit inside the run's span: one fill of mu*S per join
+        span = mu * storage / (lam * value_size) if lam > 0 else 1e6
+        cfg = replace(cfg, max_sim_time=limit_frac * joins * span)
+    try:
+        events, outcome = run(cfg)
+    except InsufficientBandwidth:
+        return
+    times = [ev.time for ev in events]
+    assert times == sorted(times)
+    final_n = next((ev.n for ev in reversed(events)
+                    if ev.kind == "join_completed"), n)
+    assert outcome.final_n == final_n
+    if outcome.kind == STABILIZED:
+        assert final_n == cfg.n_target
+        assert outcome.total_time == events[-1].time
+    elif outcome.kind == BREAKDOWN:
+        last = events[-1]
+        assert last.kind == "breakdown"
+        assert [ev.kind for ev in events].count("breakdown") == 1
+        assert outcome.breakdown_kind == last.breakdown_kind
+        assert outcome.total_time == outcome.at_time == last.time
+        assert outcome.at_n == final_n
+    else:
+        assert outcome.kind == MAX_TIME_EXCEEDED
+        assert outcome.total_time == cfg.max_sim_time
+        assert all(t <= cfg.max_sim_time for t in times)
+        assert "breakdown" not in {ev.kind for ev in events}
