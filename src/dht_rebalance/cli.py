@@ -1,8 +1,18 @@
 """Command-line front end.
 
 Commands: bounds, sweep, simulate, validate, case-study, ring-stats.
-Exit codes: 0 ok, 2 usage/config error, 3 I/O error, 4 simulated breakdown,
-5 validation failure.
+
+``main`` is the one error boundary: the commands raise, and it turns the
+exception into an exit code and, for 2 and 3, one ``error:`` line on stderr.
+
+* 0 ok, 4 simulated breakdown, 5 validation failure.
+* 2 bad input: ``ValueError`` (which covers ``RingError``, ``EmptyRange``
+  and ``JSONDecodeError``), ``OverflowError`` and ``InsufficientBandwidth``.
+  A ``--config`` that cannot be read is bad input too: ``cmd_simulate``
+  raises it as a ``ValueError``.
+* 3 an output file (``--out``, ``--trace``) could not be written:
+  ``OSError``.
+* Any other exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -12,6 +22,8 @@ import csv
 import json
 import re
 import sys
+from collections import defaultdict
+from itertools import repeat
 
 import numpy as np
 
@@ -78,27 +90,13 @@ def _parse_scenarios(text: str) -> list[Scenario]:
     return [Scenario.parse(part.strip()) for part in text.split(",") if part.strip()]
 
 
-def _params_from_args(args) -> ClusterParams:
-    return ClusterParams(
-        n=args.n,
-        bandwidth=parse_bandwidth(args.bandwidth),
-        value_size=float(args.value_size),
-        mu=args.mu,
-        replication=args.replication,
-        storage=args.storage,
-    )
-
-
 # ---------------------------------------------------------------------------
 # bounds
 
 def cmd_bounds(args) -> int:
-    try:
-        params = _params_from_args(args)
-        scenario = Scenario.parse(args.scenario)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    params = ClusterParams(n=args.n, bandwidth=parse_bandwidth(args.bandwidth),
+                           value_size=float(args.value_size), mu=args.mu)
+    scenario = Scenario.parse(args.scenario)
     report = bnd.bound_report(params, scenario)
     if args.json:
         payload = {
@@ -126,50 +124,45 @@ def cmd_bounds(args) -> int:
 
 def sweep_rows(n_min: int, n_max: int, mu_values, scenarios,
                bandwidth: float, value_size: float):
-    """CurveCSV rows: (n, scenario, bound_kind, lambda).  The storage bound
-    depends on mu, so its kind column carries the mu value; the bandwidth and
-    time bounds are mu-independent and appear once."""
+    """CurveCSV rows: (n, scenario, bound_kind, lambda), in (scenario,
+    bound_kind, n) order.  The storage bound depends on mu, so its kind column
+    carries the mu value; the bandwidth and time bounds are mu-independent
+    and appear once.  Curves that share a (scenario, bound_kind) pair -- a
+    repeated scenario, or mu values with the same label -- alternate per n in
+    input order.  ClusterParams rejects a bad link, mu or n_min."""
+    for mu in mu_values or [1.0]:
+        ClusterParams(n=n_min, bandwidth=bandwidth, value_size=value_size, mu=mu)
     n = np.arange(n_min, n_max + 1)
     b_rate = bandwidth / value_size
-    rows = []
+    curves = defaultdict(list)
     for scenario in scenarios:
         for kind in bnd.applicable_kinds(scenario):
-            curves = ([(f"storage(mu={mu:g})", mu) for mu in mu_values]
+            labels = ([(f"storage(mu={mu:g})", mu) for mu in mu_values]
                       if kind is BoundKind.STORAGE else [(kind.value, 0.5)])
-            for label, mu in curves:
+            for label, mu in labels:
                 table = bnd.bound_table(n, mu, b_rate, scenario.workload)
-                rows.extend((k, scenario.name, label, v)
-                            for k, v in zip(n.tolist(), table[kind.value].tolist()))
-    rows.sort(key=lambda r: (r[1], r[2], r[0]))
+                curves[scenario.name, label].append(table[kind.value])
+    rows = []
+    for name, label in sorted(curves):
+        group = curves[name, label]
+        rows.extend(zip(np.repeat(n, len(group)).tolist(), repeat(name),
+                        repeat(label), np.stack(group, axis=1).ravel().tolist()))
     return rows
 
 
 def cmd_sweep(args) -> int:
-    try:
-        if not (1 <= args.n_min < args.n_max <= 10 ** 6):
-            raise ValueError("need 1 <= n-min < n-max <= 10^6")
-        mu_values = [float(x) for x in args.mu_list.split(",") if x]
-        scenarios = _parse_scenarios(args.scenario_list)
-        bandwidth = parse_bandwidth(args.bandwidth)
-        value_size = float(args.value_size)
-        # sweep_rows checks nothing itself: check the link and each mu here
-        for mu in mu_values or [1.0]:
-            ClusterParams(n=1, bandwidth=bandwidth, value_size=value_size, mu=mu)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    rows = sweep_rows(args.n_min, args.n_max, mu_values, scenarios,
-                      bandwidth, value_size)
-    try:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "scenario", "bound_kind",
-                             "lambda_bound_writes_per_s"])
-            for n, scenario, kind, value in rows:
-                writer.writerow([n, scenario, kind, f"{value:.6g}"])
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    if not (1 <= args.n_min < args.n_max <= 10 ** 6):
+        raise ValueError("need 1 <= n-min < n-max <= 10^6")
+    rows = sweep_rows(args.n_min, args.n_max,
+                      [float(x) for x in args.mu_list.split(",") if x],
+                      _parse_scenarios(args.scenario_list),
+                      parse_bandwidth(args.bandwidth), float(args.value_size))
+    with open(args.out, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["n", "scenario", "bound_kind",
+                         "lambda_bound_writes_per_s"])
+        for n, scenario, kind, value in rows:
+            writer.writerow([n, scenario, kind, f"{value:.6g}"])
     return EXIT_OK
 
 
@@ -217,22 +210,13 @@ def load_sim_config(doc: dict) -> sim_mod.SimConfig:
 def cmd_simulate(args) -> int:
     try:
         with open(args.config) as fh:
-            doc = json.load(fh)
-        cfg = load_sim_config(doc)
-    except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
-        print(f"error: bad config: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        events, outcome = sim_mod.run(cfg)
-    except bnd.InsufficientBandwidth as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+            cfg = load_sim_config(json.load(fh))
+    except (OSError, TypeError, ValueError, OverflowError) as exc:
+        # the config is input: reading it fails as bad input, not as I/O
+        raise ValueError(f"bad config: {exc}") from exc
+    events, outcome = sim_mod.run(cfg)
     if args.trace:
-        try:
-            sim_mod.write_trace(events, args.trace)
-        except OSError as exc:
-            print(f"error: cannot write {args.trace}: {exc}", file=sys.stderr)
-            return EXIT_IO
+        sim_mod.write_trace(events, args.trace)
     print(json.dumps(sim_mod.summary_dict(events, outcome), indent=2))
     return EXIT_BREAKDOWN if outcome.kind == sim_mod.BREAKDOWN else EXIT_OK
 
@@ -241,21 +225,17 @@ def cmd_simulate(args) -> int:
 # validate
 
 def cmd_validate(args) -> int:
-    try:
-        n_values = [int(x) for x in args.n_list.split(",") if x]
-        if not n_values:
-            raise ValueError("n-list is empty")
-        if min(n_values) < 1:
-            raise ValueError("n-list values must be >= 1")
-        scenarios = _parse_scenarios(args.scenario_list)
-        if not args.tol >= 1e-6:
-            raise ValueError("tol must be >= 1e-6")
-        base = ClusterParams(n=1, bandwidth=parse_bandwidth(args.bandwidth),
-                             value_size=float(args.value_size), mu=args.mu,
-                             storage=args.storage)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    n_values = [int(x) for x in args.n_list.split(",") if x]
+    if not n_values:
+        raise ValueError("n-list is empty")
+    if min(n_values) < 1:
+        raise ValueError("n-list values must be >= 1")
+    scenarios = _parse_scenarios(args.scenario_list)
+    if not args.tol >= 1e-6:
+        raise ValueError("tol must be >= 1e-6")
+    base = ClusterParams(n=1, bandwidth=parse_bandwidth(args.bandwidth),
+                         value_size=float(args.value_size), mu=args.mu,
+                         storage=args.storage)
     all_ok = True
     print(f"{'n':>4} {'scenario':<22} {'analytic':>14} {'simulated':>14} "
           f"{'rel_err':>10}  result")
@@ -303,16 +283,12 @@ def case_study(total_rate: float = 4_800_000.0,
 
 
 def cmd_case_study(args) -> int:
-    try:
-        data = case_study(
-            total_rate=args.override_total_rate,
-            value_size=args.override_value_size,
-            bandwidth=parse_bandwidth(args.override_bandwidth),
-            mu=args.override_mu,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    data = case_study(
+        total_rate=args.override_total_rate,
+        value_size=args.override_value_size,
+        bandwidth=parse_bandwidth(args.override_bandwidth),
+        mu=args.override_mu,
+    )
     b_rate = data["max_write_rate_per_node"]
     print("Metro-IoT case study")
     print(f"  total write rate     : {data['total_rate']:,.0f} writes/s")
@@ -346,30 +322,14 @@ def cmd_case_study(args) -> int:
 # ring stats
 
 def cmd_ring_stats(args) -> int:
-    try:
-        if args.strategy == "many-token-equal-part":
-            if args.q is None:
-                raise ValueError("--q required for many-token-equal-part")
-            strategy = rng_mod.ManyTokenEqualPart(q=args.q)
-        elif args.strategy == "limited-token-equal-part":
-            if args.tokens_per_node is None:
-                raise ValueError("--t required for limited-token-equal-part")
-            strategy = rng_mod.LimitedTokenEqualPart(args.tokens_per_node)
-        elif args.strategy == "limited-token-random-part":
-            if args.tokens_per_node is None:
-                raise ValueError("--t required for limited-token-random-part")
-            strategy = rng_mod.LimitedTokenRandomPart(args.tokens_per_node)
-        else:
-            raise ValueError(f"unknown strategy {args.strategy!r}")
-        ring = rng_mod.build_ring(args.nodes, strategy, args.seed)
-        stats = rng_mod.balance_stats(ring, args.keys, r=args.replication,
-                                      seed=args.seed)
-        _, report = rng_mod.join(ring, args.nodes, seed=args.seed,
-                                 key_sample=args.keys, sample_seed=args.seed,
-                                 replication=args.replication)
-    except (rng_mod.RingError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    strategy = rng_mod.strategy_from_dict(
+        {"kind": args.strategy, "q": args.q, "tokens_per_node": args.tokens_per_node})
+    ring = rng_mod.build_ring(args.nodes, strategy, args.seed)
+    stats = rng_mod.balance_stats(ring, args.keys, r=args.replication,
+                                  seed=args.seed)
+    _, report = rng_mod.join(ring, args.nodes, seed=args.seed,
+                             key_sample=args.keys, sample_seed=args.seed,
+                             replication=args.replication)
     payload = {
         "balance": {
             "n": stats.n,
@@ -405,10 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--bandwidth", default="1Gbps")
     p.add_argument("--value-size", default="16", dest="value_size")
-    p.add_argument("--replication", type=int, default=1)
-    p.add_argument("--storage", type=float, default=DEFAULT_STORAGE,
-                   help="bytes per node; bounds do not depend on it, "
-                        "simulation durations do")
     p.add_argument("--scenario", required=True,
                    help="increasing-concurrent | increasing-clear | "
                         "stable-concurrent | stable-clear")
@@ -468,9 +424,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Run one command; the module docstring gives the exception -> exit
+    code map."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except (ValueError, OverflowError, bnd.InsufficientBandwidth) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entry() -> None:

@@ -628,24 +628,26 @@ _STRATEGY_NAMES = {
 }
 
 
+def _size_field(cls) -> str:
+    return "q" if cls is ManyTokenEqualPart else "tokens_per_node"
+
+
 def strategy_to_dict(strategy: Strategy) -> dict:
-    d = {"kind": _STRATEGY_NAMES[type(strategy)]}
-    if isinstance(strategy, ManyTokenEqualPart):
-        d["q"] = strategy.q
-    else:
-        d["tokens_per_node"] = strategy.tokens_per_node
-    return d
+    field = _size_field(type(strategy))
+    return {"kind": _STRATEGY_NAMES[type(strategy)], field: getattr(strategy, field)}
 
 
 def strategy_from_dict(d: dict) -> Strategy:
+    """Inverse of ``strategy_to_dict``; a size field that is missing or None
+    is a ``RingError``."""
     kind = d["kind"]
-    if kind == "many-token-equal-part":
-        return ManyTokenEqualPart(q=d["q"])
-    if kind == "limited-token-equal-part":
-        return LimitedTokenEqualPart(tokens_per_node=d["tokens_per_node"])
-    if kind == "limited-token-random-part":
-        return LimitedTokenRandomPart(tokens_per_node=d["tokens_per_node"])
-    raise RingError(f"unknown strategy kind: {kind}")
+    cls = next((c for c, name in _STRATEGY_NAMES.items() if name == kind), None)
+    if cls is None:
+        raise RingError(f"unknown strategy kind: {kind}")
+    field = _size_field(cls)
+    if d.get(field) is None:
+        raise RingError(f"{kind} needs {field}")
+    return cls(d[field])
 
 
 def ring_to_dict(ring: RingState) -> dict:

@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+from dht_rebalance.bounds import ALL_SCENARIOS
+
 from dht_rebalance.cli import (
     EXIT_BREAKDOWN,
     EXIT_IO,
@@ -15,6 +17,9 @@ from dht_rebalance.cli import (
     parse_bandwidth,
     sweep_rows,
 )
+
+
+HUGE = str(10 ** 400)  # parses as an int, overflows any float or C size
 
 
 def write_config(tmp_path, **overrides):
@@ -96,6 +101,13 @@ def test_bounds_non_finite_value_size(capsys):
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_bounds_huge_n(capsys):
+    rc = main(["bounds", "--n", HUGE, "--mu", "0.5", "--scenario", "stable-clear"])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_bounds_bad_scenario(capsys):
     rc = main(["bounds", "--n", "4", "--mu", "0.5", "--scenario", "bogus"])
     assert rc == EXIT_USAGE
@@ -129,7 +141,6 @@ def test_sweep_deterministic(tmp_path):
 def test_sweep_rows_sorted_and_monotone():
     rows = sweep_rows(2, 30, [0.5], [], 1.25e8, 16.0)
     assert rows == []
-    from dht_rebalance.bounds import ALL_SCENARIOS
     rows = sweep_rows(2, 30, [0.5], list(ALL_SCENARIOS), 1.25e8, 16.0)
     assert rows == sorted(rows, key=lambda r: (r[1], r[2], r[0]))
     # bandwidth bounds fall with n; concurrent storage bounds too
@@ -145,6 +156,29 @@ def test_sweep_rows_sorted_and_monotone():
     assert by_key[(17, "stable-clear", "time")] == time_bound_clear_stable(p)
     assert by_key[(17, "increasing-concurrent", "storage(mu=0.5)")] == \
         storage_bound_increasing(p)
+    # a repeated scenario, and two mu values that share the label
+    # storage(mu=0.5): the curves of one label alternate per n in input order
+    mu_close = 0.5000001
+    rows = sweep_rows(2, 30, [0.5, mu_close], list(ALL_SCENARIOS) * 2,
+                      1.25e8, 16.0)
+    assert rows == sorted(rows, key=lambda r: (r[1], r[2], r[0]))
+    assert len(rows) == 2 * (2 * 3 + 2) * 29
+    at_17 = [r[3] for r in rows
+             if r[:3] == (17, "increasing-concurrent", "storage(mu=0.5)")]
+    close = ClusterParams(n=17, bandwidth=1.25e8, value_size=16.0, mu=mu_close)
+    pair = [storage_bound_increasing(p), storage_bound_increasing(close)]
+    assert pair[0] != pair[1] and at_17 == pair * 2
+
+
+def test_sweep_rows_checks_link_and_mu():
+    for bad in (dict(mu_values=[0.5, 1.5]), dict(mu_values=[math.nan]),
+                dict(bandwidth=math.inf), dict(value_size=0.0), dict(n_min=0)):
+        kwargs = dict(n_min=2, n_max=5, mu_values=[0.5],
+                      scenarios=list(ALL_SCENARIOS), bandwidth=1.25e8,
+                      value_size=16.0)
+        kwargs.update(bad)
+        with pytest.raises(ValueError):
+            sweep_rows(**kwargs)
 
 
 def test_sweep_bad_range(tmp_path, capsys):
@@ -237,8 +271,11 @@ def test_simulate_missing_field(tmp_path, capsys):
 def test_simulate_bad_mu(tmp_path, capsys):
     # mu out of range, and the other values a config must not let through:
     # a non-finite rate, sizes that int() would truncate and a NaN time limit
+    # and integers too large for a float
     for bad in ({"mu": 1.5}, {"rate": math.nan}, {"rate": math.inf},
-                {"n_target": 9.7}, {"n": 8.5}, {"max_sim_time": math.nan}):
+                {"n_target": 9.7}, {"n": 8.5}, {"max_sim_time": math.nan},
+                {"n": int(HUGE)}, {"bandwidth": int(HUGE)},
+                {"rate": int(HUGE)}, {"replication": int(HUGE)}):
         cfg = write_config(tmp_path, **bad)
         assert main(["simulate", "--config", cfg]) == EXIT_USAGE, bad
         err = capsys.readouterr().err
@@ -282,10 +319,11 @@ def test_validate_empty_n_list(capsys):
 
 
 def test_validate_n_below_one(capsys):
-    rc = main(["validate", "--n-list", "0,4", "--scenario-list", "all"])
-    assert rc == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
+    for bad in ("0,4", HUGE):
+        rc = main(["validate", "--n-list", bad, "--scenario-list", "all"])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_validate_nan_tol(capsys):
@@ -381,6 +419,13 @@ def test_ring_stats_missing_q(capsys):
     assert rc == EXIT_USAGE
 
 
+def test_ring_stats_huge_q(capsys):
+    assert main(["ring-stats", "--nodes", "4", "--q", HUGE]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 def test_ring_stats_bad_replication(capsys):
     for bad in ("0", "-1"):
         rc = main(["ring-stats", "--strategy", "many-token-equal-part",
@@ -390,3 +435,69 @@ def test_ring_stats_bad_replication(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# the error boundary
+
+GOOD_SIMULATE = ["simulate", "--config", "config.json", "--trace", "trace.jsonl"]
+GOOD_ARGVS = (
+    ["bounds", "--n", "4", "--mu", "0.5", "--bandwidth", "1Gbps",
+     "--value-size", "16", "--scenario", "stable-clear"],
+    ["sweep", "--n-min", "2", "--n-max", "6", "--mu-list", "0.3,0.5",
+     "--scenario-list", "all", "--bandwidth", "1Gbps", "--value-size", "16",
+     "--out", "curves.csv"],
+    GOOD_SIMULATE,
+    ["validate", "--n-list", "4", "--scenario-list", "increasing-concurrent",
+     "--tol", "0.02", "--mu", "0.5", "--bandwidth", "1Gbps",
+     "--value-size", "16", "--storage", "1e12"],
+    ["case-study", "--override-total-rate", "4800000",
+     "--override-value-size", "240", "--override-bandwidth", "1Gbps",
+     "--override-mu", "0.5"],
+    ["ring-stats", "--nodes", "4", "--q", "64", "--keys", "1000",
+     "--replication", "1", "--seed", "0"],
+    ["ring-stats", "--nodes", "4", "--strategy", "limited-token-random-part",
+     "--t", "2", "--keys", "1000", "--replication", "2", "--seed", "0"],
+)
+GOOD_CONFIG = {
+    "n": 8, "bandwidth": "1Gbps", "value_size": 16.0, "mu": 0.5,
+    "workload": "increasing", "mode": "concurrent", "rate": 100000.0,
+    "n_target": 9, "initial_fill": 1.0, "replication": 1, "storage": 1e12,
+    "max_sim_time": 1e18,
+}
+
+
+def test_main_never_lets_an_exception_out(tmp_path, monkeypatch, capsys):
+    """One bad token at a time in place of one flag of a known-good argv, or
+    of one field of a good simulate config: main returns a documented exit
+    code with one error line on 2 or 3, and argparse rejects what it cannot
+    convert with its usage and one error line.  --t never gets HUGE (drawing
+    that many random tokens exhausts memory), and no size flag gets a large
+    valid value."""
+    monkeypatch.chdir(tmp_path)
+    cases = []
+    for good in GOOD_ARGVS:
+        for i in range(1, len(good), 2):
+            for token in ("0", "-1", "nan", "inf", "x", HUGE):
+                if not (good[i] == "--t" and token == HUGE):
+                    cases.append((good[:i + 1] + [token] + good[i + 2:], GOOD_CONFIG))
+    for key in GOOD_CONFIG:
+        for token in (0, -1, math.nan, math.inf, "x", int(HUGE)):
+            cases.append((GOOD_SIMULATE, dict(GOOD_CONFIG, **{key: token})))
+    codes = {EXIT_OK, EXIT_USAGE, EXIT_IO, EXIT_BREAKDOWN, EXIT_VALIDATION}
+    for argv, doc in cases:
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            err = capsys.readouterr().err
+            assert exc.code == EXIT_USAGE, (argv, err)
+            assert [ln for ln in err.splitlines() if "error:" in ln] == \
+                [err.splitlines()[-1]], (argv, err)
+            continue
+        except Exception as exc:
+            pytest.fail(f"{argv} {doc}: {exc!r} escaped main")
+        err = capsys.readouterr().err
+        assert rc in codes, (argv, doc, rc)
+        if rc in (EXIT_USAGE, EXIT_IO):
+            assert err.startswith("error:") and err.count("\n") == 1, (argv, doc, err)

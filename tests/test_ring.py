@@ -33,6 +33,8 @@ from dht_rebalance.ring import (
     ring_from_json,
     ring_to_dict,
     ring_to_json,
+    strategy_from_dict,
+    strategy_to_dict,
 )
 
 
@@ -367,6 +369,18 @@ def test_ring_from_dict_rejects_broken_layouts():
     for d in bad:
         with pytest.raises(RingError):
             ring_from_dict(d)
+
+
+def test_strategy_dict_round_trip_and_rejects():
+    for strategy in ALL_STRATEGIES:
+        d = strategy_to_dict(strategy)
+        assert strategy_from_dict(d) == strategy
+        field = "q" if isinstance(strategy, ManyTokenEqualPart) else "tokens_per_node"
+        for bad in ({"kind": d["kind"]}, dict(d, **{field: None})):
+            with pytest.raises(RingError, match=field):
+                strategy_from_dict(bad)
+    with pytest.raises(RingError, match="unknown strategy"):
+        strategy_from_dict({"kind": "bogus", "q": 8})
 
 
 def test_join_rejects_node_id_outside_int32():
