@@ -37,6 +37,7 @@ from .ring import (
     lookup_many,
 )
 from .sim import (
+    EventTable,
     SimConfig,
     SimEvent,
     SimOutcome,

@@ -236,12 +236,14 @@ def cmd_validate(args) -> int:
     base = ClusterParams(n=1, bandwidth=parse_bandwidth(args.bandwidth),
                          value_size=float(args.value_size), mu=args.mu,
                          storage=args.storage)
+    # every report before any output, so bad input prints no partial table
+    reports = [sim_mod.validate_against_bounds(n_values, scenario, base,
+                                               tol=args.tol)
+               for scenario in scenarios]
     all_ok = True
     print(f"{'n':>4} {'scenario':<22} {'analytic':>14} {'simulated':>14} "
           f"{'rel_err':>10}  result")
-    for scenario in scenarios:
-        report = sim_mod.validate_against_bounds(n_values, scenario, base,
-                                                 tol=args.tol)
+    for scenario, report in zip(scenarios, reports):
         for row in report.rows:
             status = "pass" if row.passed else "FAIL"
             print(f"{row.n:>4} {scenario.name:<22} {row.analytic_bound:>14.6g} "

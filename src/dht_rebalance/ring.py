@@ -42,6 +42,9 @@ MASK64 = (1 << 64) - 1
 CIRCLE = 1 << 64
 NODE_DTYPE = np.int32
 _NODE_ID_RANGE = (int(np.iinfo(NODE_DTYPE).min), int(np.iinfo(NODE_DTYPE).max))
+# most slots (partitions or tokens) build_ring makes: far above the 65 536 of
+# the largest rings in use, far below what exhausts memory
+MAX_SLOTS = 1 << 24
 
 
 class RingError(ValueError):
@@ -332,6 +335,7 @@ def build_ring(n: int, strategy: Strategy, seed: int) -> RingState:
         t = strategy.tokens_per_node
         if t <= 0:
             raise RingError("tokens_per_node must be >= 1")
+        _check_slot_count(t * n)
         used: set[int] = set()
         points = np.array([_draw_tokens(rng, t, used) for _ in nodes],
                           dtype=np.uint64).ravel()
@@ -347,6 +351,7 @@ def build_ring(n: int, strategy: Strategy, seed: int) -> RingState:
         q = strategy.tokens_per_node * n
     if q < n:
         raise QSmallerThanN(f"q={q} < n={n}")
+    _check_slot_count(q)
 
     parts = list(range(q))
     rng.shuffle(parts)
@@ -367,6 +372,11 @@ def _draw_tokens(rng: random.Random, t: int, used: set[int]) -> list[int]:
         used.add(tok)
         out.append(tok)
     return out
+
+
+def _check_slot_count(slots: int) -> None:
+    if slots > MAX_SLOTS:
+        raise RingError(f"{slots} slots exceed the cap of {MAX_SLOTS}")
 
 
 def _check_node_id(node: int) -> None:

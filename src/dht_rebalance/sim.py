@@ -27,22 +27,30 @@ feasibility thresholds reproduce the time-oriented bounds.
 
 Under symmetry every old node holds the same bytes, so an event stores that
 one ``level`` plus the joining node's ``joining_level`` while a join is in
-progress; the per-node ``SimEvent.stored`` tuple is derived from them on
-access.  ``write_trace`` formats each level once and repeats the token.
+progress.
 
-The physics is one event stream with no time-limit guards; ``run`` alone
-decides the outcome.  The first event later than ``max_sim_time`` is dropped
-and gives max_time_exceeded; a breakdown event gives breakdown; a stream
-that ends at ``n_target`` is stabilized, and any other end is
-max_time_exceeded.
+``run`` returns the events as an ``EventTable``: one column per ``SimEvent``
+field, which a scalar kernel fills as the physics reaches each event.  The
+table is a read-only sequence of ``SimEvent`` rows, each built only when it
+is read; a row derives the per-node ``stored`` tuple from its two levels.
+``write_trace`` and ``summary_dict`` read the columns directly, and the trace
+formats each level once and repeats the token.
+
+The physics has no time-limit guards.  The kernel stops at the first event
+later than ``max_sim_time``, drops it and computes nothing after it; ``run``
+alone decides the outcome.  A run cut by the limit is max_time_exceeded; a
+breakdown event gives breakdown; a run that ends at ``n_target`` is
+stabilized, and any other end is max_time_exceeded.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional
+from typing import Optional
 
 from .bounds import (
     ClusterParams,
@@ -89,6 +97,13 @@ class SimConfig:
             raise ValueError("max_sim_time must be positive")
         if not 0 <= self.rate < math.inf:
             raise ValueError("rate must be finite and >= 0")
+        # the largest system-wide write inflow (bytes/s) the run can reach
+        inflow = self.rate * self.params.value_size
+        if self.scenario.workload is WorkloadKind.INCREASING_PER_NODE:
+            inflow = self.n_target * inflow
+        if not inflow < math.inf:
+            raise ValueError("write inflow rate * value_size (times n_target "
+                             "for an increasing workload) must be finite")
         if not 0.0 <= self.initial_fill <= 1.0:
             raise ValueError("initial_fill must be in [0, 1]")
 
@@ -137,6 +152,54 @@ class SimOutcome:
     at_time: Optional[float] = None
 
 
+class EventTable(Sequence[SimEvent]):
+    """A run's events as columns, one list per ``SimEvent`` field.
+
+    A read-only ``Sequence[SimEvent]``: a row is built only when it is read,
+    and ``repr`` is that of the list of rows.  Tables compare and concatenate
+    column by column.
+    """
+
+    __slots__ = SimEvent.__match_args__  # the columns, in field order
+
+    def __init__(self, *columns: list):
+        (self.time, self.kind, self.n, self.level, self.joining_level,
+         self.backlog, self.duration, self.breakdown_kind) = (
+            columns or ([], [], [], [], [], [], [], []))
+
+    @property
+    def columns(self) -> tuple[list, ...]:
+        return (self.time, self.kind, self.n, self.level, self.joining_level,
+                self.backlog, self.duration, self.breakdown_kind)
+
+    def __len__(self) -> int:
+        return len(self.time)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return EventTable(*(column[i] for column in self.columns))
+        return SimEvent(*(column[i] for column in self.columns))
+
+    def __iter__(self) -> Iterator[SimEvent]:
+        return map(SimEvent, *self.columns)
+
+    def __reversed__(self) -> Iterator[SimEvent]:
+        return map(SimEvent, *map(reversed, self.columns))
+
+    def __eq__(self, other):
+        if not isinstance(other, EventTable):
+            return NotImplemented
+        return self.columns == other.columns
+
+    def __add__(self, other):
+        if not isinstance(other, EventTable):
+            return NotImplemented
+        return EventTable(*map(operator.add, self.columns, other.columns))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 def _per_node_write_bytes(cfg: SimConfig, n: int) -> float:
     """Live per-node write inflow (bytes/s) at system size n."""
     v = cfg.params.value_size
@@ -145,10 +208,35 @@ def _per_node_write_bytes(cfg: SimConfig, n: int) -> float:
     return cfg.rate * v / n
 
 
-def _events(cfg: SimConfig) -> Iterator[SimEvent]:
-    """The run's events in time order; ``max_sim_time`` bounds only the
-    clear-mode overflow search.  Stops at ``n_target``, after a breakdown, or
-    when no further expansion can fire."""
+class _PastLimit(Exception):
+    """An event later than ``max_sim_time``: the run stops before it."""
+
+
+def _kernel(cfg: SimConfig, table: EventTable) -> None:
+    """Append the run's events to ``table`` in time order.
+
+    Returns at ``n_target``, after a breakdown, or when no further expansion
+    can fire; raises ``_PastLimit`` in place of appending the first event
+    later than ``max_sim_time``, which otherwise bounds only the clear-mode
+    overflow search.
+    """
+    limit = cfg.max_sim_time
+    add_time, add_kind, add_n, add_level, add_joining, add_backlog, \
+        add_duration, add_breakdown = [column.append for column in table.columns]
+
+    def emit(time, kind, n, level, joining_level=None, backlog=0.0,
+             duration=None, breakdown_kind=None):
+        if time > limit:
+            raise _PastLimit
+        add_time(time)
+        add_kind(kind)
+        add_n(n)
+        add_level(level)
+        add_joining(joining_level)
+        add_backlog(backlog)
+        add_duration(duration)
+        add_breakdown(breakdown_kind)
+
     p = cfg.params
     b, s_cap = p.bandwidth, p.storage
     mu_s = p.mu * s_cap
@@ -166,10 +254,10 @@ def _events(cfg: SimConfig) -> Iterator[SimEvent]:
                 return
             t += (mu_s - stored) / w
             stored = mu_s
-        yield SimEvent(t, "expansion_triggered", n, stored)
+        emit(t, "expansion_triggered", n, stored)
 
         # ---- join: n -> n + 1 ----
-        yield SimEvent(t, "join_started", n + 1, stored, 0.0)
+        emit(t, "join_started", n + 1, stored, 0.0)
         migration_total = stored * n / (n + 1.0)
 
         if not clear:
@@ -183,24 +271,24 @@ def _events(cfg: SimConfig) -> Iterator[SimEvent]:
             if old_rate >= 0:
                 # the trigger level is never left behind: the next expansion
                 # fires before this join completes
-                yield SimEvent(t, "breakdown", n + 1, stored, 0.0,
-                               breakdown_kind=EXPANSION_OVERLAP)
+                emit(t, "breakdown", n + 1, stored, 0.0,
+                     breakdown_kind=EXPANSION_OVERLAP)
                 return
             # joining node fills at the full b (writes + migration); in exact
             # arithmetic the overlap above always comes first, in floating
             # point this fires at mu = 1 a few ulps below the bandwidth bound
             if (migration_total + w_post * t_join) > s_cap:
                 t_full = t + s_cap / b
-                yield SimEvent(t_full, "breakdown", n + 1,
-                               stored + old_rate * (t_full - t), s_cap,
-                               breakdown_kind=STORAGE_OVERFLOW)
+                emit(t_full, "breakdown", n + 1,
+                     stored + old_rate * (t_full - t), s_cap,
+                     breakdown_kind=STORAGE_OVERFLOW)
                 return
             t += t_join
             # all n+1 nodes end symmetric: the joining node holds the migrated
             # share plus its writes, the old nodes drained to the same level
             stored = migration_total + w_post * t_join
             n += 1
-            yield SimEvent(t, "join_completed", n, stored, duration=t_join)
+            emit(t, "join_completed", n, stored, duration=t_join)
             continue
 
         # ---- clear join ----
@@ -210,8 +298,7 @@ def _events(cfg: SimConfig) -> Iterator[SimEvent]:
         t0 = t + t_join
         s_base = migration_total  # per-node stored right after the join
         n += 1
-        yield SimEvent(t0, "join_completed", n, s_base, backlog=d_acc,
-                       duration=t_join)
+        emit(t0, "join_completed", n, s_base, backlog=d_acc, duration=t_join)
 
         w_next = _per_node_write_bytes(cfg, n)
         drain_total = n * (b - w_next)
@@ -223,7 +310,7 @@ def _events(cfg: SimConfig) -> Iterator[SimEvent]:
 
         # storage overflow while the backlog drains (per-node inflow is the
         # full b during catch-up, then w_next)
-        horizon = min(t_trig, cfg.max_sim_time)
+        horizon = min(t_trig, limit)
         t_full = math.inf
         if catchup_end > t0:
             cross = t0 + (s_cap - s_base) / b
@@ -237,20 +324,19 @@ def _events(cfg: SimConfig) -> Iterator[SimEvent]:
             elif s_at_catchup >= s_cap:
                 t_full = catchup_end
         if t_full < math.inf:
-            yield SimEvent(t_full, "breakdown", n, s_cap,
-                           breakdown_kind=STORAGE_OVERFLOW)
+            emit(t_full, "breakdown", n, s_cap, breakdown_kind=STORAGE_OVERFLOW)
             return
 
         if t_trig <= catchup_end and d_acc > 0:
             remaining = (d_acc - drain_total * (t_trig - t0) if drain_total > 0
                          else d_acc)
-            yield SimEvent(t_trig, "breakdown", n,
-                           s_base + (d_acc - remaining) / n + w_next * (t_trig - t0),
-                           backlog=remaining, breakdown_kind=CATCHUP_STARVATION)
+            emit(t_trig, "breakdown", n,
+                 s_base + (d_acc - remaining) / n + w_next * (t_trig - t0),
+                 backlog=remaining, breakdown_kind=CATCHUP_STARVATION)
             return
         if d_acc > 0:
-            yield SimEvent(catchup_end, "catchup_completed", n, s_at_catchup,
-                           duration=catchup_end - t0)
+            emit(catchup_end, "catchup_completed", n, s_at_catchup,
+                 duration=catchup_end - t0)
 
         # resume filling; drained bytes count towards stored, the trigger
         # clock keeps running on live writes from t0
@@ -260,25 +346,28 @@ def _events(cfg: SimConfig) -> Iterator[SimEvent]:
         stored = s_base + d_acc / n + w_next * (t_trig - t0)
 
 
-def run(cfg: SimConfig) -> tuple[list[SimEvent], SimOutcome]:
+def run(cfg: SimConfig) -> tuple[EventTable, SimOutcome]:
     """Replay the scale-out and decide its outcome (see ``SimOutcome``)."""
-    events: list[SimEvent] = []
-    final_n = cfg.params.n  # size after the last join_completed
-    limit = cfg.max_sim_time
-    for ev in _events(cfg):
-        if ev.time > limit:
-            break
-        events.append(ev)
-        if ev.kind == "join_completed":
-            final_n = ev.n
-        elif ev.kind == "breakdown":
-            return events, SimOutcome(BREAKDOWN, final_n, ev.time,
-                                      ev.breakdown_kind, at_n=final_n,
-                                      at_time=ev.time)
-    else:  # the stream ended
-        if final_n >= cfg.n_target:
-            return events, SimOutcome(STABILIZED, final_n, events[-1].time)
-    return events, SimOutcome(MAX_TIME_EXCEEDED, final_n, limit)
+    table = EventTable()
+    try:
+        _kernel(cfg, table)
+        cut = False
+    except _PastLimit:
+        cut = True
+    kinds, times = table.kind, table.time
+    i = len(kinds) - 1  # the last join_completed, a few rows from the end
+    while i >= 0 and kinds[i] != "join_completed":
+        i -= 1
+    final_n = table.n[i] if i >= 0 else cfg.params.n
+    if cut:
+        return table, SimOutcome(MAX_TIME_EXCEEDED, final_n, cfg.max_sim_time)
+    if kinds and kinds[-1] == "breakdown":
+        return table, SimOutcome(BREAKDOWN, final_n, times[-1],
+                                 table.breakdown_kind[-1], at_n=final_n,
+                                 at_time=times[-1])
+    if final_n >= cfg.n_target:
+        return table, SimOutcome(STABILIZED, final_n, times[-1])
+    return table, SimOutcome(MAX_TIME_EXCEEDED, final_n, cfg.max_sim_time)
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +451,12 @@ def validate_against_bounds(n_values, scenario: Scenario,
 # ---------------------------------------------------------------------------
 # export
 
-def _record(ev: SimEvent, stored: list[float]) -> dict:
+def event_to_dict(ev: SimEvent) -> dict:
     d = {
         "time": ev.time,
         "kind": ev.kind,
         "n": ev.n,
-        "stored": stored,
+        "stored": list(ev.stored),
         "backlog": ev.backlog,
     }
     if ev.duration is not None:
@@ -377,36 +466,54 @@ def _record(ev: SimEvent, stored: list[float]) -> dict:
     return d
 
 
-def event_to_dict(ev: SimEvent) -> dict:
-    return _record(ev, list(ev.stored))
+_JSON_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
-def write_trace(events: list[SimEvent], path: str) -> None:
-    """JSON-lines trace, one event per line.
+def write_trace(events: EventTable, path: str) -> None:
+    """JSON-lines trace, one event per line, streamed from the columns.
 
-    Each line is byte-identical to ``json.dumps(event_to_dict(ev))``, but
-    the record is dumped with only the distinct levels in ``stored`` and the
-    old nodes' token is then repeated, so each level is formatted once, not
-    n times.
+    Each line is byte-identical to ``json.dumps(event_to_dict(ev))`` for its
+    row.  Each level is formatted once and the old nodes' token repeated, so
+    a line costs a few number formats, not n.  Kinds are plain identifiers
+    and need no JSON escaping.
     """
+    # The kernel puts one float object in several cells (a time shared by
+    # two events, the trigger level mu*S, the 0.0 constants), so recent
+    # objects keep their text.  The table holds every object, so an id
+    # stays unique for the whole call.
+    texts: dict[int, str] = {}
+
+    def num(x) -> str:
+        text = texts.get(id(x))
+        if text is None:
+            if len(texts) >= 256:
+                texts.clear()
+            try:
+                text = float.__repr__(x)
+            except TypeError:  # an int, from integer-valued inputs
+                text = json.dumps(x)
+            text = texts[id(x)] = _JSON_NON_FINITE.get(text, text)
+        return text
+
     with open(path, "w") as fh:
-        for ev in events:
-            levels = [ev.level]
-            if ev.joining_level is not None:
-                levels.append(ev.joining_level)
-            # an unescaped quote only opens or closes a JSON string, so the
-            # first match is the "stored" key; number tokens hold no "]"
-            head, rest = json.dumps(_record(ev, levels)).split('"stored": [', 1)
-            levels_json, tail = rest.split("]", 1)
-            tok, _, last = levels_json.partition(", ")
-            fh.write(f'{head}"stored": [{(tok + ", ") * (ev.n - 1)}'
-                     f'{last or tok}]{tail}\n')
+        for time, kind, n, level, joining, backlog, duration, breakdown \
+                in zip(*events.columns):
+            tok = num(level)
+            last = tok if joining is None else num(joining)
+            tail = "" if duration is None else f', "duration": {num(duration)}'
+            if breakdown is not None:
+                tail += f', "breakdown_kind": "{breakdown}"'
+            fh.write(f'{{"time": {num(time)}, "kind": "{kind}", "n": {n}, '
+                     f'"stored": [{(tok + ", ") * (n - 1)}{last}], '
+                     f'"backlog": {num(backlog)}{tail}}}\n')
 
 
-def summary_dict(events: list[SimEvent], outcome: SimOutcome) -> dict:
+def summary_dict(events: EventTable, outcome: SimOutcome) -> dict:
     joins = [
-        {"n_new": ev.n, "completed_at": ev.time, "duration": ev.duration}
-        for ev in events if ev.kind == "join_completed"
+        {"n_new": n, "completed_at": time, "duration": duration}
+        for kind, time, n, duration
+        in zip(events.kind, events.time, events.n, events.duration)
+        if kind == "join_completed"
     ]
     d = {
         "outcome": outcome.kind,

@@ -271,11 +271,13 @@ def test_simulate_missing_field(tmp_path, capsys):
 def test_simulate_bad_mu(tmp_path, capsys):
     # mu out of range, and the other values a config must not let through:
     # a non-finite rate, sizes that int() would truncate and a NaN time limit
-    # and integers too large for a float
+    # and integers too large for a float, and a write inflow that overflows
     for bad in ({"mu": 1.5}, {"rate": math.nan}, {"rate": math.inf},
                 {"n_target": 9.7}, {"n": 8.5}, {"max_sim_time": math.nan},
                 {"n": int(HUGE)}, {"bandwidth": int(HUGE)},
-                {"rate": int(HUGE)}, {"replication": int(HUGE)}):
+                {"rate": int(HUGE)}, {"replication": int(HUGE)},
+                {"n": 4, "value_size": 1e10, "mode": "clear", "rate": 1e300,
+                 "n_target": 6}):
         cfg = write_config(tmp_path, **bad)
         assert main(["simulate", "--config", cfg]) == EXIT_USAGE, bad
         err = capsys.readouterr().err
@@ -319,11 +321,12 @@ def test_validate_empty_n_list(capsys):
 
 
 def test_validate_n_below_one(capsys):
-    for bad in ("0,4", HUGE):
+    for bad in ("0,4", HUGE, f"4,{HUGE}"):
         rc = main(["validate", "--n-list", bad, "--scenario-list", "all"])
         assert rc == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no table header before the error
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 def test_validate_nan_tol(capsys):
@@ -420,10 +423,15 @@ def test_ring_stats_missing_q(capsys):
 
 
 def test_ring_stats_huge_q(capsys):
-    assert main(["ring-stats", "--nodes", "4", "--q", HUGE]) == EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    # a slot count past the cap fails before anything is allocated
+    for size in (["--q", HUGE],
+                 ["--strategy", "limited-token-random-part", "--t", "100000000"],
+                 ["--strategy", "limited-token-random-part", "--t", HUGE],
+                 ["--strategy", "limited-token-equal-part", "--t", "100000000"]):
+        assert main(["ring-stats", "--nodes", "4", *size]) == EXIT_USAGE, size
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 def test_ring_stats_bad_replication(capsys):
@@ -471,16 +479,14 @@ def test_main_never_lets_an_exception_out(tmp_path, monkeypatch, capsys):
     """One bad token at a time in place of one flag of a known-good argv, or
     of one field of a good simulate config: main returns a documented exit
     code with one error line on 2 or 3, and argparse rejects what it cannot
-    convert with its usage and one error line.  --t never gets HUGE (drawing
-    that many random tokens exhausts memory), and no size flag gets a large
+    convert with its usage and one error line.  No size flag gets a large
     valid value."""
     monkeypatch.chdir(tmp_path)
     cases = []
     for good in GOOD_ARGVS:
         for i in range(1, len(good), 2):
             for token in ("0", "-1", "nan", "inf", "x", HUGE):
-                if not (good[i] == "--t" and token == HUGE):
-                    cases.append((good[:i + 1] + [token] + good[i + 2:], GOOD_CONFIG))
+                cases.append((good[:i + 1] + [token] + good[i + 2:], GOOD_CONFIG))
     for key in GOOD_CONFIG:
         for token in (0, -1, math.nan, math.inf, "x", int(HUGE)):
             cases.append((GOOD_SIMULATE, dict(GOOD_CONFIG, **{key: token})))

@@ -30,6 +30,7 @@ from dht_rebalance.sim import (
     STABILIZED,
     STORAGE_OVERFLOW,
     EmptyRange,
+    EventTable,
     SimConfig,
     event_to_dict,
     feasibility_threshold,
@@ -231,6 +232,14 @@ def test_config_validation():
             SimConfig(p, INCR_CONC, 1.0, n_target=5, max_sim_time=bad_time)
     with pytest.raises(ValueError):
         SimConfig(p, INCR_CONC, -1.0, n_target=5)
+    # a write inflow that overflows a float would turn the run into NaN
+    big = replace(p, value_size=1e10)
+    for scenario, rate, n_target in ((INCR_CLEAR, 1e300, 6),
+                                     (STAB_CONC, 1e300, 6),
+                                     (INCR_CONC, 1e290, 10**9)):
+        with pytest.raises(ValueError, match="inflow"):
+            SimConfig(big, scenario, rate, n_target=n_target)
+    SimConfig(big, STAB_CONC, 1e290, n_target=10**9)  # finite system-wide
 
 
 def test_threshold_matches_bounds_spot():
@@ -338,6 +347,79 @@ def test_trace_lines_match_event_to_dict(tmp_path):
     for ev, line in zip(events, lines):
         assert line == json.dumps(event_to_dict(ev))
         assert len(json.loads(line)["stored"]) == ev.n == len(ev.stored)
+
+
+def test_event_table_is_a_list_of_rows():
+    cfg = SimConfig(params(4), STAB_CLEAR, 1e6, n_target=6, initial_fill=0.2)
+    events, _ = run(cfg)
+    rows = list(events)
+    assert len(events) == len(rows) > 4
+    assert all(type(ev) is type(rows[0]) for ev in rows)
+    assert events[0] == rows[0] and events[-1] == rows[-1]
+    assert events[-len(rows)] == rows[0]
+    with pytest.raises(IndexError):
+        events[len(rows)]
+    assert list(events[1:3]) == rows[1:3]
+    assert list(reversed(events)) == rows[::-1]
+    assert repr(events) == repr(rows)
+    assert events == run(cfg)[0]
+    other, _ = run(replace(cfg, n_target=5))
+    assert events != other
+    both = events + other
+    assert isinstance(both, EventTable)
+    assert list(both) == rows + list(other)
+    assert repr(both) == repr(rows + list(other))
+
+
+def test_trace_lines_match_json_dumps_for_non_finite_and_int_values(tmp_path):
+    # rate 1e-300 puts every event at time inf, and clear mode derives NaN
+    events = EventTable()
+    for scenario in ALL_SCENARIOS:
+        events += run(SimConfig(params(4), scenario, 1e-300, n_target=6,
+                                max_sim_time=math.inf))[0]
+    # integer-valued inputs give integer levels, which json writes as ints
+    p = ClusterParams(n=4, bandwidth=10**8, value_size=16, mu=1,
+                      storage=10**12)
+    events += run(SimConfig(p, INCR_CLEAR, 1000, n_target=6,
+                            initial_fill=1))[0]
+    events += EventTable([-math.inf], ["breakdown"], [2], [-0.0], [math.nan],
+                         [math.inf], [None], [STORAGE_OVERFLOW])
+    path = tmp_path / "trace.jsonl"
+    write_trace(events, str(path))
+    text = path.read_text()
+    for token in ('"time": Infinity', '"time": -Infinity', '[-0.0, NaN]',
+                  '"backlog": Infinity', '"stored": [1000000000000, '):
+        assert token in text
+    lines = text.split("\n")
+    assert lines.pop() == ""
+    assert len(lines) == len(events)
+    for ev, line in zip(events, lines):
+        assert line == json.dumps(event_to_dict(ev))
+
+
+def test_time_limit_stops_the_run():
+    # the run stops at the first event past the limit: a target of 10**9
+    # nodes with a limit of a few fills costs a handful of events
+    p = params(4)
+    lam = 0.5 * bound_report(p, STAB_CONC).binding.value
+    fill = 0.5e12 / (lam * 16.0)  # one fill from empty at n = 4
+    cfg = SimConfig(p, STAB_CONC, lam * 4, n_target=10**9,
+                    max_sim_time=3 * fill)
+    tracemalloc.start()
+    try:
+        events, outcome = run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome.kind == MAX_TIME_EXCEEDED
+    assert 3 < len(events) < 100
+    assert peak < 1e6
+    # the write share saturates the joining node, but the limit comes first
+    cfg = SimConfig(p, INCR_CONC, 1.25e8 / 16, n_target=5, max_sim_time=1.0)
+    events, outcome = run(cfg)
+    assert (len(events), outcome.kind) == (0, MAX_TIME_EXCEEDED)
+    with pytest.raises(InsufficientBandwidth):
+        run(replace(cfg, max_sim_time=1e18))
 
 
 def test_run_memory_stays_linear():
