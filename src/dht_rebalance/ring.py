@@ -19,10 +19,12 @@ for the equal-part strategies, a token for the random-part one.  A
 for random-part rings, the sorted ``uint64`` token points.  The replica owner
 table (the first r distinct nodes clockwise from every slot) is built with
 numpy once per ring and replication factor and cached on the state;
-``lookup``, ``lookup_many`` and ``balance_stats`` all read it.  Statistics
-count sample keys per slot without searching the slots for each key: a
-key's partition is arithmetic, and random-part rings sort the keys once and
-search the token points in them.
+``lookup``, ``lookup_many`` and ``balance_stats`` all read it.  A key sample
+is hashed, placed and counted in the one array that hashing allocates: a
+key's partition is arithmetic, and random-part rings sort the sample in
+place and search the token points in it.  Moved keys are counted on the
+changed slots of one ring, the side of a join or leave that holds every
+slot boundary.
 
 All operations are purely functional: they return a new ``RingState``.
 """
@@ -96,17 +98,20 @@ _C_M1 = np.uint64(0xBF58476D1CE4E5B9)
 _C_M2 = np.uint64(0x94D049BB133111EB)
 
 
-def _mix64_array(x: np.ndarray) -> np.ndarray:
-    z = x + _C_ADD
-    z ^= z >> np.uint64(30)
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """``mix64`` of every word of the ``uint64`` array z, in place; returns z."""
+    t = np.empty_like(z)
+    z += _C_ADD
+    z ^= np.right_shift(z, np.uint64(30), out=t)
     z *= _C_M1
-    z ^= z >> np.uint64(27)
+    z ^= np.right_shift(z, np.uint64(27), out=t)
     z *= _C_M2
-    z ^= z >> np.uint64(31)
+    z ^= np.right_shift(z, np.uint64(31), out=t)
     return z
 
 
 def _hash_keys(k: int, seed: int) -> np.ndarray:
+    """``hash_key(i, seed)`` for i in 0..k-1, in one new array."""
     keys = np.arange(k, dtype=np.uint64)
     keys ^= np.uint64(seed & MASK64)
     return _mix64_array(keys)
@@ -220,10 +225,11 @@ class RingState:
         return dict(zip(self.nodes, self._node_slot_counts().tolist()))
 
     def _slot_counts(self, h: np.ndarray) -> np.ndarray:
-        """Number of the circle positions h in each slot."""
+        """Number of the circle positions h in each slot; consumes h."""
         if self.is_equal_part:
             return np.bincount(_partition_of_array(h, self.q), minlength=self.q)
-        return _interval_counts(np.sort(h), self.points)
+        h.sort()
+        return _interval_counts(h, self.points)
 
     def replica_table(self, r: int) -> np.ndarray:
         """(slots, r) array: row i holds the positions in ``nodes`` of the
@@ -268,10 +274,14 @@ def partition_of(h: int, q: int) -> int:
 
 
 def _partition_of_array(h: np.ndarray, q: int) -> np.ndarray:
+    """``partition_of`` of every position in h, computed in h in place;
+    returns an ``int64`` view of h."""
     if q == 1:
-        return np.zeros(len(h), dtype=np.intp)
-    w = np.uint64(CIRCLE // q)
-    return np.minimum(h // w, np.uint64(q - 1)).astype(np.intp)
+        h.fill(0)
+    else:
+        h //= np.uint64(CIRCLE // q)
+        np.minimum(h, np.uint64(q - 1), out=h)
+    return h.view(np.int64)
 
 
 def _interval_counts(h_sorted: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -419,7 +429,7 @@ def lookup_many(ring: RingState, keys, r: int = 1) -> np.ndarray:
     """
     _check_lookup_replication(ring, r)
     if isinstance(keys, np.ndarray) and keys.dtype.kind in "iu":
-        words = keys.astype(np.uint64)   # wraps as ``& MASK64`` does
+        words = keys.astype(np.uint64)   # a copy; wraps as ``& MASK64`` does
     else:
         words = np.array([operator.index(k) & MASK64 for k in keys],
                          dtype=np.uint64)
@@ -498,8 +508,8 @@ def join(
                              np.insert(ring.slot_owner, at, new_node),
                              np.insert(ring.points, at, fresh))
 
-    keys, bytes_ = _movement_estimate(ring, new_ring, key_sample, sample_seed,
-                                      replication, value_size)
+    keys, bytes_ = _movement_estimate(new_ring, new_node, key_sample,
+                                      sample_seed, replication, value_size)
     report = RebalanceReport(new_node, "join", tuple(moved), keys, bytes_)
     return new_ring, report
 
@@ -562,37 +572,26 @@ def leave(
                  for tok, heir in zip(gone.tolist(), heirs.tolist())]
         new_ring = RingState(ring.strategy, nodes, ring.seed, owner, points)
 
-    keys, bytes_ = _movement_estimate(ring, new_ring, key_sample, sample_seed,
+    keys, bytes_ = _movement_estimate(ring, node, key_sample, sample_seed,
                                       replication, value_size)
     report = RebalanceReport(node, "leave", tuple(moved), keys, bytes_)
     return new_ring, report
 
 
-def _movement_estimate(before: RingState, after: RingState, k: int,
-                       sample_seed: int, r: int, v: float) -> tuple[int, float]:
-    """Sample keys whose primary owner differs between the rings, times r.
+def _movement_estimate(ring: RingState, node: int, k: int, sample_seed: int,
+                       r: int, v: float) -> tuple[int, float]:
+    """Sample keys whose primary owner changed, times r.
 
-    Slots are compared, not keys: a key's owner is fixed by the interval it
-    falls in, so the count is the number of keys in the intervals whose
-    owner changed.  Random-part intervals are cut at the points of both
-    rings; a point held by both gives an empty interval.
+    ``ring`` is the side of the change that holds every slot boundary: the
+    ring after a join, the ring before a leave.  Its slots whose owner
+    changed are exactly those of ``node``, the joining or leaving node, and
+    a key's owner is fixed by the slot it falls in, so the count is the
+    number of sample keys in ``node``'s slots.
     """
     if k <= 0:
         return 0, 0.0
-    h = _hash_keys(k, sample_seed)
-    if before.is_equal_part:
-        changed = before.slot_owner != after.slot_owner
-        per_slot = before._slot_counts(h)
-    else:
-        points = np.sort(np.concatenate((before.points, after.points)))
-
-        def owner_at(ring):
-            return ring.slot_owner[np.searchsorted(ring.points, points)
-                                   % len(ring.points)]
-
-        changed = owner_at(before) != owner_at(after)
-        per_slot = _interval_counts(np.sort(h), points)
-    moved_keys = int(per_slot[changed].sum()) * r
+    per_slot = ring._slot_counts(_hash_keys(k, sample_seed))
+    moved_keys = int(per_slot[ring.slot_owner == node].sum()) * r
     return moved_keys, moved_keys * v
 
 

@@ -299,6 +299,8 @@ def _kernel(cfg: SimConfig, table: EventTable) -> None:
         s_base = migration_total  # per-node stored right after the join
         n += 1
         emit(t0, "join_completed", n, s_base, backlog=d_acc, duration=t_join)
+        if t0 == math.inf:
+            return  # no later event has a time; inf - inf would give NaN
 
         w_next = _per_node_write_bytes(cfg, n)
         drain_total = n * (b - w_next)

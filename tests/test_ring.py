@@ -15,6 +15,7 @@ from dht_rebalance.ring import (
     LastNode,
     LimitedTokenEqualPart,
     LimitedTokenRandomPart,
+    MASK64,
     ManyTokenEqualPart,
     QSmallerThanN,
     ReplicationExceedsNodes,
@@ -35,6 +36,7 @@ from dht_rebalance.ring import (
     ring_to_json,
     strategy_from_dict,
     strategy_to_dict,
+    _hash_keys,
 )
 
 
@@ -338,6 +340,60 @@ def test_lookup_many_matches_lookup():
             assert as_array.tolist() == expect[5:]
             assert lookup_many(ring, np.array([-5]), r).tolist() == [expect[4]]
         assert lookup_many(ring, [], 2).shape == (0, 2)
+
+
+def test_hashing_leaves_caller_arrays_unchanged():
+    # the hash runs in place, on a copy that lookup_many makes of the keys
+    ring = build_ring(5, LimitedTokenRandomPart(4), 3)
+    for keys in (np.array([0, 7, 2**63, CIRCLE - 1], dtype=np.uint64),
+                 np.array([0, 7, 2**62, 2**63 - 1], dtype=np.int64),
+                 np.array([-1, -5, -2**63, 3], dtype=np.int64)):
+        before = keys.copy()
+        got = lookup_many(ring, keys, 2)
+        assert np.array_equal(keys, before) and keys.dtype == before.dtype
+        assert got.tolist() == [lookup(ring, k, 2) for k in before.tolist()]
+    for seed in (0, 5, 2**64 - 1, -3):
+        h = _hash_keys(3000, seed)
+        for i in (0, 1, 17, 1234, 2999):
+            assert int(h[i]) == hash_key(i, seed)
+
+
+def _strategies_and_sizes():
+    return st.one_of(
+        st.builds(ManyTokenEqualPart, st.integers(8, 64)),
+        st.builds(LimitedTokenEqualPart, st.integers(2, 8)),
+        st.builds(LimitedTokenRandomPart, st.integers(1, 8)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(strategy=_strategies_and_sizes(), n=st.integers(2, 6),
+       seed=st.integers(0, 2**32), ops=st.lists(st.booleans(), min_size=1,
+                                                max_size=4),
+       key_sample=st.sampled_from([0, 1, 5000]),
+       sample_seed=st.integers(0, MASK64), r=st.integers(1, 3),
+       value_size=st.floats(0.0, 1e6))
+def test_movement_estimate_matches_key_by_key_count(
+        strategy, n, seed, ops, key_sample, sample_seed, r, value_size):
+    ring = build_ring(n, strategy, seed)
+    words = np.arange(key_sample, dtype=np.uint64) ^ np.uint64(sample_seed)
+    next_id = n
+    for i, is_join in enumerate(ops):
+        if is_join and (ring.q is None or ring.q > ring.n):
+            after, report = join(ring, next_id, seed + i, key_sample=key_sample,
+                                 sample_seed=sample_seed, replication=r,
+                                 value_size=value_size)
+            next_id += 1
+        elif ring.n > 1:
+            node = sorted(ring.nodes)[(seed + i) % ring.n]
+            after, report = leave(ring, node, seed + i, key_sample=key_sample,
+                                  sample_seed=sample_seed, replication=r,
+                                  value_size=value_size)
+        else:
+            continue
+        moved = lookup_many(ring, words, 1) != lookup_many(after, words, 1)
+        assert report.moved_key_estimate == r * int(moved.sum())
+        assert report.moved_byte_estimate == report.moved_key_estimate * value_size
+        ring = after
 
 
 def test_views_hold_python_ints():

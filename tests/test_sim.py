@@ -372,7 +372,8 @@ def test_event_table_is_a_list_of_rows():
 
 
 def test_trace_lines_match_json_dumps_for_non_finite_and_int_values(tmp_path):
-    # rate 1e-300 puts every event at time inf, and clear mode derives NaN
+    # rate 1e-300 puts every event at time inf; the hand-built row below
+    # holds the NaN
     events = EventTable()
     for scenario in ALL_SCENARIOS:
         events += run(SimConfig(params(4), scenario, 1e-300, n_target=6,
@@ -395,6 +396,23 @@ def test_trace_lines_match_json_dumps_for_non_finite_and_int_values(tmp_path):
     assert len(lines) == len(events)
     for ev, line in zip(events, lines):
         assert line == json.dumps(event_to_dict(ev))
+
+
+def test_clear_run_at_time_inf_holds_no_nan():
+    # every event falls at time inf: the run cannot reach its next trigger
+    # in finite time, so it is cut, not starved with a NaN level and backlog
+    p = params(4)
+    for scenario in (INCR_CLEAR, STAB_CLEAR):
+        cfg = SimConfig(p, scenario, 1e-300, n_target=6, max_sim_time=math.inf)
+        events, outcome = run(cfg)
+        assert outcome.kind == MAX_TIME_EXCEEDED
+        assert outcome.final_n == 5
+        assert events[-1].kind == "join_completed"
+        for ev in events:
+            values = [ev.time, ev.level, ev.joining_level, ev.backlog,
+                      ev.duration]
+            assert not any(isinstance(x, float) and math.isnan(x)
+                           for x in values), ev
 
 
 def test_time_limit_stops_the_run():
