@@ -27,6 +27,7 @@ ndarray); the scalar functions, bound_report and min_feasible_n all read it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -91,8 +92,8 @@ class ClusterParams:
     storage: float = 1e12
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        if not 1 <= self.n <= sys.float_info.max:
+            raise ValueError(f"n must be >= 1 and at most {sys.float_info.max:.3g}")
         link = (self.bandwidth, self.value_size, self.storage)
         if not all(0 < x < math.inf for x in link):
             raise ValueError("bandwidth, value_size and storage must be finite and > 0")

@@ -184,27 +184,33 @@ def load_sim_config(doc: dict) -> sim_mod.SimConfig:
     missing = _CONFIG_REQUIRED - set(doc)
     if missing:
         raise ValueError(f"missing config fields: {sorted(missing)}")
-    for key in ("n", "n_target", "replication"):
-        if key in doc and not float(doc[key]).is_integer():
-            raise ValueError(f"{key} must be an integer, got {doc[key]!r}")
-    params = ClusterParams(
-        n=int(doc["n"]),
-        bandwidth=parse_bandwidth(doc["bandwidth"]),
-        value_size=float(doc["value_size"]),
-        mu=float(doc["mu"]),
-        replication=int(doc.get("replication", 1)),
-        storage=float(doc.get("storage", DEFAULT_STORAGE)),
-    )
-    scenario = Scenario(WorkloadKind(doc["workload"]),
-                        StabilizationMode(doc["mode"]))
-    return sim_mod.SimConfig(
-        params=params,
-        scenario=scenario,
-        rate=float(doc["rate"]),
-        n_target=int(doc["n_target"]),
-        initial_fill=float(doc.get("initial_fill", 0.0)),
-        max_sim_time=float(doc.get("max_sim_time", 1e18)),
-    )
+    try:
+        for key in ("n", "n_target", "replication"):
+            if key in doc and not float(doc[key]).is_integer():
+                raise ValueError(f"{key} must be an integer, got {doc[key]!r}")
+        params = ClusterParams(
+            n=int(doc["n"]),
+            bandwidth=parse_bandwidth(doc["bandwidth"]),
+            value_size=float(doc["value_size"]),
+            mu=float(doc["mu"]),
+            replication=int(doc.get("replication", 1)),
+            storage=float(doc.get("storage", DEFAULT_STORAGE)),
+        )
+        scenario = Scenario(WorkloadKind(doc["workload"]),
+                            StabilizationMode(doc["mode"]))
+        return sim_mod.SimConfig(
+            params=params,
+            scenario=scenario,
+            rate=float(doc["rate"]),
+            n_target=int(doc["n_target"]),
+            initial_fill=float(doc.get("initial_fill", 0.0)),
+            max_sim_time=float(doc.get("max_sim_time", 1e18)),
+        )
+    except OverflowError as exc:
+        # float() met an integer too large for a float: name its field
+        fields = [key for key, value in doc.items()
+                  if isinstance(value, int) and abs(value) > sys.float_info.max]
+        raise ValueError(f"{', '.join(fields)}: {exc}") from None
 
 
 def cmd_simulate(args) -> int:

@@ -16,9 +16,11 @@ Three load-distribution strategies are supported:
 A *slot* is the unit a key maps to and that moves between nodes: a partition
 for the equal-part strategies, a token for the random-part one.  A
 ``RingState`` holds numpy arrays: an ``int32`` owner node id per slot and,
-for random-part rings, the sorted ``uint64`` token points.  The replica owner
-table (the first r distinct nodes clockwise from every slot) is built with
-numpy once per ring and replication factor and cached on the state;
+for random-part rings, the sorted ``uint64`` token points.  The owners'
+positions in ``nodes`` are cached too, and ``join`` and ``leave`` carry them
+forward from the parent ring.  The replica owner table (the first r
+distinct nodes clockwise from every slot) is built from them with numpy
+once per ring and replication factor, level-major, and cached on the state;
 ``lookup``, ``lookup_many`` and ``balance_stats`` all read it.  A key sample
 is hashed, placed and counted in the one array that hashing allocates: a
 key's partition is arithmetic, and random-part rings sort the sample in
@@ -212,7 +214,8 @@ class RingState:
             zip(self.points.tolist(), self.slot_owner.tolist())))
 
     def _slot_index(self) -> np.ndarray:
-        """Position in ``nodes`` of each slot's owner."""
+        """Position in ``nodes`` of each slot's owner: set by the operations
+        of this module, searched for on a ring built by hand."""
         return self._cached("slot_index", lambda: np.searchsorted(
             np.asarray(self.nodes, dtype=np.int64), self.slot_owner))
 
@@ -233,7 +236,8 @@ class RingState:
 
     def replica_table(self, r: int) -> np.ndarray:
         """(slots, r) array: row i holds the positions in ``nodes`` of the
-        first r distinct owners met walking clockwise from slot i."""
+        first r distinct owners met walking clockwise from slot i.  It is
+        the transpose of a level-major array, so each column is contiguous."""
         return self._cached(("replicas", r),
                             lambda: _clockwise_distinct(self._slot_index(), r))
 
@@ -296,38 +300,44 @@ def _interval_counts(h_sorted: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 
 def _clockwise_distinct(seq: np.ndarray, r: int) -> np.ndarray:
-    """Row i: the first r distinct values met walking seq circularly from i.
+    """Row i: the first r distinct values met walking seq circularly from i,
+    as the (len(seq), r) transpose of a level-major array.
 
     Consecutive equal values form a run and share one answer, so the walk
-    steps over runs.  Level j (the j-th distinct value) is found for every
-    run at once: each walk resumes after the run where it found level j-1,
-    and only the walks that meet an already-found value take another step.
-    seq must hold at least r distinct values.
+    steps over runs, and level 1 is the next run.  Level j > 1 is found for
+    every run at once: each walk resumes after the run where it found level
+    j-1, and only the walks that meet an already-found value take another
+    step.  seq must hold at least r distinct values.
     """
-    starts = seq != np.roll(seq, 1)
+    starts = np.empty(len(seq), dtype=bool)
+    starts[0] = seq[0] != seq[-1]
+    np.not_equal(seq[1:], seq[:-1], out=starts[1:])
     runs = seq[starts]
-    if len(runs) == 0:                      # one value in every slot
-        return np.full((len(seq), r), seq[0])
     n_runs = len(runs)
-    levels = [runs]
-    at = np.arange(n_runs)                  # run where the last level was found
-    for _ in range(1, r):
-        at = at + 1
+    if n_runs == 0:                         # one value in every slot
+        return np.full((r, len(seq)), seq[0]).T
+    levels = np.empty((r, n_runs), dtype=seq.dtype)
+    levels[0] = runs
+    if r > 1:                               # circularly adjacent runs differ
+        levels[1, :-1], levels[1, -1] = runs[1:], runs[0]
+    at = np.arange(1, n_runs + 1)           # run where the last level was found
+    for j in range(2, r):
+        at += 1
         value = runs[at % n_runs]
         walking = np.arange(n_runs)
         for _ in range(n_runs):             # a walk ends within one lap
-            seen = levels[0][walking] == value[walking]
-            for level in levels[1:]:
+            seen = levels[0, walking] == value[walking]
+            for level in levels[1:j]:
                 seen |= level[walking] == value[walking]
             walking = walking[seen]
             if not len(walking):
                 break
             at[walking] += 1
             value[walking] = runs[at[walking] % n_runs]
-        levels.append(value)
+        levels[j] = value
     # slots before the first run start belong to the last (wrapping) run
     run_of_slot = np.cumsum(starts) - 1
-    return np.stack([level[run_of_slot] for level in levels], axis=1)
+    return np.take(levels, run_of_slot, axis=1).T
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +357,12 @@ def build_ring(n: int, strategy: Strategy, seed: int) -> RingState:
             raise RingError("tokens_per_node must be >= 1")
         _check_slot_count(t * n)
         used: set[int] = set()
-        points = np.array([_draw_tokens(rng, t, used) for _ in nodes],
-                          dtype=np.uint64).ravel()
+        points = np.concatenate([_draw_tokens(rng, t, used) for _ in nodes])
         order = np.argsort(points)
-        owner = np.repeat(np.arange(n, dtype=NODE_DTYPE), t)
-        return RingState(strategy, nodes, seed, owner[order], points[order])
+        owner = np.repeat(np.arange(n, dtype=NODE_DTYPE), t)[order]
+        # node ids are 0..n-1, so an owner's position equals its id
+        return _ring(strategy, nodes, seed, owner, owner.astype(np.intp),
+                     points[order])
 
     if isinstance(strategy, ManyTokenEqualPart):
         q = strategy.q
@@ -369,11 +380,29 @@ def build_ring(n: int, strategy: Strategy, seed: int) -> RingState:
     owner = np.empty(q, dtype=NODE_DTYPE)
     owner[parts] = np.repeat(np.arange(n, dtype=NODE_DTYPE),
                              [base + (1 if i < rem else 0) for i in nodes])
-    return RingState(strategy, nodes, seed, owner)
+    return _ring(strategy, nodes, seed, owner, owner.astype(np.intp))
 
 
-def _draw_tokens(rng: random.Random, t: int, used: set[int]) -> list[int]:
-    """t fresh 64-bit token points not in ``used``; adds them to it."""
+def _ring(strategy: Strategy, nodes: tuple[int, ...], seed: int, owner: np.ndarray,
+          index: np.ndarray, points: Optional[np.ndarray] = None) -> RingState:
+    """A ``RingState`` whose owner positions in ``nodes`` are ``index``."""
+    ring = RingState(strategy, nodes, seed, owner, points)
+    ring._cache["slot_index"] = index
+    return ring
+
+
+def _shifted_index(ring: RingState, at: int, step: int) -> np.ndarray:
+    """ring's owner positions with each one from ``at`` up moved by step:
+    the positions after a node joins at ``at`` (step 1) or leaves from it
+    (step -1), up to the slots the change gives a new owner."""
+    remap = np.arange(ring.n)
+    remap[at:] += step
+    return np.take(remap, ring._slot_index())
+
+
+def _draw_tokens(rng: random.Random, t: int, used: set[int]) -> np.ndarray:
+    """t fresh 64-bit token points not in ``used``, in an array; adds them
+    to it."""
     out = []
     for _ in range(t):
         tok = rng.getrandbits(64)
@@ -381,7 +410,7 @@ def _draw_tokens(rng: random.Random, t: int, used: set[int]) -> list[int]:
             tok = rng.getrandbits(64)
         used.add(tok)
         out.append(tok)
-    return out
+    return np.array(out, dtype=np.uint64)
 
 
 def _check_slot_count(slots: int) -> None:
@@ -472,7 +501,9 @@ def join(
     _check_node_id(new_node)
     _check_replication(replication)
     rng = random.Random(seed)
-    nodes = tuple(sorted(ring.nodes + (new_node,)))
+    pos = bisect_left(ring.nodes, new_node)
+    nodes = ring.nodes[:pos] + (new_node,) + ring.nodes[pos:]
+    index = _shifted_index(ring, pos, 1)
 
     if ring.is_equal_part:
         q = ring.q
@@ -494,19 +525,25 @@ def join(
             del own[bisect_left(own, part)]
             moved.append((part, victim, new_node))
         owner = ring.slot_owner.copy()
-        owner[[part for part, _, _ in moved]] = new_node
-        new_ring = RingState(ring.strategy, nodes, ring.seed, owner)
+        stolen = np.array([part for part, _, _ in moved])
+        owner[stolen] = new_node
+        index[stolen] = pos
+        new_ring = _ring(ring.strategy, nodes, ring.seed, owner, index)
     else:
-        fresh = np.array(sorted(_draw_tokens(rng, ring.strategy.tokens_per_node,
-                                             set(ring.points.tolist()))),
-                         dtype=np.uint64)
-        at = np.searchsorted(ring.points, fresh)
-        prev = ring.slot_owner[at % len(ring.points)]
+        t, points = ring.strategy.tokens_per_node, ring.points
+        fresh = np.sort(_draw_tokens(rng, t, set()))
+        at = np.searchsorted(points, fresh)
+        if np.any(points[at % len(points)] == fresh):
+            # a draw hit an existing point: replay the draws avoiding them all
+            fresh = np.sort(_draw_tokens(random.Random(seed), t,
+                                         set(points.tolist())))
+            at = np.searchsorted(points, fresh)
+        prev = ring.slot_owner[at % len(points)]
         moved = [(tok, frm, new_node)
                  for tok, frm in zip(fresh.tolist(), prev.tolist())]
-        new_ring = RingState(ring.strategy, nodes, ring.seed,
-                             np.insert(ring.slot_owner, at, new_node),
-                             np.insert(ring.points, at, fresh))
+        new_ring = _ring(ring.strategy, nodes, ring.seed,
+                         np.insert(ring.slot_owner, at, new_node),
+                         np.insert(index, at, pos), np.insert(points, at, fresh))
 
     keys, bytes_ = _movement_estimate(new_ring, new_node, key_sample,
                                       sample_seed, replication, value_size)
@@ -540,8 +577,10 @@ def leave(
         raise LastNode("cannot remove the only node")
     _check_replication(replication)
     rng = random.Random(seed)
-    nodes = tuple(nd for nd in ring.nodes if nd != node)
+    pos = ring.nodes.index(node)
+    nodes = ring.nodes[:pos] + ring.nodes[pos + 1:]
     leaving = ring.slot_owner == node
+    index = _shifted_index(ring, pos, -1)
 
     if ring.is_equal_part:
         counts = dict(zip(ring.nodes, ring._node_slot_counts().tolist()))
@@ -561,7 +600,8 @@ def leave(
             heirs.append(heir)
         owner = ring.slot_owner.copy()
         owner[parts] = heirs
-        new_ring = RingState(ring.strategy, nodes, ring.seed, owner)
+        index[parts] = np.searchsorted(np.asarray(nodes), heirs)
+        new_ring = _ring(ring.strategy, nodes, ring.seed, owner, index)
         moved = [(part, node, heir) for part, heir in zip(parts.tolist(), heirs)]
     else:
         points = ring.points[~leaving]
@@ -570,7 +610,8 @@ def leave(
         heirs = owner[np.searchsorted(points, gone) % len(points)]
         moved = [(tok, node, heir)
                  for tok, heir in zip(gone.tolist(), heirs.tolist())]
-        new_ring = RingState(ring.strategy, nodes, ring.seed, owner, points)
+        new_ring = _ring(ring.strategy, nodes, ring.seed, owner,
+                         index[~leaving], points)
 
     keys, bytes_ = _movement_estimate(ring, node, key_sample, sample_seed,
                                       replication, value_size)
@@ -679,10 +720,19 @@ def ring_from_dict(d: dict) -> RingState:
     ``RingState`` invariants."""
     strategy = strategy_from_dict(d["strategy"])
     nodes = tuple(d["nodes"])
-    if "partition_owners" in d:
+    layout, other = (("tokens", "partition_owners")
+                     if isinstance(strategy, LimitedTokenRandomPart)
+                     else ("partition_owners", "tokens"))
+    if layout not in d or other in d:
+        raise RingError(f"a {_STRATEGY_NAMES[type(strategy)]} ring holds "
+                        f"{layout}, not {other}")
+    if layout == "partition_owners":
         owners, points = d["partition_owners"], None
         if len(owners) != d["q"]:
             raise RingError(f"{len(owners)} partition owners for q={d['q']}")
+        if isinstance(strategy, ManyTokenEqualPart) and strategy.q != d["q"]:
+            raise RingError(f"q={d['q']} differs from the strategy's "
+                            f"q={strategy.q}")
     else:
         owners = [owner for _, owner in d["tokens"]]
         points = np.array([tok for tok, _ in d["tokens"]], dtype=np.uint64)

@@ -108,6 +108,21 @@ def test_bounds_huge_n(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_overflow_errors_name_the_field(tmp_path, capsys):
+    # an integer too large for a float is bad input, and the one error line
+    # says which size or rate it was
+    for argv, named in (
+            (["bounds", "--n", HUGE, "--mu", "0.5", "--scenario", "stable-clear"],
+             "error: n must be >= 1"),
+            (["validate", "--n-list", HUGE, "--scenario-list", "all"],
+             "error: n must be >= 1"),
+            (["simulate", "--config", write_config(tmp_path, rate=int(HUGE))],
+             "error: bad config: rate: ")):
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(named) and err.count("\n") == 1, err
+
+
 def test_bounds_bad_scenario(capsys):
     rc = main(["bounds", "--n", "4", "--mu", "0.5", "--scenario", "bogus"])
     assert rc == EXIT_USAGE

@@ -396,6 +396,60 @@ def test_movement_estimate_matches_key_by_key_count(
         ring = after
 
 
+@settings(max_examples=150, deadline=None)
+@given(strategy=_strategies_and_sizes(), n=st.integers(1, 6),
+       seed=st.integers(0, 2**32),
+       ops=st.lists(st.tuples(st.sampled_from(["below", "between", "above",
+                                               "leave"]),
+                              st.integers(0, 2**32)), min_size=1, max_size=6))
+def test_carried_positions_equal_a_fresh_ring(strategy, n, seed, ops):
+    """join and leave carry each owner's position in ``nodes`` forward from
+    the parent ring; a ring read back from its dict has no cache and
+    searches for them."""
+    ring = build_ring(n, strategy, seed)
+    for where, op_seed in ops:
+        nodes = ring.nodes
+        gaps = [x for x in range(nodes[0], nodes[-1]) if x not in nodes]
+        if where == "leave":
+            if ring.n == 1:
+                continue
+            ring, _ = leave(ring, nodes[op_seed % ring.n], op_seed)
+        elif ring.q is None or ring.q > ring.n:
+            if where == "below":
+                node = nodes[0] - 1 - op_seed % 3
+            elif where == "above":
+                node = nodes[-1] + 1 + op_seed % 3
+            elif gaps:
+                node = gaps[op_seed % len(gaps)]
+            else:
+                continue
+            ring, _ = join(ring, node, op_seed)
+        fresh = ring_from_dict(ring_to_dict(ring))
+        assert "slot_index" not in fresh._cache
+        assert ring._slot_index().tolist() == fresh._slot_index().tolist()
+        assert ring.token_counts() == fresh.token_counts()
+        for r in range(1, min(ring.n, 4) + 1):
+            assert np.array_equal(ring.replica_table(r), fresh.replica_table(r))
+
+
+def test_join_draw_that_hits_an_existing_point():
+    """A random-part join draws each token again while it hits a point of
+    the ring.  Here the first draw of seed 7 is a point of the ring, so the
+    join's tokens are the second and third draws."""
+    hit = 17485029721327973432
+    assert random.Random(7).getrandbits(64) == hit
+    ring = ring_from_dict({
+        "strategy": {"kind": "limited-token-random-part", "tokens_per_node": 2},
+        "nodes": [0, 1], "seed": 0,
+        "tokens": [[1 << 62, 0], [3 << 62, 1], [hit, 0]]})
+    after, report = join(ring, 5, 7, key_sample=1000, sample_seed=3)
+    assert report.moved_partitions == ((890727360438182992, 0, 5),
+                                       (7283207964119141687, 1, 5))
+    assert report.moved_key_estimate == 239
+    assert after.tokens == ((890727360438182992, 5), (1 << 62, 0),
+                            (7283207964119141687, 5), (3 << 62, 1), (hit, 0))
+
+
 def test_views_hold_python_ints():
     for strategy in ALL_STRATEGIES:
         ring = build_ring(5, strategy, 4)
@@ -422,9 +476,22 @@ def test_ring_from_dict_rejects_broken_layouts():
     d = ring_to_dict(rand)
     d["tokens"][0], d["tokens"][1] = d["tokens"][1], d["tokens"][0]
     bad.append(d)
+    # a layout that contradicts the strategy: tokens on an equal-part ring,
+    # partitions on a random-part one, a partition count other than q
+    for strategy in ({"kind": "many-token-equal-part", "q": 6},
+                     {"kind": "limited-token-equal-part", "tokens_per_node": 2}):
+        bad.append(dict(ring_to_dict(rand), strategy=strategy))
+    bad.append(dict(ring_to_dict(ring), strategy={
+        "kind": "limited-token-random-part", "tokens_per_node": 4}))
+    bad.append(dict(ring_to_dict(ring), strategy={
+        "kind": "many-token-equal-part", "q": 8}))
     for d in bad:
         with pytest.raises(RingError):
             ring_from_dict(d)
+    # q stays fixed on a limited-token-equal-part ring, so after a join it
+    # is not tokens_per_node * n, and the layout is still valid
+    joined, _ = join(build_ring(3, LimitedTokenEqualPart(4), 1), 3, 1)
+    assert ring_from_dict(ring_to_dict(joined)) == joined
 
 
 def test_strategy_dict_round_trip_and_rejects():
