@@ -300,7 +300,14 @@ def _check_alpha(alpha: float, strict: bool = False) -> None:
 # ---------------------------------------------------------------------------
 # capacity planning
 
-_SCAN_BLOCK = 4_096  # sizes per min_feasible_n block: keeps memory flat
+_SCAN_BLOCK = 4_096  # largest min_feasible_n scan block: keeps memory flat
+
+# A stable workload that misses a bound at N by more than this relative
+# margin misses it at every smaller N (see min_feasible_n).  At every N up
+# to _PROOF_N_MAX the margin exceeds twice the closed forms' rounding error,
+# which is about N * 2**-53 (from n * mu in the storage form).
+_PROOF_MARGIN = 1e-6
+_PROOF_N_MAX = 10 ** 9
 
 
 def min_feasible_n(
@@ -321,6 +328,14 @@ def min_feasible_n(
     ``rate`` is the system-wide writes/s for a stable workload and the
     per-node writes/s for an increasing one.  ``kinds`` optionally restricts
     which of the applicable bounds are enforced (capacity-planning what-ifs).
+
+    The answer is the first N of an exact scan, which tests every size with
+    the ``bound_table`` bits.  For a stable workload the scan starts past a
+    size proven infeasible: in exact arithmetic rate < g(N) * B with g
+    nondecreasing in N for every bound (1 + N(1 - mu) for storage, 1 for
+    bandwidth, (s^2 + 3) / (2(s + 1)) with s = sqrt(4N + 1) for time), so a
+    bound missed at N by more than its rounding error is missed at every
+    smaller N.  A bisection over N finds such a size.
     """
     if not 0 < rate < math.inf:
         raise ValueError("rate must be positive and finite")
@@ -335,12 +350,38 @@ def min_feasible_n(
         return None
     # Increasing-workload bounds only fall with N: no N above 1 can work.
     top = n_max if stable else min(n_max, 1)
-    for start in range(1, top + 1, _SCAN_BLOCK):
-        n = np.arange(start, min(start + _SCAN_BLOCK, top + 1))
+    if top < 1:
+        return None
+
+    def misses(n: int, slack: float) -> bool:
+        """Does size n miss an enforced bound times slack?  A scalar n
+        gives the bits of the scan's array element."""
         table = bound_table(n, mu, b_rate, scenario.workload)
         lam = rate / n if stable else rate
-        # all() of no enforced kind is True, and then N = 1 qualifies
+        return not all(lam < table[k.value] * slack for k in enforced)
+
+    # all() of no enforced kind is True, and then N = 1 qualifies
+    if not misses(1, 1.0):
+        return 1
+    # The proof needs normal floats: every bound and lambda is at least
+    # min(rate, B) / N.
+    lo = 1  # every size up to lo is infeasible
+    if min(rate, b_rate) / _PROOF_N_MAX >= sys.float_info.min:
+        hi = min(top, _PROOF_N_MAX) + 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if misses(mid, 1.0 + _PROOF_MARGIN):
+                lo = mid
+            else:
+                hi = mid
+    start, block = lo + 1, 64
+    while start <= top:
+        n = np.arange(start, min(start + block, top + 1))
+        table = bound_table(n, mu, b_rate, scenario.workload)
+        lam = rate / n if stable else rate
         hits = np.flatnonzero(np.all([lam < table[k.value] for k in enforced], axis=0))
         if hits.size:
             return int(n[hits[0]])
+        start += block
+        block = min(2 * block, _SCAN_BLOCK)
     return None

@@ -29,12 +29,13 @@ Under symmetry every old node holds the same bytes, so an event stores that
 one ``level`` plus the joining node's ``joining_level`` while a join is in
 progress.
 
-``run`` returns the events as an ``EventTable``: one column per ``SimEvent``
-field, which a scalar kernel fills as the physics reaches each event.  The
-table is a read-only sequence of ``SimEvent`` rows, each built only when it
-is read; a row derives the per-node ``stored`` tuple from its two levels.
-``write_trace`` and ``summary_dict`` read the columns directly, and the trace
-formats each level once and repeats the token.
+``run`` returns the events as an ``EventTable``: a list of plain rows, one
+tuple of the ``SimEvent`` fields per event, which a scalar kernel appends as
+the physics reaches each event.  The table is a read-only sequence of
+``SimEvent`` rows, each built only when it is read; a row derives the
+per-node ``stored`` tuple from its two levels.  ``write_trace`` and
+``summary_dict`` read the plain rows directly, and the trace formats each
+level once and repeats the token.
 
 The physics has no time-limit guards.  The kernel stops at the first event
 later than ``max_sim_time``, drops it and computes nothing after it; ``run``
@@ -47,9 +48,9 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
+from itertools import starmap
 from typing import Optional
 
 from .bounds import (
@@ -153,67 +154,60 @@ class SimOutcome:
 
 
 class EventTable(Sequence[SimEvent]):
-    """A run's events as columns, one list per ``SimEvent`` field.
+    """A run's events as a list of plain rows, one tuple of the ``SimEvent``
+    fields per event.
 
-    A read-only ``Sequence[SimEvent]``: a row is built only when it is read,
-    and ``repr`` is that of the list of rows.  Tables compare and concatenate
-    column by column.
+    A read-only ``Sequence[SimEvent]``: a ``SimEvent`` is built only when it
+    is read, and ``repr`` is that of the list of them.  The constructor takes
+    one list per field; tables compare and concatenate row by row.
     """
 
-    __slots__ = SimEvent.__match_args__  # the columns, in field order
+    __slots__ = ("rows",)
 
     def __init__(self, *columns: list):
-        (self.time, self.kind, self.n, self.level, self.joining_level,
-         self.backlog, self.duration, self.breakdown_kind) = (
-            columns or ([], [], [], [], [], [], [], []))
+        self.rows: list[tuple] = list(zip(*columns))
 
-    @property
-    def columns(self) -> tuple[list, ...]:
-        return (self.time, self.kind, self.n, self.level, self.joining_level,
-                self.backlog, self.duration, self.breakdown_kind)
+    @classmethod
+    def _of(cls, rows: list[tuple]) -> "EventTable":
+        table = cls.__new__(cls)
+        table.rows = rows
+        return table
 
     def __len__(self) -> int:
-        return len(self.time)
+        return len(self.rows)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return EventTable(*(column[i] for column in self.columns))
-        return SimEvent(*(column[i] for column in self.columns))
+            return EventTable._of(self.rows[i])
+        return SimEvent(*self.rows[i])
 
     def __iter__(self) -> Iterator[SimEvent]:
-        return map(SimEvent, *self.columns)
+        return starmap(SimEvent, self.rows)
 
     def __reversed__(self) -> Iterator[SimEvent]:
-        return map(SimEvent, *map(reversed, self.columns))
+        return starmap(SimEvent, reversed(self.rows))
 
     def __eq__(self, other):
         if not isinstance(other, EventTable):
             return NotImplemented
-        return self.columns == other.columns
+        return self.rows == other.rows
 
     def __add__(self, other):
         if not isinstance(other, EventTable):
             return NotImplemented
-        return EventTable(*map(operator.add, self.columns, other.columns))
+        return EventTable._of(self.rows + other.rows)
 
     def __repr__(self) -> str:
         return repr(list(self))
-
-
-def _per_node_write_bytes(cfg: SimConfig, n: int) -> float:
-    """Live per-node write inflow (bytes/s) at system size n."""
-    v = cfg.params.value_size
-    if cfg.scenario.workload is WorkloadKind.INCREASING_PER_NODE:
-        return cfg.rate * v
-    return cfg.rate * v / n
 
 
 class _PastLimit(Exception):
     """An event later than ``max_sim_time``: the run stops before it."""
 
 
-def _kernel(cfg: SimConfig, table: EventTable) -> None:
-    """Append the run's events to ``table`` in time order.
+def _kernel(cfg: SimConfig, rows: list[tuple]) -> None:
+    """Append the run's events to ``rows`` in time order, one ``SimEvent``
+    field tuple each.
 
     Returns at ``n_target``, after a breakdown, or when no further expansion
     can fire; raises ``_PastLimit`` in place of appending the first event
@@ -221,26 +215,16 @@ def _kernel(cfg: SimConfig, table: EventTable) -> None:
     overflow search.
     """
     limit = cfg.max_sim_time
-    add_time, add_kind, add_n, add_level, add_joining, add_backlog, \
-        add_duration, add_breakdown = [column.append for column in table.columns]
-
-    def emit(time, kind, n, level, joining_level=None, backlog=0.0,
-             duration=None, breakdown_kind=None):
-        if time > limit:
-            raise _PastLimit
-        add_time(time)
-        add_kind(kind)
-        add_n(n)
-        add_level(level)
-        add_joining(joining_level)
-        add_backlog(backlog)
-        add_duration(duration)
-        add_breakdown(breakdown_kind)
+    add = rows.append
 
     p = cfg.params
     b, s_cap = p.bandwidth, p.storage
     mu_s = p.mu * s_cap
     clear = cfg.scenario.mode is StabilizationMode.CLEAR
+    # live per-node write inflow (bytes/s) is inflow, or inflow / n for a
+    # stable workload at size n
+    inflow = cfg.rate * p.value_size
+    stable = cfg.scenario.workload is WorkloadKind.STABLE_TOTAL
 
     n = p.n
     t = 0.0
@@ -248,20 +232,22 @@ def _kernel(cfg: SimConfig, table: EventTable) -> None:
 
     while n < cfg.n_target:
         # ---- fill to the expansion trigger at size n ----
-        w = _per_node_write_bytes(cfg, n)
+        w = inflow / n if stable else inflow
         if stored < mu_s:
             if w <= 0:
                 return
             t += (mu_s - stored) / w
             stored = mu_s
-        emit(t, "expansion_triggered", n, stored)
+        if t > limit:
+            raise _PastLimit
+        add((t, "expansion_triggered", n, stored, None, 0.0, None, None))
 
         # ---- join: n -> n + 1 ----
-        emit(t, "join_started", n + 1, stored, 0.0)
+        add((t, "join_started", n + 1, stored, 0.0, 0.0, None, None))
         migration_total = stored * n / (n + 1.0)
 
         if not clear:
-            w_post = _per_node_write_bytes(cfg, n + 1)
+            w_post = inflow / (n + 1) if stable else inflow
             if w_post >= b:
                 raise InsufficientBandwidth(
                     "per-node write share meets or exceeds bandwidth")
@@ -271,38 +257,44 @@ def _kernel(cfg: SimConfig, table: EventTable) -> None:
             if old_rate >= 0:
                 # the trigger level is never left behind: the next expansion
                 # fires before this join completes
-                emit(t, "breakdown", n + 1, stored, 0.0,
-                     breakdown_kind=EXPANSION_OVERLAP)
+                add((t, "breakdown", n + 1, stored, 0.0, 0.0, None,
+                     EXPANSION_OVERLAP))
                 return
             # joining node fills at the full b (writes + migration); in exact
             # arithmetic the overlap above always comes first, in floating
             # point this fires at mu = 1 a few ulps below the bandwidth bound
             if (migration_total + w_post * t_join) > s_cap:
                 t_full = t + s_cap / b
-                emit(t_full, "breakdown", n + 1,
-                     stored + old_rate * (t_full - t), s_cap,
-                     breakdown_kind=STORAGE_OVERFLOW)
+                if t_full > limit:
+                    raise _PastLimit
+                add((t_full, "breakdown", n + 1,
+                     stored + old_rate * (t_full - t), s_cap, 0.0, None,
+                     STORAGE_OVERFLOW))
                 return
             t += t_join
             # all n+1 nodes end symmetric: the joining node holds the migrated
             # share plus its writes, the old nodes drained to the same level
             stored = migration_total + w_post * t_join
             n += 1
-            emit(t, "join_completed", n, stored, duration=t_join)
+            if t > limit:
+                raise _PastLimit
+            add((t, "join_completed", n, stored, None, 0.0, t_join, None))
             continue
 
         # ---- clear join ----
         t_join = migration_total / b
-        live_total = (n + 1) * _per_node_write_bytes(cfg, n + 1)
+        live_total = (n + 1) * (inflow / (n + 1) if stable else inflow)
         d_acc = live_total * t_join
         t0 = t + t_join
         s_base = migration_total  # per-node stored right after the join
         n += 1
-        emit(t0, "join_completed", n, s_base, backlog=d_acc, duration=t_join)
+        if t0 > limit:
+            raise _PastLimit
+        add((t0, "join_completed", n, s_base, None, d_acc, t_join, None))
         if t0 == math.inf:
             return  # no later event has a time; inf - inf would give NaN
 
-        w_next = _per_node_write_bytes(cfg, n)
+        w_next = inflow / n if stable else inflow
         drain_total = n * (b - w_next)
         catchup_end = (t0 + d_acc / drain_total if drain_total > 0
                        else math.inf if d_acc > 0 else t0)
@@ -326,19 +318,26 @@ def _kernel(cfg: SimConfig, table: EventTable) -> None:
             elif s_at_catchup >= s_cap:
                 t_full = catchup_end
         if t_full < math.inf:
-            emit(t_full, "breakdown", n, s_cap, breakdown_kind=STORAGE_OVERFLOW)
+            if t_full > limit:
+                raise _PastLimit
+            add((t_full, "breakdown", n, s_cap, None, 0.0, None,
+                 STORAGE_OVERFLOW))
             return
 
         if t_trig <= catchup_end and d_acc > 0:
             remaining = (d_acc - drain_total * (t_trig - t0) if drain_total > 0
                          else d_acc)
-            emit(t_trig, "breakdown", n,
+            if t_trig > limit:
+                raise _PastLimit
+            add((t_trig, "breakdown", n,
                  s_base + (d_acc - remaining) / n + w_next * (t_trig - t0),
-                 backlog=remaining, breakdown_kind=CATCHUP_STARVATION)
+                 None, remaining, None, CATCHUP_STARVATION))
             return
         if d_acc > 0:
-            emit(catchup_end, "catchup_completed", n, s_at_catchup,
-                 duration=catchup_end - t0)
+            if catchup_end > limit:
+                raise _PastLimit
+            add((catchup_end, "catchup_completed", n, s_at_catchup, None, 0.0,
+                 catchup_end - t0, None))
 
         # resume filling; drained bytes count towards stored, the trigger
         # clock keeps running on live writes from t0
@@ -350,25 +349,25 @@ def _kernel(cfg: SimConfig, table: EventTable) -> None:
 
 def run(cfg: SimConfig) -> tuple[EventTable, SimOutcome]:
     """Replay the scale-out and decide its outcome (see ``SimOutcome``)."""
-    table = EventTable()
+    rows: list[tuple] = []
+    table = EventTable._of(rows)
     try:
-        _kernel(cfg, table)
+        _kernel(cfg, rows)
         cut = False
     except _PastLimit:
         cut = True
-    kinds, times = table.kind, table.time
-    i = len(kinds) - 1  # the last join_completed, a few rows from the end
-    while i >= 0 and kinds[i] != "join_completed":
+    i = len(rows) - 1  # the last join_completed, a few rows from the end
+    while i >= 0 and rows[i][1] != "join_completed":
         i -= 1
-    final_n = table.n[i] if i >= 0 else cfg.params.n
+    final_n = rows[i][2] if i >= 0 else cfg.params.n
     if cut:
         return table, SimOutcome(MAX_TIME_EXCEEDED, final_n, cfg.max_sim_time)
-    if kinds and kinds[-1] == "breakdown":
-        return table, SimOutcome(BREAKDOWN, final_n, times[-1],
-                                 table.breakdown_kind[-1], at_n=final_n,
-                                 at_time=times[-1])
+    if rows and rows[-1][1] == "breakdown":
+        time, *_, breakdown_kind = rows[-1]
+        return table, SimOutcome(BREAKDOWN, final_n, time, breakdown_kind,
+                                 at_n=final_n, at_time=time)
     if final_n >= cfg.n_target:
-        return table, SimOutcome(STABILIZED, final_n, times[-1])
+        return table, SimOutcome(STABILIZED, final_n, rows[-1][0])
     return table, SimOutcome(MAX_TIME_EXCEEDED, final_n, cfg.max_sim_time)
 
 
@@ -472,7 +471,7 @@ _JSON_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
 def write_trace(events: EventTable, path: str) -> None:
-    """JSON-lines trace, one event per line, streamed from the columns.
+    """JSON-lines trace, one event per line, streamed from the rows.
 
     Each line is byte-identical to ``json.dumps(event_to_dict(ev))`` for its
     row.  Each level is formatted once and the old nodes' token repeated, so
@@ -499,7 +498,7 @@ def write_trace(events: EventTable, path: str) -> None:
 
     with open(path, "w") as fh:
         for time, kind, n, level, joining, backlog, duration, breakdown \
-                in zip(*events.columns):
+                in events.rows:
             tok = num(level)
             last = tok if joining is None else num(joining)
             tail = "" if duration is None else f', "duration": {num(duration)}'
@@ -513,8 +512,7 @@ def write_trace(events: EventTable, path: str) -> None:
 def summary_dict(events: EventTable, outcome: SimOutcome) -> dict:
     joins = [
         {"n_new": n, "completed_at": time, "duration": duration}
-        for kind, time, n, duration
-        in zip(events.kind, events.time, events.n, events.duration)
+        for time, kind, n, _, _, _, duration, _ in events.rows
         if kind == "join_completed"
     ]
     d = {

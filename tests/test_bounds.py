@@ -1,7 +1,9 @@
+import itertools
 import math
 import random
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,9 +17,11 @@ from dht_rebalance.bounds import (
     StabilizationMode,
     WorkloadKind,
     accumulated_backlog,
+    applicable_kinds,
     bandwidth_bound_increasing,
     bandwidth_bound_stable,
     bound_report,
+    bound_table,
     catchup_time,
     inter_expansion_time,
     join_bandwidth,
@@ -306,6 +310,16 @@ def test_min_feasible_n_stable_storage_boundary():
     assert mpmath.mpf(rate) / 129 < exact
 
 
+def _edge_rate(scenario, bandwidth, value_size, mu, kinds, edge_n):
+    """The rate exactly on the lowest enforced bound at edge_n."""
+    p = ClusterParams(n=edge_n, bandwidth=bandwidth, value_size=value_size, mu=mu)
+    report = bound_report(p, scenario)
+    rate = min((e.value for e in report.entries
+                if e.applicable and (kinds is None or e.kind in kinds)),
+               default=report.binding.value)
+    return rate * edge_n if scenario.workload is WorkloadKind.STABLE_TOTAL else rate
+
+
 def _brute_min_n(scenario, rate, bandwidth, value_size, mu, kinds, n_max):
     stable = scenario.workload is WorkloadKind.STABLE_TOTAL
     for n in range(1, n_max + 1):
@@ -334,19 +348,77 @@ def test_min_feasible_n_matches_brute_force(scenario, bandwidth, value_size, mu,
     if edge_n is None:
         rate = 10.0 ** log_ratio * bandwidth / value_size
     else:
-        # a rate exactly on the lowest enforced bound at edge_n
-        p = ClusterParams(n=edge_n, bandwidth=bandwidth, value_size=value_size,
-                          mu=mu)
-        report = bound_report(p, scenario)
-        rate = min((e.value for e in report.entries
-                    if e.applicable and (kinds is None or e.kind in kinds)),
-                   default=report.binding.value)
-        if scenario.workload is WorkloadKind.STABLE_TOTAL:
-            rate *= edge_n
+        rate = _edge_rate(scenario, bandwidth, value_size, mu, kinds, edge_n)
     got = min_feasible_n(scenario, rate, bandwidth=bandwidth,
                          value_size=value_size, mu=mu, kinds=kinds, n_max=n_max)
     assert got == _brute_min_n(scenario, rate, bandwidth, value_size, mu,
                                kinds, n_max)
+
+
+def _scan_min_n(scenario, rate, bandwidth, value_size, mu, kinds, n_max):
+    """min_feasible_n as a plain scan of every N from 1 in blocks of 4096:
+    the oracle for the proven start, which skips sizes it shows infeasible."""
+    b_rate = bandwidth / value_size
+    stable = scenario.workload is WorkloadKind.STABLE_TOTAL
+    enforced = [k for k in applicable_kinds(scenario)
+                if kinds is None or k in kinds]
+    if stable and BoundKind.BANDWIDTH in enforced and rate >= b_rate:
+        return None
+    top = n_max if stable else min(n_max, 1)
+    for start in range(1, top + 1, 4096):
+        n = np.arange(start, min(start + 4096, top + 1))
+        table = bound_table(n, mu, b_rate, scenario.workload)
+        lam = rate / n if stable else rate
+        hits = np.flatnonzero(np.all([lam < table[k.value] for k in enforced], axis=0))
+        if hits.size:
+            return int(n[hits[0]])
+    return None
+
+
+_KIND_SUBSETS = [None] + [set(c) for r in range(4)
+                          for c in itertools.combinations(BoundKind, r)]
+_MU_EDGES = (1.0, 1 - 1e-12, 1 - 1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario=st.sampled_from(ALL_SCENARIOS),
+       bandwidth=st.floats(1e3, 1e10),
+       value_size=st.floats(1.0, 1e4),
+       mu=st.one_of(st.sampled_from(_MU_EDGES), st.floats(0.01, 1.0)),
+       log_ratio=st.floats(-3.0, 3.0),
+       edge_n=st.one_of(st.none(), st.integers(1, 2000), st.integers(1, 10 ** 6)),
+       ulps=st.sampled_from((-1, 0, 1)),
+       kinds=st.sampled_from(_KIND_SUBSETS),
+       n_max=st.one_of(st.just(10 ** 6), st.integers(1, 10 ** 6)))
+def test_min_feasible_n_matches_block_scan(scenario, bandwidth, value_size, mu,
+                                           log_ratio, edge_n, ulps, kinds,
+                                           n_max):
+    if edge_n is None:
+        rate = 10.0 ** log_ratio * bandwidth / value_size
+    else:
+        rate = _edge_rate(scenario, bandwidth, value_size, mu, kinds, edge_n)
+        rate = math.nextafter(rate, ulps * math.inf) if ulps else rate
+    got = min_feasible_n(scenario, rate, bandwidth=bandwidth,
+                         value_size=value_size, mu=mu, kinds=kinds, n_max=n_max)
+    assert got == _scan_min_n(scenario, rate, bandwidth, value_size, mu,
+                              kinds, n_max)
+
+
+@pytest.mark.parametrize("mu", _MU_EDGES + (0.3,))
+@pytest.mark.parametrize("kinds", _KIND_SUBSETS)
+@pytest.mark.parametrize("scenario", ALL_SCENARIOS, ids=lambda s: s.name)
+def test_min_feasible_n_matches_block_scan_at_large_edges(scenario, kinds, mu):
+    """Rates on a bound at large N, one ulp either side, and on a link so
+    slow that B and the bounds are subnormal floats."""
+    for bandwidth, value_size, edge_n, n_max in ((1.25e8, 240.0, 100_003, 200_000),
+                                                 (1e-308, 1e8, 7, 400_000)):
+        rate = _edge_rate(scenario, bandwidth, value_size, mu, kinds, edge_n)
+        for r in (math.nextafter(rate, 0.0), rate, math.nextafter(rate, math.inf)):
+            got = min_feasible_n(scenario, r, bandwidth=bandwidth,
+                                 value_size=value_size, mu=mu, kinds=kinds,
+                                 n_max=n_max)
+            assert got == _scan_min_n(scenario, r, bandwidth, value_size, mu,
+                                      kinds, n_max)
 
 
 def test_cluster_params_validation():

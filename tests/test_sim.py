@@ -35,6 +35,7 @@ from dht_rebalance.sim import (
     event_to_dict,
     feasibility_threshold,
     run,
+    single_expansion_feasible,
     summary_dict,
     validate_against_bounds,
     write_trace,
@@ -568,3 +569,49 @@ def test_outcome_rule(scenario, n, mu, bandwidth, value_size, storage, frac,
         assert outcome.total_time == cfg.max_sim_time
         assert all(t <= cfg.max_sim_time for t in times)
         assert "breakdown" not in {ev.kind for ev in events}
+
+
+# ---------------------------------------------------------------------------
+# threshold search
+
+GOLDEN_THRESHOLDS_SHA256 = (
+    "54c255ef71e4844b85a30f7cb547d72f1a8487e13c727ada9d2ee788b066e760")
+
+
+def test_thresholds_match_golden_digest():
+    """sha256 over the repr of feasibility_threshold, one line per config of
+    a seeded grid: all four scenarios, N from 1 to 10^4, mu up to 1.0
+    (the known-defect regions included) and random links."""
+    rnd = random.Random(20261019)
+    h = hashlib.sha256()
+    for i in range(400):
+        p = ClusterParams(n=rnd.choice((1, 2, rnd.randint(1, 40),
+                                        rnd.randint(1, 10 ** 4))),
+                          bandwidth=10 ** rnd.uniform(6, 9),
+                          value_size=10 ** rnd.uniform(0, 3),
+                          mu=rnd.choice((1.0, rnd.uniform(0.05, 1.0))),
+                          storage=10 ** rnd.uniform(9, 13))
+        thr = feasibility_threshold(p, ALL_SCENARIOS[i % 4])
+        h.update(repr(thr).encode() + b"\n")
+    assert h.hexdigest() == GOLDEN_THRESHOLDS_SHA256
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenario=st.sampled_from(ALL_SCENARIOS),
+       n=st.integers(1, 10 ** 4),
+       mu=st.floats(0.05, 1.0),
+       bandwidth=st.floats(1e6, 1e9),
+       value_size=st.floats(1.0, 1e3),
+       storage=st.floats(1e9, 1e13),
+       fracs=st.lists(st.one_of(st.floats(0.0, 2.0), st.floats(0.999, 1.001)),
+                      min_size=2, max_size=12))
+def test_single_expansion_feasible_is_monotone_in_rate(scenario, n, mu,
+                                                       bandwidth, value_size,
+                                                       storage, fracs):
+    """feasibility_threshold bisects on the rate: every rate below a
+    feasible one must be feasible too."""
+    p = ClusterParams(n=n, bandwidth=bandwidth, value_size=value_size, mu=mu,
+                      storage=storage)
+    lams = sorted(f * _RATE_SCALE[scenario](p) for f in fracs)
+    feasible = [single_expansion_feasible(p, scenario, lam) for lam in lams]
+    assert feasible == sorted(feasible, reverse=True)
