@@ -8,18 +8,13 @@ from .bounds import (
     Scenario,
     StabilizationMode,
     WorkloadKind,
-    bandwidth_bound_increasing,
-    bandwidth_bound_stable,
     bound_report,
+    bound_table,
     catchup_time,
     inter_expansion_time,
     keys_capacity,
     min_feasible_n,
     stabilization_time,
-    storage_bound_increasing,
-    storage_bound_stable,
-    time_bound_clear_increasing,
-    time_bound_clear_stable,
     time_to_first_expansion,
 )
 from .ring import (

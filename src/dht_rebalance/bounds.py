@@ -21,7 +21,10 @@ lambda < bound.  The replication factor cancels out of every bound; it is
 kept in ClusterParams for capacity and simulator accounting.
 
 The six closed forms are written once, in ``bound_table`` (N an int or an
-ndarray); the scalar functions, bound_report and min_feasible_n all read it.
+ndarray).  A bound is read in one of two ways: ``bound_table(n, mu, B,
+workload)[kind]`` for one form at one N, or ``bound_report`` for a
+scenario's applicable kinds and the binding one.  ``min_feasible_n`` reads
+the table too.
 """
 
 from __future__ import annotations
@@ -144,51 +147,6 @@ def bound_table(n, mu, b_rate, workload: WorkloadKind) -> dict:
     return {"storage": (n + 1.0 - n * mu) / n * b_rate,
             "bandwidth": b_rate / n,
             "time": (n + 1.0) * root / (2.0 * n * n) * b_rate}
-
-
-def _bound(params: ClusterParams, workload: WorkloadKind, kind: str) -> float:
-    table = bound_table(params.n, params.mu, params.max_write_rate, workload)
-    return float(table[kind])
-
-
-def storage_bound_increasing(params: ClusterParams) -> float:
-    """Max per-node write rate before writes fill the remaining (1-mu)S
-    during a concurrent join, workload growing with the cluster."""
-    return _bound(params, WorkloadKind.INCREASING_PER_NODE, "storage")
-
-
-def bandwidth_bound_increasing(params: ClusterParams) -> float:
-    """Max per-node write rate before migration falls behind data arrival,
-    workload growing with the cluster."""
-    return _bound(params, WorkloadKind.INCREASING_PER_NODE, "bandwidth")
-
-
-def time_bound_clear_increasing(params: ClusterParams) -> float:
-    """Max per-node write rate for which the post-join backlog catch-up
-    completes before the next expansion, workload growing with the cluster."""
-    return _bound(params, WorkloadKind.INCREASING_PER_NODE, "time")
-
-
-def storage_bound_stable(params: ClusterParams) -> float:
-    """Storage-constrained per-node rate with a stable total workload."""
-    return _bound(params, WorkloadKind.STABLE_TOTAL, "storage")
-
-
-def bandwidth_bound_stable(params: ClusterParams) -> float:
-    """Bandwidth-constrained per-node rate with a stable total workload:
-    the system-wide rate N*lambda must stay below B."""
-    return _bound(params, WorkloadKind.STABLE_TOTAL, "bandwidth")
-
-
-def time_bound_clear_stable(params: ClusterParams) -> float:
-    """Catch-up-constrained per-node rate with a stable total workload."""
-    return _bound(params, WorkloadKind.STABLE_TOTAL, "time")
-
-
-def stable_increasing_storage_gap(params: ClusterParams) -> float:
-    """delta = 1/N - mu/(N+1): the stable storage bound exceeds the
-    increasing one by delta * B."""
-    return 1.0 / params.n - params.mu / (params.n + 1.0)
 
 
 def applicable_kinds(scenario: Scenario) -> tuple[BoundKind, ...]:
@@ -317,7 +275,6 @@ def min_feasible_n(
     bandwidth: float,
     value_size: float,
     mu: float,
-    replication: int = 1,
     storage: float = 1e12,
     kinds: Optional[set[BoundKind]] = None,
     n_max: int = 10 ** 6,
@@ -328,6 +285,7 @@ def min_feasible_n(
     ``rate`` is the system-wide writes/s for a stable workload and the
     per-node writes/s for an increasing one.  ``kinds`` optionally restricts
     which of the applicable bounds are enforced (capacity-planning what-ifs).
+    ``storage`` is checked with the link and mu; no bound reads it yet.
 
     The answer is the first N of an exact scan, which tests every size with
     the ``bound_table`` bits.  For a stable workload the scan starts past a
@@ -340,8 +298,8 @@ def min_feasible_n(
     if not 0 < rate < math.inf:
         raise ValueError("rate must be positive and finite")
     # ClusterParams validates the link, storage and mu before anything divides
-    b_rate = ClusterParams(1, bandwidth, value_size, mu, replication,
-                           storage).max_write_rate
+    b_rate = ClusterParams(1, bandwidth, value_size, mu,
+                           storage=storage).max_write_rate
     stable = scenario.workload is WorkloadKind.STABLE_TOTAL
     enforced = [k for k in applicable_kinds(scenario)
                 if kinds is None or k in kinds]

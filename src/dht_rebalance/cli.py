@@ -76,18 +76,14 @@ def parse_bandwidth(text) -> float:
     return value
 
 
-def format_bandwidth(bytes_per_s: float, unit: str) -> str:
-    if unit not in _UNIT_BYTES:
-        raise ValueError(f"unknown bandwidth unit: {unit!r}")
-    scaled = bytes_per_s / _UNIT_BYTES[unit]
-    text = f"{scaled:.12g}"
-    return f"{text}{unit}"
-
-
 def _parse_scenarios(text: str) -> list[Scenario]:
     if text == "all":
         return list(ALL_SCENARIOS)
-    return [Scenario.parse(part.strip()) for part in text.split(",") if part.strip()]
+    scenarios = [Scenario.parse(part.strip()) for part in text.split(",")
+                 if part.strip()]
+    if not scenarios:
+        raise ValueError("scenario list is empty")
+    return scenarios
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +125,10 @@ def sweep_rows(n_min: int, n_max: int, mu_values, scenarios,
     carries the mu value; the bandwidth and time bounds are mu-independent
     and appear once.  Curves that share a (scenario, bound_kind) pair -- a
     repeated scenario, or mu values with the same label -- alternate per n in
-    input order.  ClusterParams rejects a bad link, mu or n_min."""
+    input order.  A range outside 1 <= n_min < n_max <= 10**6 is rejected,
+    and ClusterParams rejects a bad link or mu."""
+    if not 1 <= n_min < n_max <= 10 ** 6:
+        raise ValueError("need 1 <= n-min < n-max <= 10^6")
     for mu in mu_values or [1.0]:
         ClusterParams(n=n_min, bandwidth=bandwidth, value_size=value_size, mu=mu)
     n = np.arange(n_min, n_max + 1)
@@ -151,8 +150,6 @@ def sweep_rows(n_min: int, n_max: int, mu_values, scenarios,
 
 
 def cmd_sweep(args) -> int:
-    if not (1 <= args.n_min < args.n_max <= 10 ** 6):
-        raise ValueError("need 1 <= n-min < n-max <= 10^6")
     rows = sweep_rows(args.n_min, args.n_max,
                       [float(x) for x in args.mu_list.split(",") if x],
                       _parse_scenarios(args.scenario_list),
@@ -232,13 +229,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_validate(args) -> int:
     n_values = [int(x) for x in args.n_list.split(",") if x]
-    if not n_values:
-        raise ValueError("n-list is empty")
-    if min(n_values) < 1:
-        raise ValueError("n-list values must be >= 1")
     scenarios = _parse_scenarios(args.scenario_list)
-    if not args.tol >= 1e-6:
-        raise ValueError("tol must be >= 1e-6")
     base = ClusterParams(n=1, bandwidth=parse_bandwidth(args.bandwidth),
                          value_size=float(args.value_size), mu=args.mu,
                          storage=args.storage)
@@ -246,7 +237,6 @@ def cmd_validate(args) -> int:
     reports = [sim_mod.validate_against_bounds(n_values, scenario, base,
                                                tol=args.tol)
                for scenario in scenarios]
-    all_ok = True
     print(f"{'n':>4} {'scenario':<22} {'analytic':>14} {'simulated':>14} "
           f"{'rel_err':>10}  result")
     for scenario, report in zip(scenarios, reports):
@@ -255,8 +245,7 @@ def cmd_validate(args) -> int:
             print(f"{row.n:>4} {scenario.name:<22} {row.analytic_bound:>14.6g} "
                   f"{row.simulated_threshold:>14.6g} "
                   f"{row.relative_error:>10.3e}  {status}")
-            all_ok = all_ok and row.passed
-    return EXIT_OK if all_ok else EXIT_VALIDATION
+    return EXIT_OK if all(r.all_passed for r in reports) else EXIT_VALIDATION
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,13 @@ per-node ``stored`` tuple from its two levels.  ``write_trace`` and
 ``summary_dict`` read the plain rows directly, and the trace formats each
 level once and repeats the token.
 
+The kernel's arithmetic is + - * / and comparisons only: no square root,
+and no float literal enters a computed quantity.  So it runs on any numeric
+type with those operations, and on ``fractions.Fraction`` inputs every
+event time and level is exact.  ``math.inf`` stands for an event that never
+comes; the ``0.0`` backlog and ``joining_level`` of events that have none
+are the only float constants it stores.
+
 The physics has no time-limit guards.  The kernel stops at the first event
 later than ``max_sim_time``, drops it and computes nothing after it; ``run``
 alone decides the outcome.  A run cut by the limit is max_time_exceeded; a
@@ -227,7 +234,7 @@ def _kernel(cfg: SimConfig, rows: list[tuple]) -> None:
     stable = cfg.scenario.workload is WorkloadKind.STABLE_TOTAL
 
     n = p.n
-    t = 0.0
+    t = 0 * mu_s
     stored = cfg.initial_fill * mu_s  # per node; old nodes stay symmetric
 
     while n < cfg.n_target:
@@ -244,7 +251,7 @@ def _kernel(cfg: SimConfig, rows: list[tuple]) -> None:
 
         # ---- join: n -> n + 1 ----
         add((t, "join_started", n + 1, stored, 0.0, 0.0, None, None))
-        migration_total = stored * n / (n + 1.0)
+        migration_total = stored * n / (n + 1)
 
         if not clear:
             w_post = inflow / (n + 1) if stable else inflow
@@ -299,7 +306,7 @@ def _kernel(cfg: SimConfig, rows: list[tuple]) -> None:
         catchup_end = (t0 + d_acc / drain_total if drain_total > 0
                        else math.inf if d_acc > 0 else t0)
         # next-trigger clock: live writes refilling the mu*S headroom
-        t_trig = t0 + max(mu_s - s_base, 0.0) / w_next if w_next > 0 else math.inf
+        t_trig = t0 + max(mu_s - s_base, 0 * mu_s) / w_next if w_next > 0 else math.inf
         s_at_catchup = s_base + d_acc / n + w_next * (catchup_end - t0)
 
         # storage overflow while the backlog drains (per-node inflow is the
@@ -434,18 +441,22 @@ class ValidationReport:
 def validate_against_bounds(n_values, scenario: Scenario,
                             base_params: ClusterParams,
                             tol: float = 0.02) -> ValidationReport:
-    """Compare bisected thresholds to the analytic binding bound per size."""
-    n_values = list(n_values)
-    if not n_values:
+    """Compare bisected thresholds to the analytic binding bound per size.
+
+    Rejects an empty n_values, an n that ClusterParams rejects and a tol
+    below 1e-6 (or NaN) before any bisection."""
+    if not tol >= 1e-6:
+        raise ValueError("tol must be >= 1e-6")
+    sizes = [replace(base_params, n=n) for n in n_values]
+    if not sizes:
         raise EmptyRange("n-range is empty")
     rows = []
-    for n in n_values:
-        params = replace(base_params, n=n)
+    for params in sizes:
         analytic = bound_report(params, scenario).binding.value
         simulated = feasibility_threshold(params, scenario, tol=1e-4)
         rel = abs(simulated - analytic) / analytic
-        rows.append(ValidationRow(n, scenario, analytic, simulated, rel,
-                                  rel <= tol))
+        rows.append(ValidationRow(params.n, scenario, analytic, simulated,
+                                  rel, rel <= tol))
     return ValidationReport(tuple(rows), tol)
 
 

@@ -16,14 +16,8 @@ from dht_rebalance.bounds import (
     Scenario,
     StabilizationMode,
     WorkloadKind,
-    bandwidth_bound_increasing,
-    bandwidth_bound_stable,
     bound_report,
-    stable_increasing_storage_gap,
-    storage_bound_increasing,
-    storage_bound_stable,
-    time_bound_clear_increasing,
-    time_bound_clear_stable,
+    bound_table,
 )
 from dht_rebalance.cli import case_study, main, sweep_rows
 from dht_rebalance.ring import (
@@ -85,32 +79,20 @@ def test_criterion_1_closed_form_fidelity():
     with criterion(1, "all six bounds match a 128-bit oracle to 1e-12 over "
                       "N in 1..64, mu in 0.1..1.0"):
         start = time.perf_counter()
-        funcs = {
-            "storage_increasing": storage_bound_increasing,
-            "bandwidth_increasing": bandwidth_bound_increasing,
-            "time_increasing": time_bound_clear_increasing,
-            "storage_stable": storage_bound_stable,
-            "bandwidth_stable": bandwidth_bound_stable,
-            "time_stable": time_bound_clear_stable,
-        }
+        incr, stab = WorkloadKind.INCREASING_PER_NODE, WorkloadKind.STABLE_TOTAL
+        workloads = {"increasing": incr, "stable": stab}
         for n in range(1, 65):
             for tenths in range(1, 11):
                 mu = tenths / 10.0
-                p = ClusterParams(n=n, bandwidth=BANDWIDTH,
-                                  value_size=VALUE_SIZE, mu=mu)
                 oracle = _oracle_bounds(n, mu)
-                for kind, fn in funcs.items():
-                    got = fn(p)
-                    assert got == pytest.approx(oracle[kind], rel=1e-12), (
-                        n, mu, kind)
+                for name, want in oracle.items():
+                    kind, workload = name.split("_")
+                    got = bound_table(n, mu, B, workloads[workload])[kind]
+                    assert got == pytest.approx(want, rel=1e-12), (n, mu, name)
         # exact spot values
-        assert storage_bound_stable(
-            ClusterParams(n=10, bandwidth=BANDWIDTH, value_size=VALUE_SIZE,
-                          mu=0.5)) == 4_687_500.0
-        p2 = ClusterParams(n=2, bandwidth=BANDWIDTH, value_size=VALUE_SIZE,
-                           mu=0.5)
-        assert time_bound_clear_increasing(p2) == 3_906_250.0
-        assert time_bound_clear_stable(p2) == 5_859_375.0
+        assert bound_table(10, 0.5, B, stab)["storage"] == 4_687_500.0
+        assert bound_table(2, 0.5, B, incr)["time"] == 3_906_250.0
+        assert bound_table(2, 0.5, B, stab)["time"] == 5_859_375.0
         assert time.perf_counter() - start < 1.0
 
 
@@ -140,11 +122,9 @@ def test_criterion_2_sweep_curve_shapes():
         # (c) stable curve above the increasing one, gap delta*B for storage
         for n in ns:
             for mu in mus:
-                p = ClusterParams(n=n, bandwidth=BANDWIDTH,
-                                  value_size=VALUE_SIZE, mu=mu)
                 incr = curves[("increasing-concurrent", f"storage(mu={mu:g})")][n]
                 stab = curves[("stable-concurrent", f"storage(mu={mu:g})")][n]
-                delta = stable_increasing_storage_gap(p)
+                delta = 1 / n - mu / (n + 1)
                 assert stab > incr
                 assert stab - incr == pytest.approx(delta * B, rel=1e-12)
             assert curves[("stable-concurrent", "bandwidth")][n] > \

@@ -18,8 +18,6 @@ from dht_rebalance.bounds import (
     WorkloadKind,
     accumulated_backlog,
     applicable_kinds,
-    bandwidth_bound_increasing,
-    bandwidth_bound_stable,
     bound_report,
     bound_table,
     catchup_time,
@@ -28,100 +26,97 @@ from dht_rebalance.bounds import (
     keys_capacity,
     min_feasible_n,
     stabilization_time,
-    stable_increasing_storage_gap,
-    storage_bound_increasing,
-    storage_bound_stable,
-    time_bound_clear_increasing,
-    time_bound_clear_stable,
     time_to_first_expansion,
 )
 
 B = 1.25e8 / 16  # writes/s saturating one node at 1 Gbps, 16 B values
+INC, STB = WorkloadKind.INCREASING_PER_NODE, WorkloadKind.STABLE_TOTAL
 
 
 def params(n, mu=0.5, **kw):
     return ClusterParams(n=n, bandwidth=1.25e8, value_size=16.0, mu=mu, **kw)
 
 
+def bound(workload, kind, n, mu=0.5, b_rate=B):
+    """One closed form at one N, as a float."""
+    return float(bound_table(n, mu, b_rate, workload)[kind])
+
+
 # high-precision re-evaluations of the closed forms (independent oracle)
 
-def _oracle(kind, n, mu):
+def _oracle(workload, kind, n, mu):
     mpmath.mp.prec = 113
     n = mpmath.mpf(n)
     mu = mpmath.mpf(mu)
     b_over_v = mpmath.mpf(1.25e8) / 16
     forms = {
-        "storage_increasing": (1 - n / (n + 1) * mu) * b_over_v,
-        "bandwidth_increasing": b_over_v / (n + 1),
-        "time_increasing": (mpmath.sqrt(4 * n + 1) - 1) / (2 * n) * b_over_v,
-        "storage_stable": (1 + 1 / n - mu) * b_over_v,
-        "bandwidth_stable": b_over_v / n,
-        "time_stable": (n + 1) * (mpmath.sqrt(4 * n + 1) - 1) / (2 * n ** 2) * b_over_v,
+        (INC, "storage"): (1 - n / (n + 1) * mu) * b_over_v,
+        (INC, "bandwidth"): b_over_v / (n + 1),
+        (INC, "time"): (mpmath.sqrt(4 * n + 1) - 1) / (2 * n) * b_over_v,
+        (STB, "storage"): (1 + 1 / n - mu) * b_over_v,
+        (STB, "bandwidth"): b_over_v / n,
+        (STB, "time"): (n + 1) * (mpmath.sqrt(4 * n + 1) - 1) / (2 * n ** 2) * b_over_v,
     }
-    return float(forms[kind])
+    return float(forms[workload, kind])
 
 
 def test_storage_increasing_values():
-    assert storage_bound_increasing(params(10)) == pytest.approx(
-        _oracle("storage_increasing", 10, 0.5), rel=1e-12)
-    assert storage_bound_increasing(params(10)) == pytest.approx(
-        6 / 11 * B, rel=1e-12)
+    assert bound(INC, "storage", 10) == pytest.approx(
+        _oracle(INC, "storage", 10, 0.5), rel=1e-12)
+    assert bound(INC, "storage", 10) == pytest.approx(6 / 11 * B, rel=1e-12)
     # mu -> 0 releases the whole bandwidth
-    assert storage_bound_increasing(params(10, mu=1e-12)) == pytest.approx(B)
+    assert bound(INC, "storage", 10, mu=1e-12) == pytest.approx(B)
     # mu = 1 collapses onto the bandwidth bound
-    p1 = params(10, mu=1.0)
-    assert storage_bound_increasing(p1) == pytest.approx(
-        bandwidth_bound_increasing(p1), rel=1e-12)
+    assert bound(INC, "storage", 10, mu=1.0) == pytest.approx(
+        bound(INC, "bandwidth", 10, mu=1.0), rel=1e-12)
 
 
 def test_bandwidth_increasing_values():
-    assert bandwidth_bound_increasing(params(10)) == pytest.approx(
-        710_227.27, rel=1e-6)
-    assert bandwidth_bound_increasing(params(1)) == pytest.approx(B / 2)
-    doubled = ClusterParams(n=10, bandwidth=2.5e8, value_size=16.0, mu=0.5)
-    assert bandwidth_bound_increasing(doubled) == pytest.approx(
-        2 * bandwidth_bound_increasing(params(10)))
+    assert bound(INC, "bandwidth", 10) == pytest.approx(710_227.27, rel=1e-6)
+    assert bound(INC, "bandwidth", 1) == pytest.approx(B / 2)
+    assert bound(INC, "bandwidth", 10, b_rate=2.5e8 / 16) == pytest.approx(
+        2 * bound(INC, "bandwidth", 10))
 
 
 def test_time_increasing_values():
-    assert time_bound_clear_increasing(params(2)) == 3_906_250.0
-    assert time_bound_clear_increasing(params(10)) == pytest.approx(
-        _oracle("time_increasing", 10, 0.5), rel=1e-12)
-    assert time_bound_clear_increasing(params(10)) == pytest.approx(
-        2_110_595.0, rel=1e-6)
+    assert bound(INC, "time", 2) == 3_906_250.0
+    assert bound(INC, "time", 10) == pytest.approx(
+        _oracle(INC, "time", 10, 0.5), rel=1e-12)
+    assert bound(INC, "time", 10) == pytest.approx(2_110_595.0, rel=1e-6)
 
 
 def test_time_increasing_monotone_in_n():
-    prev = time_bound_clear_increasing(params(1))
+    prev = bound(INC, "time", 1)
     for n in [2, 3, 5, 10, 100, 1000, 10 ** 4, 10 ** 5, 10 ** 6]:
-        cur = time_bound_clear_increasing(params(n))
+        cur = bound(INC, "time", n)
         assert cur < prev
         prev = cur
 
 
 def test_storage_stable_values():
-    assert storage_bound_stable(params(10)) == pytest.approx(4_687_500.0)
-    p1 = params(10, mu=1.0)
-    assert storage_bound_stable(p1) == pytest.approx(bandwidth_bound_stable(p1))
-    gap = storage_bound_stable(params(10)) - storage_bound_increasing(params(10))
-    assert gap == pytest.approx(stable_increasing_storage_gap(params(10)) * B,
-                                rel=1e-9)
-    assert stable_increasing_storage_gap(params(10)) > 0
+    assert bound(STB, "storage", 10) == pytest.approx(4_687_500.0)
+    assert bound(STB, "storage", 10, mu=1.0) == pytest.approx(
+        bound(STB, "bandwidth", 10, mu=1.0))
+    # the stable bound exceeds the increasing one by delta * B
+    gap = bound(STB, "storage", 10) - bound(INC, "storage", 10)
+    delta = 1 / 10 - 0.5 / 11
+    assert delta > 0
+    assert gap == pytest.approx(delta * B, rel=1e-9)
 
 
 def test_bandwidth_stable_values():
-    assert bandwidth_bound_stable(params(10)) == pytest.approx(781_250.0)
-    assert bandwidth_bound_stable(params(1)) == pytest.approx(B)
+    assert bound(STB, "bandwidth", 10) == pytest.approx(781_250.0)
+    assert bound(STB, "bandwidth", 1) == pytest.approx(B)
     for n in (1, 3, 17, 64):
-        assert n * bandwidth_bound_stable(params(n)) == pytest.approx(B)
+        assert n * bound(STB, "bandwidth", n) == pytest.approx(B)
 
 
 def test_time_stable_values():
-    assert time_bound_clear_stable(params(2)) == pytest.approx(5_859_375.0)
-    assert time_bound_clear_stable(params(10)) == pytest.approx(
-        _oracle("time_stable", 10, 0.5), rel=1e-12)
+    assert bound(STB, "time", 2) == pytest.approx(5_859_375.0)
+    assert bound(STB, "time", 10) == pytest.approx(
+        _oracle(STB, "time", 10, 0.5), rel=1e-12)
     for n in (1, 2, 5, 10, 50):
-        ratio = time_bound_clear_stable(params(n)) / time_bound_clear_increasing(params(n))
+        ratio = bound(STB, "time", n) / bound(INC, "time", n)
         assert ratio == pytest.approx((n + 1) / n, rel=1e-12)
 
 
@@ -130,66 +125,55 @@ def test_high_precision_cross_check_random_points():
     for _ in range(20):
         n = rng.randrange(1, 1000)
         mu = rng.uniform(0.01, 1.0)
-        p = params(n, mu=mu)
-        pairs = [
-            (storage_bound_increasing(p), "storage_increasing"),
-            (bandwidth_bound_increasing(p), "bandwidth_increasing"),
-            (time_bound_clear_increasing(p), "time_increasing"),
-            (storage_bound_stable(p), "storage_stable"),
-            (bandwidth_bound_stable(p), "bandwidth_stable"),
-            (time_bound_clear_stable(p), "time_stable"),
-        ]
-        for got, kind in pairs:
-            assert got == pytest.approx(_oracle(kind, n, mu), rel=1e-12)
+        for workload in WorkloadKind:
+            for kind in ("storage", "bandwidth", "time"):
+                assert bound(workload, kind, n, mu) == pytest.approx(
+                    _oracle(workload, kind, n, mu), rel=1e-12)
 
 
 def test_storage_dominates_bandwidth_concurrent():
     for n in range(1, 60):
         for mu in [i / 20 for i in range(1, 21)]:
-            p = params(n, mu=mu)
-            assert storage_bound_increasing(p) >= bandwidth_bound_increasing(p) - 1e-9
-            assert storage_bound_stable(p) >= bandwidth_bound_stable(p) - 1e-9
-    p = params(7, mu=1.0)
-    assert storage_bound_increasing(p) == pytest.approx(bandwidth_bound_increasing(p))
+            for wl in WorkloadKind:
+                assert bound(wl, "storage", n, mu) >= \
+                    bound(wl, "bandwidth", n, mu) - 1e-9
+    assert bound(INC, "storage", 7, mu=1.0) == pytest.approx(
+        bound(INC, "bandwidth", 7, mu=1.0))
 
 
 def test_stable_bounds_exceed_increasing_bounds():
     for n in range(1, 40):
-        p = params(n, mu=0.7)
-        assert storage_bound_stable(p) > storage_bound_increasing(p)
-        assert bandwidth_bound_stable(p) > bandwidth_bound_increasing(p)
-        assert time_bound_clear_stable(p) > time_bound_clear_increasing(p)
+        for kind in ("storage", "bandwidth", "time"):
+            assert bound(STB, kind, n, mu=0.7) > bound(INC, kind, n, mu=0.7)
 
 
 def test_storage_bounds_decrease_in_mu():
     for n in (1, 4, 16):
-        values = [storage_bound_increasing(params(n, mu=m))
-                  for m in (0.2, 0.4, 0.6, 0.8, 1.0)]
+        values = [bound(INC, "storage", n, mu=m) for m in (0.2, 0.4, 0.6, 0.8, 1.0)]
         assert values == sorted(values, reverse=True)
 
 
 def test_bounds_homogeneous_in_b_over_v():
     base = params(12, mu=0.6)
     scaled = ClusterParams(n=12, bandwidth=2 * 1.25e8, value_size=32.0, mu=0.6)
-    for fn in (storage_bound_increasing, bandwidth_bound_increasing,
-               time_bound_clear_increasing, storage_bound_stable,
-               bandwidth_bound_stable, time_bound_clear_stable):
-        assert fn(base) == pytest.approx(fn(scaled), rel=1e-15)
+    for scenario in ALL_SCENARIOS:
+        got = [e.value for e in bound_report(scaled, scenario).entries]
+        want = [e.value for e in bound_report(base, scenario).entries]
+        assert got == pytest.approx(want, rel=1e-15)
 
 
 def test_clear_inequality_chain_round_trip():
     # just below the time bound the published quadratic conditions hold
     for n in (1, 2, 5, 10, 50, 200):
-        p = params(n)
-        lam = 0.999 * time_bound_clear_increasing(p)
-        alpha = p.value_size * lam / p.bandwidth
+        lam = 0.999 * bound(INC, "time", n)
+        alpha = 16.0 * lam / 1.25e8
         assert 1.0 / n > alpha * alpha / (1.0 - alpha)
-        lam = 0.999 * time_bound_clear_stable(p)
-        alpha = p.value_size * lam / p.bandwidth
+        lam = 0.999 * bound(STB, "time", n)
+        alpha = 16.0 * lam / 1.25e8
         assert alpha ** 2 + (n + 1) / n ** 2 * alpha < (n + 1) ** 2 / n ** 3
         # and just above, they fail
-        lam = 1.001 * time_bound_clear_increasing(p)
-        alpha = p.value_size * lam / p.bandwidth
+        lam = 1.001 * bound(INC, "time", n)
+        alpha = 16.0 * lam / 1.25e8
         assert not (1.0 / n > alpha * alpha / (1.0 - alpha))
 
 
@@ -289,7 +273,7 @@ def test_min_feasible_n_case_study_numbers():
     for key, bad in (("value_size", -240.0), ("value_size", 0.0),
                      ("value_size", math.nan), ("bandwidth", math.inf),
                      ("storage", 0.0), ("mu", 5.0), ("mu", 0.0),
-                     ("mu", math.nan), ("replication", 0)):
+                     ("mu", math.nan)):
         with pytest.raises(ValueError):
             min_feasible_n(stable_conc, 4_800_000.0, **{**common, key: bad})
 
@@ -297,14 +281,14 @@ def test_min_feasible_n_case_study_numbers():
 def test_min_feasible_n_stable_storage_boundary():
     # mu = 0.3 as a double lies just below 3/10, so at N = 129 the rate sits
     # just under the stable storage bound (exactly on it for mu = 3/10).
-    # min_feasible_n must agree with storage_bound_stable, which admits 129.
+    # min_feasible_n must agree with the stable storage form, which admits 129.
     stable_conc = Scenario(WorkloadKind.STABLE_TOTAL, StabilizationMode.CONCURRENT)
     rate = 713_281_250.0
     got = min_feasible_n(stable_conc, rate, bandwidth=1.25e8, value_size=16.0,
                          mu=0.3, kinds={BoundKind.STORAGE})
     assert got == 129
-    assert rate / 129 < storage_bound_stable(params(129, mu=0.3))
-    assert not rate / 128 < storage_bound_stable(params(128, mu=0.3))
+    assert rate / 129 < bound(STB, "storage", 129, mu=0.3)
+    assert not rate / 128 < bound(STB, "storage", 128, mu=0.3)
     mpmath.mp.dps = 40
     exact = (1 + mpmath.mpf(1) / 129 - mpmath.mpf(0.3)) * mpmath.mpf(B)
     assert mpmath.mpf(rate) / 129 < exact

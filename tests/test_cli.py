@@ -1,22 +1,29 @@
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from dht_rebalance.bounds import ALL_SCENARIOS
+from dht_rebalance.bounds import ALL_SCENARIOS, WorkloadKind, bound_table
 
 from dht_rebalance.cli import (
+    _UNIT_BYTES,
     EXIT_BREAKDOWN,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VALIDATION,
     case_study,
-    format_bandwidth,
     main,
     parse_bandwidth,
     sweep_rows,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 HUGE = str(10 ** 400)  # parses as an int, overflows any float or C size
@@ -38,10 +45,14 @@ def write_config(tmp_path, **overrides):
 # units
 
 def test_parse_bandwidth_units():
-    assert parse_bandwidth("1Gbps") == 125_000_000.0
-    assert parse_bandwidth("8bps") == 1.0
-    assert parse_bandwidth("1.5MB/s") == 1.5e6
-    assert parse_bandwidth("2e3KB/s") == 2e6
+    cases = {"1Gbps": 125_000_000.0, "2.5Gbps": 312_500_000.0,
+             "800Mbps": 100_000_000.0, "3Kbps": 375.0, "8bps": 1.0,
+             "2GB/s": 2e9, "1.5MB/s": 1.5e6, "2e3KB/s": 2e6,
+             "125000000B/s": 125_000_000.0}
+    for text, want in cases.items():
+        assert parse_bandwidth(text) == want, text
+    # at least one input per unit
+    assert {re.sub(r"^[0-9.e]+", "", text) for text in cases} == set(_UNIT_BYTES)
     assert parse_bandwidth("1000") == 1000.0
     assert parse_bandwidth(250) == 250.0
 
@@ -50,14 +61,6 @@ def test_parse_bandwidth_rejects_garbage():
     for bad in ("fast", "1Tbps", "-1Gbps", "0"):
         with pytest.raises(ValueError):
             parse_bandwidth(bad)
-
-
-def test_format_round_trip_identity():
-    for text in ("1Gbps", "2.5Gbps", "800Mbps", "125000000B/s", "1.5MB/s"):
-        v = parse_bandwidth(text)
-        for unit in ("bps", "Kbps", "Mbps", "Gbps", "B/s", "KB/s", "MB/s", "GB/s"):
-            assert parse_bandwidth(format_bandwidth(v, unit)) == pytest.approx(
-                v, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -163,14 +166,13 @@ def test_sweep_rows_sorted_and_monotone():
         vals = [r[3] for r in rows
                 if r[1] == "stable-concurrent" and r[2] == label]
         assert vals == sorted(vals, reverse=True)
-    # each row is exactly the scalar function's value
-    from dht_rebalance.bounds import (
-        ClusterParams, storage_bound_increasing, time_bound_clear_stable)
+    # each row is exactly the bound_table value at its size
+    b_rate = 1.25e8 / 16.0
     by_key = {r[:3]: r[3] for r in rows}
-    p = ClusterParams(n=17, bandwidth=1.25e8, value_size=16.0, mu=0.5)
-    assert by_key[(17, "stable-clear", "time")] == time_bound_clear_stable(p)
+    assert by_key[(17, "stable-clear", "time")] == \
+        bound_table(17, 0.5, b_rate, WorkloadKind.STABLE_TOTAL)["time"]
     assert by_key[(17, "increasing-concurrent", "storage(mu=0.5)")] == \
-        storage_bound_increasing(p)
+        bound_table(17, 0.5, b_rate, WorkloadKind.INCREASING_PER_NODE)["storage"]
     # a repeated scenario, and two mu values that share the label
     # storage(mu=0.5): the curves of one label alternate per n in input order
     mu_close = 0.5000001
@@ -180,20 +182,26 @@ def test_sweep_rows_sorted_and_monotone():
     assert len(rows) == 2 * (2 * 3 + 2) * 29
     at_17 = [r[3] for r in rows
              if r[:3] == (17, "increasing-concurrent", "storage(mu=0.5)")]
-    close = ClusterParams(n=17, bandwidth=1.25e8, value_size=16.0, mu=mu_close)
-    pair = [storage_bound_increasing(p), storage_bound_increasing(close)]
+    pair = [float(bound_table(17, mu, b_rate, WorkloadKind.INCREASING_PER_NODE)
+                  ["storage"]) for mu in (0.5, mu_close)]
     assert pair[0] != pair[1] and at_17 == pair * 2
 
 
 def test_sweep_rows_checks_link_and_mu():
     for bad in (dict(mu_values=[0.5, 1.5]), dict(mu_values=[math.nan]),
-                dict(bandwidth=math.inf), dict(value_size=0.0), dict(n_min=0)):
+                dict(bandwidth=math.inf), dict(value_size=0.0), dict(n_min=0),
+                dict(n_min=5), dict(n_min=6),
+                dict(n_min=1, n_max=10 ** 6 + 1, scenarios=[])):
         kwargs = dict(n_min=2, n_max=5, mu_values=[0.5],
                       scenarios=list(ALL_SCENARIOS), bandwidth=1.25e8,
                       value_size=16.0)
         kwargs.update(bad)
         with pytest.raises(ValueError):
             sweep_rows(**kwargs)
+    # the ends of the range 1 <= n_min < n_max <= 10**6: two curves, two sizes
+    for n_min, n_max in ((1, 2), (10 ** 6 - 1, 10 ** 6)):
+        assert len(sweep_rows(n_min, n_max, [0.5], ALL_SCENARIOS[:1],
+                              1.25e8, 16.0)) == 4
 
 
 def test_sweep_bad_range(tmp_path, capsys):
@@ -330,9 +338,19 @@ def test_validate_fail_with_tiny_tol(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_validate_empty_n_list(capsys):
+def test_validate_empty_n_list(tmp_path, capsys):
     rc = main(["validate", "--n-list", "", "--scenario-list", "all"])
     assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == "error: n-range is empty\n"
+    # an empty scenario list is bad input too, so nothing goes unchecked
+    for argv in (["validate", "--n-list", "", "--scenario-list", " , "],
+                 ["validate", "--n-list", "4", "--scenario-list", ""],
+                 ["sweep", "--n-min", "2", "--n-max", "4", "--scenario-list", "",
+                  "--out", str(tmp_path / "x.csv")]):
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: scenario list is empty\n"
 
 
 def test_validate_n_below_one(capsys):
@@ -522,3 +540,31 @@ def test_main_never_lets_an_exception_out(tmp_path, monkeypatch, capsys):
         assert rc in codes, (argv, doc, rc)
         if rc in (EXIT_USAGE, EXIT_IO):
             assert err.startswith("error:") and err.count("\n") == 1, (argv, doc, err)
+
+
+def _run_process(*argv):
+    """The CLI as its own process: ``python -m dht_rebalance.cli`` with src
+    first on the path, so entry() and the __main__ guard are exercised."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "dht_rebalance.cli", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_process_exit_codes(tmp_path):
+    proc = _run_process("bounds", "--n", "10", "--mu", "0.5",
+                        "--scenario", "stable-concurrent", "--json")
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout)["binding"]["kind"] == "bandwidth"
+
+    proc = _run_process("bounds", "--n", "4", "--mu", "1.5",
+                        "--scenario", "increasing-clear")
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+    # above the n=8 increasing-concurrent bandwidth bound b/(v*(N+1))
+    proc = _run_process("simulate", "--config",
+                        write_config(tmp_path, rate=1.05 * 1.25e8 / (16 * 9)))
+    assert proc.returncode == EXIT_BREAKDOWN, proc.stderr
+    assert json.loads(proc.stdout)["breakdown_kind"] == "expansion_overlap"

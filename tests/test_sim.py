@@ -4,6 +4,7 @@ import math
 import random
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,12 +16,9 @@ from dht_rebalance.bounds import (
     Scenario,
     StabilizationMode,
     WorkloadKind,
-    bandwidth_bound_increasing,
-    bandwidth_bound_stable,
     bound_report,
+    bound_table,
     stabilization_time,
-    time_bound_clear_increasing,
-    time_bound_clear_stable,
 )
 from dht_rebalance.sim import (
     BREAKDOWN,
@@ -311,7 +309,9 @@ def _float_edge_config(rate=1132.185717735206, initial_fill=1.0):
 
 def test_float_edge_concurrent_storage_overflow():
     cfg = _float_edge_config()
-    assert cfg.rate < bandwidth_bound_increasing(cfg.params)
+    p = cfg.params
+    assert cfg.rate < bound_table(p.n, p.mu, p.max_write_rate,
+                                  WorkloadKind.INCREASING_PER_NODE)["bandwidth"]
     events, outcome = run(cfg)
     assert outcome.kind == BREAKDOWN
     assert outcome.breakdown_kind == STORAGE_OVERFLOW
@@ -456,13 +456,63 @@ def test_run_memory_stays_linear():
     assert peak < 10e6
 
 
+def _exact_or_zero(x):
+    """A computed Fraction, or the kernel's literal 0.0 for 'none'."""
+    return isinstance(x, Fraction) or (type(x) is float and x == 0.0)
+
+
+def test_kernel_runs_exactly_on_fractions():
+    """The kernel uses only + - * / and comparisons, so on Fraction inputs
+    every computed time and level is a Fraction; the float run of the same
+    config ends the same way at the same times to 1e-12.  Each scenario runs
+    one expansion well below and well above its binding bound, and a
+    scale-out at 4/5 of it, where the clear modes' drained backlog lifts a
+    post-join level to mu*S or above (no headroom left before the trigger)."""
+    exact_p = ClusterParams(n=4, bandwidth=Fraction(125_000_000),
+                            value_size=Fraction(16), mu=Fraction(1, 2),
+                            storage=Fraction(10 ** 12))
+    float_p = params(4)
+    for scenario in ALL_SCENARIOS:
+        binding = Fraction(bound_report(float_p, scenario).binding.value)
+        for factor, n_target, kind in ((Fraction(1, 2), 5, STABILIZED),
+                                       (Fraction(3, 2), 5, BREAKDOWN),
+                                       (Fraction(4, 5), 16, None)):
+            rate = factor * binding
+            if scenario.workload is WorkloadKind.STABLE_TOTAL:
+                rate *= 4
+            exact_events, exact = run(SimConfig(
+                exact_p, scenario, rate, n_target, initial_fill=Fraction(1, 2)))
+            float_events, approx = run(SimConfig(
+                float_p, scenario, float(rate), n_target, initial_fill=0.5))
+            assert exact.kind == approx.kind == (kind or exact.kind)
+            assert exact.breakdown_kind == approx.breakdown_kind
+            assert exact.final_n == approx.final_n
+            assert isinstance(exact.total_time, Fraction)
+            for time, _, _, level, joining, backlog, duration, _ \
+                    in exact_events.rows:
+                assert isinstance(time, Fraction) and isinstance(level, Fraction)
+                assert joining is None or _exact_or_zero(joining)
+                assert _exact_or_zero(backlog)
+                assert duration is None or isinstance(duration, Fraction)
+            assert [r[1:3] for r in exact_events.rows] == \
+                [r[1:3] for r in float_events.rows]
+            for e, f in zip(exact_events.rows, float_events.rows):
+                assert math.isclose(e[0], f[0], rel_tol=1e-12), (scenario.name, e, f)
+        if scenario.mode is StabilizationMode.CLEAR:
+            mu_s = exact_p.mu * exact_p.storage
+            assert any(row[1] == "join_completed" and row[3] >= mu_s
+                       for row in exact_events.rows)
+
+
 # ---------------------------------------------------------------------------
 # outcome rule
 
-# per-node rate scale of each scenario: its binding bound for mu <= 1
-_RATE_SCALE = dict(zip(ALL_SCENARIOS, (
-    bandwidth_bound_increasing, time_bound_clear_increasing,
-    bandwidth_bound_stable, time_bound_clear_stable)))
+def _rate_scale(p, scenario):
+    """Per-node rate scale of a scenario: its binding bound for mu <= 1,
+    the bandwidth form for concurrent modes and the time form for clear."""
+    kind = "bandwidth" if scenario.mode is StabilizationMode.CONCURRENT else "time"
+    return float(bound_table(p.n, p.mu, p.max_write_rate, scenario.workload)[kind])
+
 
 GOLDEN_RUNS_SHA256 = "b97160117e9ff2bd180f9fc8dabafb86d4fda2200763f033c02a979e1fba470e"
 
@@ -483,7 +533,7 @@ def _golden_configs():
                           storage=10 ** rnd.uniform(9, 13))
         lam = rnd.choice((0.0, rnd.uniform(0.0, 1.0), rnd.uniform(0.0, 3.0),
                           rnd.uniform(0.9, 1.1)))
-        lam *= _RATE_SCALE[sc](p)
+        lam *= _rate_scale(p, sc)
         rate = lam if sc.workload is WorkloadKind.INCREASING_PER_NODE else lam * n
         fill = rnd.choice((0.0, 1.0, rnd.random()))
         bases.append(SimConfig(p, sc, rate, n + rnd.randint(1, 5), fill))
@@ -538,7 +588,7 @@ def test_outcome_rule(scenario, n, mu, bandwidth, value_size, storage, frac,
                       fill, joins, limit_frac):
     p = ClusterParams(n=n, bandwidth=bandwidth, value_size=value_size, mu=mu,
                       storage=storage)
-    lam = frac * _RATE_SCALE[scenario](p)
+    lam = frac * _rate_scale(p, scenario)
     rate = lam if scenario.workload is WorkloadKind.INCREASING_PER_NODE else lam * n
     cfg = SimConfig(p, scenario, rate, n + joins, fill)
     if limit_frac is not None:
@@ -612,6 +662,6 @@ def test_single_expansion_feasible_is_monotone_in_rate(scenario, n, mu,
     feasible one must be feasible too."""
     p = ClusterParams(n=n, bandwidth=bandwidth, value_size=value_size, mu=mu,
                       storage=storage)
-    lams = sorted(f * _RATE_SCALE[scenario](p) for f in fracs)
+    lams = sorted(f * _rate_scale(p, scenario) for f in fracs)
     feasible = [single_expansion_feasible(p, scenario, lam) for lam in lams]
     assert feasible == sorted(feasible, reverse=True)
