@@ -504,6 +504,55 @@ def test_kernel_runs_exactly_on_fractions():
                        for row in exact_events.rows)
 
 
+def _exact_link(n, mu):
+    """A 1 Gbps link with 16-byte values and 1 TB nodes, exact: B = 7 812 500
+    writes/s."""
+    return ClusterParams(n=n, bandwidth=Fraction(125_000_000),
+                         value_size=Fraction(16), mu=Fraction(mu),
+                         storage=Fraction(10 ** 12))
+
+
+def test_clear_catchup_ending_at_the_trigger_starves():
+    """At the clear time bound of a 2 -> 3 join at mu = 1/2 (B/2 per node,
+    or 3B/2 system-wide) catch-up ends exactly at the next trigger.  A
+    backlog that drains exactly then still counts as present: the run
+    starves at t_trig with an empty backlog, as the strict bound says.  Just
+    below the bound the run stabilizes."""
+    p = _exact_link(2, Fraction(1, 2))
+    B = p.max_write_rate
+    for scenario, bound in ((INCR_CLEAR, B / 2), (STAB_CLEAR, 3 * B / 2)):
+        events, outcome = run(SimConfig(p, scenario, bound, 3, initial_fill=1))
+        jc = next(e for e in events if e.kind == "join_completed")
+        # the 2/3 of mu*S left after the join refills at b/2 per node
+        t_trig = jc.time + (p.mu * p.storage - jc.level) / (p.bandwidth / 2)
+        assert (outcome.kind, outcome.breakdown_kind) == (BREAKDOWN,
+                                                          CATCHUP_STARVATION)
+        assert outcome.total_time == t_trig
+        assert events[-1].backlog == 0
+        assert "catchup_completed" not in [e.kind for e in events]
+        below = (1 - Fraction(1, 10 ** 6)) * bound
+        _, outcome = run(SimConfig(p, scenario, below, 3, initial_fill=1))
+        assert outcome.kind == STABILIZED
+
+
+def test_clear_level_reaching_storage_at_catchup_end_overflows():
+    """increasing-clear at mu = 1 and B/3 per node: the level reaches S
+    exactly when catch-up ends, at 8000 s, which is a storage overflow.  A
+    time limit equal to that time keeps the breakdown; one a nanosecond
+    earlier cuts the run."""
+    p = _exact_link(2, 1)
+    cfg = SimConfig(p, INCR_CLEAR, p.max_write_rate / 3, 3, initial_fill=1)
+    events, outcome = run(cfg)
+    assert (outcome.kind, outcome.breakdown_kind) == (BREAKDOWN,
+                                                      STORAGE_OVERFLOW)
+    assert outcome.total_time == 8000
+    assert events[-1].level == p.storage
+    assert run(replace(cfg, max_sim_time=Fraction(8000)))[1] == outcome
+    _, cut = run(replace(cfg, max_sim_time=8000 - Fraction(1, 10 ** 9)))
+    assert (cut.kind, cut.final_n) == (MAX_TIME_EXCEEDED, 3)
+    assert cut.total_time == 8000 - Fraction(1, 10 ** 9)
+
+
 # ---------------------------------------------------------------------------
 # outcome rule
 
