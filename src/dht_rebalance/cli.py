@@ -13,6 +13,11 @@ exception into an exit code and, for 2 and 3, one ``error:`` line on stderr.
 * 3 an output file (``--out``, ``--trace``) could not be written:
   ``OSError``.
 * Any other exception is a bug and propagates with its traceback.
+
+A closed stdout, such as a reader that stops early in ``| head``, is not a bad
+output file: ``entry`` restores the default ``SIGPIPE`` action where the
+platform has one, so the process ends by that signal with nothing on stderr,
+as other command-line tools do.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import argparse
 import csv
 import json
 import re
+import signal
 import sys
 from collections import defaultdict
 from itertools import repeat
@@ -435,6 +441,8 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

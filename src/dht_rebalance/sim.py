@@ -19,23 +19,23 @@ Three breakdown conditions are detected: a node exceeding its storage S
 the join finishes (expansion_overlap), and a backlog still nonzero when the
 next expansion fires (catchup_starvation).
 
-In clear mode the next-trigger clock counts live write arrivals only: after a
-join the system triggers again once new writes fill the mu*S headroom, while
-the drained backlog adds to stored bytes without advancing that clock.  This
-matches the closed-form inter-expansion times and makes the bisected
-feasibility thresholds reproduce the time-oriented bounds.
+Each size n has one per-node write share w: the per-node rate, or the
+system-wide rate over n for a stable workload.  In clear mode the next-trigger
+clock counts live write arrivals only: after a join the system triggers again
+once new writes fill the mu*S headroom, while the drained backlog adds to
+stored bytes without advancing that clock.  This matches the closed-form
+inter-expansion times and makes the bisected feasibility thresholds reproduce
+the time-oriented bounds.  A node's level rises at b during catch-up and at
+w after it.  A level that reaches S at or before the next trigger is a
+storage overflow.  A backlog still present at the trigger is starvation, and
+that includes a backlog that drains exactly then: at exactly the time bound
+the run starves, as the strict bounds say.
 
 Under symmetry every old node holds the same bytes, so an event stores that
 one ``level`` plus the joining node's ``joining_level`` while a join is in
-progress.
-
-``run`` returns the events as an ``EventTable``: a list of plain rows, one
-tuple of the ``SimEvent`` fields per event, which a scalar kernel appends as
-the physics reaches each event.  The table is a read-only sequence of
-``SimEvent`` rows, each built only when it is read; a row derives the
-per-node ``stored`` tuple from its two levels.  ``write_trace`` and
-``summary_dict`` read the plain rows directly, and the trace formats each
-level once and repeats the token.
+progress.  ``run`` returns the events as an ``EventTable`` of plain rows,
+which ``write_trace`` and ``summary_dict`` read directly.
+``feasibility_threshold`` bisects to a fixed relative width of 1e-4.
 
 The kernel's arithmetic is + - * / and comparisons only: no square root,
 and no float literal enters a computed quantity.  So it runs on any numeric
@@ -45,10 +45,10 @@ comes; the ``0.0`` backlog and ``joining_level`` of events that have none
 are the only float constants it stores.
 
 The physics has no time-limit guards.  The kernel stops at the first event
-later than ``max_sim_time``, drops it and computes nothing after it; ``run``
-alone decides the outcome.  A run cut by the limit is max_time_exceeded; a
-breakdown event gives breakdown; a run that ends at ``n_target`` is
-stabilized, and any other end is max_time_exceeded.
+later than ``max_sim_time``, drops it, computes nothing after it and returns
+``True``; ``run`` alone decides the outcome.  A run cut by the limit is
+max_time_exceeded; a breakdown event gives breakdown; a run that ends at
+``n_target`` is stabilized, and any other end is max_time_exceeded.
 """
 
 from __future__ import annotations
@@ -76,6 +76,9 @@ CATCHUP_STARVATION = "catchup_starvation"
 STABILIZED = "stabilized"
 BREAKDOWN = "breakdown"
 MAX_TIME_EXCEEDED = "max_time_exceeded"
+
+_THRESHOLD_WIDTH = 1e-4  # relative width of the final bracket
+_THRESHOLD_PROBES = 60
 
 
 class EmptyRange(ValueError):
@@ -165,27 +168,21 @@ class EventTable(Sequence[SimEvent]):
     fields per event.
 
     A read-only ``Sequence[SimEvent]``: a ``SimEvent`` is built only when it
-    is read, and ``repr`` is that of the list of them.  The constructor takes
-    one list per field; tables compare and concatenate row by row.
+    is read, and ``repr`` is that of the list of them.  The table keeps the
+    list it is given; tables compare and concatenate row by row.
     """
 
     __slots__ = ("rows",)
 
-    def __init__(self, *columns: list):
-        self.rows: list[tuple] = list(zip(*columns))
-
-    @classmethod
-    def _of(cls, rows: list[tuple]) -> "EventTable":
-        table = cls.__new__(cls)
-        table.rows = rows
-        return table
+    def __init__(self, rows: list[tuple]):
+        self.rows = rows
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return EventTable._of(self.rows[i])
+            return EventTable(self.rows[i])
         return SimEvent(*self.rows[i])
 
     def __iter__(self) -> Iterator[SimEvent]:
@@ -202,24 +199,19 @@ class EventTable(Sequence[SimEvent]):
     def __add__(self, other):
         if not isinstance(other, EventTable):
             return NotImplemented
-        return EventTable._of(self.rows + other.rows)
+        return EventTable(self.rows + other.rows)
 
     def __repr__(self) -> str:
         return repr(list(self))
 
 
-class _PastLimit(Exception):
-    """An event later than ``max_sim_time``: the run stops before it."""
-
-
-def _kernel(cfg: SimConfig, rows: list[tuple]) -> None:
+def _kernel(cfg: SimConfig, rows: list[tuple]) -> bool:
     """Append the run's events to ``rows`` in time order, one ``SimEvent``
     field tuple each.
 
-    Returns at ``n_target``, after a breakdown, or when no further expansion
-    can fire; raises ``_PastLimit`` in place of appending the first event
-    later than ``max_sim_time``, which otherwise bounds only the clear-mode
-    overflow search.
+    Returns ``True`` in place of appending the first event later than
+    ``max_sim_time``, and ``False`` at ``n_target``, after a breakdown, or
+    when no further expansion can fire.
     """
     limit = cfg.max_sim_time
     add = rows.append
@@ -228,141 +220,133 @@ def _kernel(cfg: SimConfig, rows: list[tuple]) -> None:
     b, s_cap = p.bandwidth, p.storage
     mu_s = p.mu * s_cap
     clear = cfg.scenario.mode is StabilizationMode.CLEAR
-    # live per-node write inflow (bytes/s) is inflow, or inflow / n for a
-    # stable workload at size n
+    # the per-node write share (bytes/s) at size n is inflow, or inflow / n
+    # for a stable workload
     inflow = cfg.rate * p.value_size
     stable = cfg.scenario.workload is WorkloadKind.STABLE_TOTAL
 
     n = p.n
+    w = inflow / n if stable else inflow
     t = 0 * mu_s
     stored = cfg.initial_fill * mu_s  # per node; old nodes stay symmetric
 
     while n < cfg.n_target:
         # ---- fill to the expansion trigger at size n ----
-        w = inflow / n if stable else inflow
         if stored < mu_s:
             if w <= 0:
-                return
+                return False
             t += (mu_s - stored) / w
             stored = mu_s
         if t > limit:
-            raise _PastLimit
+            return True
         add((t, "expansion_triggered", n, stored, None, 0.0, None, None))
 
         # ---- join: n -> n + 1 ----
         add((t, "join_started", n + 1, stored, 0.0, 0.0, None, None))
         migration_total = stored * n / (n + 1)
+        w = inflow / (n + 1) if stable else inflow
 
         if not clear:
-            w_post = inflow / (n + 1) if stable else inflow
-            if w_post >= b:
+            if w >= b:
                 raise InsufficientBandwidth(
                     "per-node write share meets or exceeds bandwidth")
-            b_join = b - w_post
+            b_join = b - w
             t_join = migration_total / b_join
-            old_rate = w_post - b_join / n  # net per old node during the join
+            old_rate = w - b_join / n  # net per old node during the join
             if old_rate >= 0:
                 # the trigger level is never left behind: the next expansion
                 # fires before this join completes
                 add((t, "breakdown", n + 1, stored, 0.0, 0.0, None,
                      EXPANSION_OVERLAP))
-                return
+                return False
+            # all n+1 nodes end symmetric at this level: the joining node
+            # holds the migrated share plus its writes, the old nodes drained
+            # to the same level
+            level = migration_total + w * t_join
             # joining node fills at the full b (writes + migration); in exact
             # arithmetic the overlap above always comes first, in floating
             # point this fires at mu = 1 a few ulps below the bandwidth bound
-            if (migration_total + w_post * t_join) > s_cap:
+            if level > s_cap:
                 t_full = t + s_cap / b
                 if t_full > limit:
-                    raise _PastLimit
+                    return True
                 add((t_full, "breakdown", n + 1,
                      stored + old_rate * (t_full - t), s_cap, 0.0, None,
                      STORAGE_OVERFLOW))
-                return
+                return False
             t += t_join
-            # all n+1 nodes end symmetric: the joining node holds the migrated
-            # share plus its writes, the old nodes drained to the same level
-            stored = migration_total + w_post * t_join
+            stored = level
             n += 1
             if t > limit:
-                raise _PastLimit
+                return True
             add((t, "join_completed", n, stored, None, 0.0, t_join, None))
             continue
 
         # ---- clear join ----
         t_join = migration_total / b
-        live_total = (n + 1) * (inflow / (n + 1) if stable else inflow)
-        d_acc = live_total * t_join
+        n += 1
+        d_acc = n * w * t_join
         t0 = t + t_join
         s_base = migration_total  # per-node stored right after the join
-        n += 1
         if t0 > limit:
-            raise _PastLimit
+            return True
         add((t0, "join_completed", n, s_base, None, d_acc, t_join, None))
         if t0 == math.inf:
-            return  # no later event has a time; inf - inf would give NaN
+            return False  # no later event has a time; inf - inf would give NaN
 
-        w_next = inflow / n if stable else inflow
-        drain_total = n * (b - w_next)
+        drain_total = n * (b - w)
         catchup_end = (t0 + d_acc / drain_total if drain_total > 0
                        else math.inf if d_acc > 0 else t0)
         # next-trigger clock: live writes refilling the mu*S headroom
-        t_trig = t0 + max(mu_s - s_base, 0 * mu_s) / w_next if w_next > 0 else math.inf
-        s_at_catchup = s_base + d_acc / n + w_next * (catchup_end - t0)
+        t_trig = t0 + max(mu_s - s_base, 0 * mu_s) / w if w > 0 else math.inf
+        s_at_catchup = s_base + d_acc / n + w * (catchup_end - t0)
 
-        # storage overflow while the backlog drains (per-node inflow is the
-        # full b during catch-up, then w_next)
+        # storage crossing: the level rises at b during catch-up, then at w
         horizon = min(t_trig, limit)
-        t_full = math.inf
-        if catchup_end > t0:
-            cross = t0 + (s_cap - s_base) / b
-            if cross <= min(catchup_end, horizon):
-                t_full = cross
-        if t_full == math.inf and catchup_end < horizon:
-            if w_next > 0 and s_at_catchup < s_cap:
-                cross = catchup_end + (s_cap - s_at_catchup) / w_next
-                if cross <= horizon:
-                    t_full = cross
-            elif s_at_catchup >= s_cap:
-                t_full = catchup_end
-        if t_full < math.inf:
-            if t_full > limit:
-                raise _PastLimit
+        cross = t0 + (s_cap - s_base) / b
+        if catchup_end > t0 and cross <= catchup_end:
+            t_full = cross
+        elif catchup_end >= horizon:
+            t_full = math.inf
+        elif s_at_catchup >= s_cap:
+            t_full = catchup_end
+        else:
+            t_full = (catchup_end + (s_cap - s_at_catchup) / w if w > 0
+                      else math.inf)
+        if t_full <= horizon and t_full < math.inf:  # horizon may be inf
             add((t_full, "breakdown", n, s_cap, None, 0.0, None,
                  STORAGE_OVERFLOW))
-            return
+            return False
 
         if t_trig <= catchup_end and d_acc > 0:
             remaining = (d_acc - drain_total * (t_trig - t0) if drain_total > 0
                          else d_acc)
             if t_trig > limit:
-                raise _PastLimit
+                return True
             add((t_trig, "breakdown", n,
-                 s_base + (d_acc - remaining) / n + w_next * (t_trig - t0),
+                 s_base + (d_acc - remaining) / n + w * (t_trig - t0),
                  None, remaining, None, CATCHUP_STARVATION))
-            return
+            return False
         if d_acc > 0:
             if catchup_end > limit:
-                raise _PastLimit
+                return True
             add((catchup_end, "catchup_completed", n, s_at_catchup, None, 0.0,
                  catchup_end - t0, None))
 
         # resume filling; drained bytes count towards stored, the trigger
         # clock keeps running on live writes from t0
         if t_trig == math.inf:
-            return
+            return False
         t = t_trig
-        stored = s_base + d_acc / n + w_next * (t_trig - t0)
+        stored = s_base + d_acc / n + w * (t_trig - t0)
+    return False
 
 
 def run(cfg: SimConfig) -> tuple[EventTable, SimOutcome]:
     """Replay the scale-out and decide its outcome (see ``SimOutcome``)."""
     rows: list[tuple] = []
-    table = EventTable._of(rows)
-    try:
-        _kernel(cfg, rows)
-        cut = False
-    except _PastLimit:
-        cut = True
+    cut = _kernel(cfg, rows)
+    table = EventTable(rows)
     i = len(rows) - 1  # the last join_completed, a few rows from the end
     while i >= 0 and rows[i][1] != "join_completed":
         i -= 1
@@ -400,20 +384,18 @@ def single_expansion_feasible(params: ClusterParams, scenario: Scenario,
     return outcome.kind == STABILIZED
 
 
-def feasibility_threshold(params: ClusterParams, scenario: Scenario,
-                          tol: float = 1e-4, max_iter: int = 60) -> float:
-    """Bisect the largest feasible per-node write rate over (0, b/v)."""
-    if not tol >= 1e-6:
-        raise ValueError("tol must be >= 1e-6")
+def feasibility_threshold(params: ClusterParams, scenario: Scenario) -> float:
+    """Bisect the largest feasible per-node write rate over (0, b/v), to a
+    bracket 1e-4 wide relative to its feasible end or for 60 probes."""
     lo = 0.0
     hi = params.max_write_rate
-    for _ in range(max_iter):
+    for _ in range(_THRESHOLD_PROBES):
         mid = 0.5 * (lo + hi)
         if single_expansion_feasible(params, scenario, mid):
             lo = mid
         else:
             hi = mid
-        if lo > 0 and (hi - lo) <= tol * lo:
+        if lo > 0 and (hi - lo) <= _THRESHOLD_WIDTH * lo:
             break
     return lo
 
@@ -453,7 +435,7 @@ def validate_against_bounds(n_values, scenario: Scenario,
     rows = []
     for params in sizes:
         analytic = bound_report(params, scenario).binding.value
-        simulated = feasibility_threshold(params, scenario, tol=1e-4)
+        simulated = feasibility_threshold(params, scenario)
         rel = abs(simulated - analytic) / analytic
         rows.append(ValidationRow(params.n, scenario, analytic, simulated,
                                   rel, rel <= tol))
@@ -502,8 +484,8 @@ def write_trace(events: EventTable, path: str) -> None:
                 texts.clear()
             try:
                 text = float.__repr__(x)
-            except TypeError:  # an int, from integer-valued inputs
-                text = json.dumps(x)
+            except TypeError:  # an int (written as one) or a Fraction
+                text = json.dumps(x) if isinstance(x, int) else repr(float(x))
             text = texts[id(x)] = _JSON_NON_FINITE.get(text, text)
         return text
 
@@ -521,6 +503,8 @@ def write_trace(events: EventTable, path: str) -> None:
 
 
 def summary_dict(events: EventTable, outcome: SimOutcome) -> dict:
+    """The outcome and the completed joins, with an exact run's values kept
+    exact: ``json.dumps(..., default=float)`` serialises them."""
     joins = [
         {"n_new": n, "completed_at": time, "duration": duration}
         for time, kind, n, _, _, _, duration, _ in events.rows

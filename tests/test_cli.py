@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -542,13 +543,26 @@ def test_main_never_lets_an_exception_out(tmp_path, monkeypatch, capsys):
             assert err.startswith("error:") and err.count("\n") == 1, (argv, doc, err)
 
 
-def _run_process(*argv):
+def _run_process(*argv, stdout=subprocess.PIPE):
     """The CLI as its own process: ``python -m dht_rebalance.cli`` with src
     first on the path, so entry() and the __main__ guard are exercised."""
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, "-m", "dht_rebalance.cli", *argv],
-                          capture_output=True, text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=path))
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=path))
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
+def test_closed_stdout_ends_by_sigpipe():
+    """A reader that stops early is not a bad output file: the CLI ends by
+    SIGPIPE with nothing on stderr, not with exit 3 and an error line."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_process("case-study", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (-signal.SIGPIPE, "")
 
 
 def test_process_exit_codes(tmp_path):
