@@ -23,13 +23,12 @@ as other command-line tools do.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import re
 import signal
 import sys
 from collections import defaultdict
-from itertools import repeat
+from itertools import repeat, starmap
 
 import numpy as np
 
@@ -124,6 +123,71 @@ def cmd_bounds(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
+_TABLE_BLOCK = 65_536  # sizes per bound_table call: keeps a sweep's memory flat
+_CSV_BLOCK = 4_096     # sizes per CSV write: a block's rows are all in memory
+
+
+def _sweep_groups(n_min: int, n_max: int, mu_values, scenarios,
+                  bandwidth: float, value_size: float):
+    """Check the sweep's inputs, then return an iterator over its curve
+    groups, one block of sizes at a time: (scenario name, bound_kind, n,
+    values) in (scenario, bound_kind, n) order.  ``values[i]`` holds the
+    group's curves at ``n[i]``: one per mu value with the group's label, for
+    each copy of the scenario, in input order.
+
+    A range outside 1 <= n_min < n_max <= 10**6 is rejected, and
+    ClusterParams rejects a bad link or mu, before the first group."""
+    if not 1 <= n_min < n_max <= 10 ** 6:
+        raise ValueError("need 1 <= n-min < n-max <= 10^6")
+    for mu in mu_values or [1.0]:
+        ClusterParams(n=n_min, bandwidth=bandwidth, value_size=value_size, mu=mu)
+    n = np.arange(n_min, n_max + 1)
+    blocks = [n[i:i + _TABLE_BLOCK] for i in range(0, len(n), _TABLE_BLOCK)]
+    return _curve_groups(blocks, mu_values, scenarios, bandwidth / value_size)
+
+
+def _curve_groups(blocks, mu_values, scenarios, b_rate):
+    names = [scenario.name for scenario in scenarios]
+    for name, scenario in sorted(dict(zip(names, scenarios)).items()):
+        # a repeated scenario repeats its curves
+        args = (scenario, mu_values, b_rate, names.count(name))
+        first = _curves(blocks[0], *args)
+        for label in sorted(first):
+            yield name, label, blocks[0], first[label]
+            # a later block's table is built again per label, so no more
+            # than one block is held
+            for block in blocks[1:]:
+                yield name, label, block, _curves(block, *args)[label]
+
+
+def _curves(n, scenario: Scenario, mu_values, b_rate, copies: int) -> dict:
+    """{label: values} for one scenario over the sizes n, from one
+    bound_table call."""
+    curves = defaultdict(list)
+    kinds = bnd.applicable_kinds(scenario)
+    if BoundKind.STORAGE in kinds:
+        # N as a column and mu as a row: one call gives every storage curve;
+        # the bandwidth and time forms do not read mu
+        table = bnd.bound_table(n[:, None], np.array(mu_values, dtype=float),
+                                b_rate, scenario.workload)
+        for j, mu in enumerate(mu_values):
+            curves[f"storage(mu={mu:g})"].append(table["storage"][:, j])
+    else:
+        table = bnd.bound_table(n, 0.5, b_rate, scenario.workload)
+    for kind in kinds:
+        if kind is not BoundKind.STORAGE:
+            curves[kind.value].append(table[kind.value].ravel())
+    # the curves of one label as columns, each scenario copy's in turn
+    return {label: np.array(group * copies).T for label, group in curves.items()}
+
+
+def _group_rows(name: str, label: str, n, values):
+    """One group's rows (n, scenario, bound_kind, value), its curves
+    alternating per n."""
+    return zip(np.repeat(n, values.shape[1]).tolist(), repeat(name),
+               repeat(label), values.ravel().tolist())
+
+
 def sweep_rows(n_min: int, n_max: int, mu_values, scenarios,
                bandwidth: float, value_size: float):
     """CurveCSV rows: (n, scenario, bound_kind, lambda), in (scenario,
@@ -132,40 +196,36 @@ def sweep_rows(n_min: int, n_max: int, mu_values, scenarios,
     and appear once.  Curves that share a (scenario, bound_kind) pair -- a
     repeated scenario, or mu values with the same label -- alternate per n in
     input order.  A range outside 1 <= n_min < n_max <= 10**6 is rejected,
-    and ClusterParams rejects a bad link or mu."""
-    if not 1 <= n_min < n_max <= 10 ** 6:
-        raise ValueError("need 1 <= n-min < n-max <= 10^6")
-    for mu in mu_values or [1.0]:
-        ClusterParams(n=n_min, bandwidth=bandwidth, value_size=value_size, mu=mu)
-    n = np.arange(n_min, n_max + 1)
-    b_rate = bandwidth / value_size
-    curves = defaultdict(list)
-    for scenario in scenarios:
-        for kind in bnd.applicable_kinds(scenario):
-            labels = ([(f"storage(mu={mu:g})", mu) for mu in mu_values]
-                      if kind is BoundKind.STORAGE else [(kind.value, 0.5)])
-            for label, mu in labels:
-                table = bnd.bound_table(n, mu, b_rate, scenario.workload)
-                curves[scenario.name, label].append(table[kind.value])
+    and ClusterParams rejects a bad link or mu.
+
+    ``sweep`` streams the same rows to its CSV a block of sizes at a time,
+    so its memory does not grow with the range."""
     rows = []
-    for name, label in sorted(curves):
-        group = curves[name, label]
-        rows.extend(zip(np.repeat(n, len(group)).tolist(), repeat(name),
-                        repeat(label), np.stack(group, axis=1).ravel().tolist()))
+    for group in _sweep_groups(n_min, n_max, mu_values, scenarios, bandwidth,
+                               value_size):
+        rows.extend(_group_rows(*group))
     return rows
 
 
+# one CSV line as csv.writer writes it: no field holds a comma, a quote or a
+# line break, so none is quoted
+_CSV_LINE = "{},{},{},{:.6g}\r\n".format
+
+
 def cmd_sweep(args) -> int:
-    rows = sweep_rows(args.n_min, args.n_max,
-                      [float(x) for x in args.mu_list.split(",") if x],
-                      _parse_scenarios(args.scenario_list),
-                      parse_bandwidth(args.bandwidth), float(args.value_size))
+    # every input is checked before the output file is opened
+    groups = _sweep_groups(args.n_min, args.n_max,
+                           [float(x) for x in args.mu_list.split(",") if x],
+                           _parse_scenarios(args.scenario_list),
+                           parse_bandwidth(args.bandwidth),
+                           float(args.value_size))
     with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "scenario", "bound_kind",
-                         "lambda_bound_writes_per_s"])
-        for n, scenario, kind, value in rows:
-            writer.writerow([n, scenario, kind, f"{value:.6g}"])
+        fh.write("n,scenario,bound_kind,lambda_bound_writes_per_s\r\n")
+        for name, label, n, values in groups:
+            for i in range(0, len(n), _CSV_BLOCK):
+                rows = _group_rows(name, label, n[i:i + _CSV_BLOCK],
+                                   values[i:i + _CSV_BLOCK])
+                fh.write("".join(starmap(_CSV_LINE, rows)))
     return EXIT_OK
 
 

@@ -35,7 +35,11 @@ Under symmetry every old node holds the same bytes, so an event stores that
 one ``level`` plus the joining node's ``joining_level`` while a join is in
 progress.  ``run`` returns the events as an ``EventTable`` of plain rows,
 which ``write_trace`` and ``summary_dict`` read directly.
-``feasibility_threshold`` bisects to a fixed relative width of 1e-4.
+``feasibility_threshold`` bisects to a fixed relative width of 1e-4.  It
+checks its inputs once, as the ``SimConfig`` of its fastest rate b/v: the
+write inflow rises with the rate, so that check covers every probe, and each
+probe runs the kernel on the checked fields with no config, table or
+outcome object.  ``single_expansion_feasible`` checks its rate every call.
 
 The kernel's arithmetic is + - * / and comparisons only: no square root,
 and no float literal enters a computed quantity.  So it runs on any numeric
@@ -46,9 +50,11 @@ are the only float constants it stores.
 
 The physics has no time-limit guards.  The kernel stops at the first event
 later than ``max_sim_time``, drops it, computes nothing after it and returns
-``True``; ``run`` alone decides the outcome.  A run cut by the limit is
-max_time_exceeded; a breakdown event gives breakdown; a run that ends at
-``n_target`` is stabilized, and any other end is max_time_exceeded.
+``True``.  One rule, ``_decide``, turns the rows into the outcome: a run cut
+by the limit is max_time_exceeded; a breakdown event gives breakdown; a run
+that ends at ``n_target`` is stabilized, and any other end is
+max_time_exceeded.  ``run`` builds its ``SimOutcome`` from that rule, and the
+threshold's probes compare its kind with stabilized.
 """
 
 from __future__ import annotations
@@ -205,32 +211,32 @@ class EventTable(Sequence[SimEvent]):
         return repr(list(self))
 
 
-def _kernel(cfg: SimConfig, rows: list[tuple]) -> bool:
+def _kernel(params: ClusterParams, scenario: Scenario, rate, n_target: int,
+            initial_fill, limit, rows: list[tuple]) -> bool:
     """Append the run's events to ``rows`` in time order, one ``SimEvent``
-    field tuple each.
+    field tuple each.  The arguments are ``SimConfig``'s fields, checked by
+    the caller (``limit`` is ``max_sim_time``).
 
     Returns ``True`` in place of appending the first event later than
-    ``max_sim_time``, and ``False`` at ``n_target``, after a breakdown, or
-    when no further expansion can fire.
+    ``limit``, and ``False`` at ``n_target``, after a breakdown, or when no
+    further expansion can fire.
     """
-    limit = cfg.max_sim_time
     add = rows.append
 
-    p = cfg.params
-    b, s_cap = p.bandwidth, p.storage
-    mu_s = p.mu * s_cap
-    clear = cfg.scenario.mode is StabilizationMode.CLEAR
+    b, s_cap = params.bandwidth, params.storage
+    mu_s = params.mu * s_cap
+    clear = scenario.mode is StabilizationMode.CLEAR
     # the per-node write share (bytes/s) at size n is inflow, or inflow / n
     # for a stable workload
-    inflow = cfg.rate * p.value_size
-    stable = cfg.scenario.workload is WorkloadKind.STABLE_TOTAL
+    inflow = rate * params.value_size
+    stable = scenario.workload is WorkloadKind.STABLE_TOTAL
 
-    n = p.n
+    n = params.n
     w = inflow / n if stable else inflow
     t = 0 * mu_s
-    stored = cfg.initial_fill * mu_s  # per node; old nodes stay symmetric
+    stored = initial_fill * mu_s  # per node; old nodes stay symmetric
 
-    while n < cfg.n_target:
+    while n < n_target:
         # ---- fill to the expansion trigger at size n ----
         if stored < mu_s:
             if w <= 0:
@@ -342,56 +348,95 @@ def _kernel(cfg: SimConfig, rows: list[tuple]) -> bool:
     return False
 
 
-def run(cfg: SimConfig) -> tuple[EventTable, SimOutcome]:
-    """Replay the scale-out and decide its outcome (see ``SimOutcome``)."""
-    rows: list[tuple] = []
-    cut = _kernel(cfg, rows)
-    table = EventTable(rows)
+def _decide(rows: list[tuple], cut: bool, n0: int,
+            n_target: int) -> tuple[str, int]:
+    """The outcome rule: (outcome kind, final_n) of the kernel's rows, where
+    ``cut`` is its return value and ``n0`` the initial size."""
     i = len(rows) - 1  # the last join_completed, a few rows from the end
     while i >= 0 and rows[i][1] != "join_completed":
         i -= 1
-    final_n = rows[i][2] if i >= 0 else cfg.params.n
+    final_n = rows[i][2] if i >= 0 else n0
     if cut:
-        return table, SimOutcome(MAX_TIME_EXCEEDED, final_n, cfg.max_sim_time)
+        return MAX_TIME_EXCEEDED, final_n
     if rows and rows[-1][1] == "breakdown":
+        return BREAKDOWN, final_n
+    if final_n >= n_target:
+        return STABILIZED, final_n
+    return MAX_TIME_EXCEEDED, final_n
+
+
+def run(cfg: SimConfig) -> tuple[EventTable, SimOutcome]:
+    """Replay the scale-out and decide its outcome (see ``SimOutcome``)."""
+    rows: list[tuple] = []
+    cut = _kernel(cfg.params, cfg.scenario, cfg.rate, cfg.n_target,
+                  cfg.initial_fill, cfg.max_sim_time, rows)
+    kind, final_n = _decide(rows, cut, cfg.params.n, cfg.n_target)
+    if kind == BREAKDOWN:
         time, *_, breakdown_kind = rows[-1]
-        return table, SimOutcome(BREAKDOWN, final_n, time, breakdown_kind,
-                                 at_n=final_n, at_time=time)
-    if final_n >= cfg.n_target:
-        return table, SimOutcome(STABILIZED, final_n, rows[-1][0])
-    return table, SimOutcome(MAX_TIME_EXCEEDED, final_n, cfg.max_sim_time)
+        outcome = SimOutcome(kind, final_n, time, breakdown_kind,
+                             at_n=final_n, at_time=time)
+    elif kind == STABILIZED:
+        outcome = SimOutcome(kind, final_n, rows[-1][0])
+    else:
+        outcome = SimOutcome(kind, final_n, cfg.max_sim_time)
+    return EventTable(rows), outcome
 
 
 # ---------------------------------------------------------------------------
 # threshold search
+
+def _probe_rate(params: ClusterParams, scenario: Scenario, lam):
+    """The run's ``rate`` for per-node rate lam: system-wide for a stable
+    workload."""
+    if scenario.workload is WorkloadKind.STABLE_TOTAL:
+        return lam * params.n
+    return lam
+
+
+def _check_probe(params: ClusterParams, scenario: Scenario, lam) -> None:
+    """Raise ``ValueError`` unless the probe at lam is a valid ``SimConfig``."""
+    SimConfig(params, scenario, _probe_rate(params, scenario, lam),
+              n_target=params.n + 1, initial_fill=1.0)
+
+
+def _stabilizes(params: ClusterParams, scenario: Scenario, lam) -> bool:
+    """The probe on inputs ``_check_probe`` accepted: does one n -> n+1
+    expansion from a full trigger level stabilize?"""
+    rows: list[tuple] = []
+    try:
+        # SimConfig's default time limit: at mu = 1 it sets the clear modes'
+        # thresholds
+        cut = _kernel(params, scenario, _probe_rate(params, scenario, lam),
+                      params.n + 1, 1.0, SimConfig.max_sim_time, rows)
+    except InsufficientBandwidth:
+        return False
+    return _decide(rows, cut, params.n, params.n + 1)[0] == STABILIZED
+
 
 def single_expansion_feasible(params: ClusterParams, scenario: Scenario,
                               lam: float) -> bool:
     """Does one n -> n+1 expansion stabilize at per-node rate lam?
 
     Nodes start prefilled to mu*S; in clear mode the run continues through
-    catch-up and the follow-on fill so starvation can be observed.
+    catch-up and the follow-on fill so starvation can be observed.  Raises
+    ``ValueError`` for a lam that ``SimConfig`` rejects.
     """
-    rate = lam
-    if scenario.workload is WorkloadKind.STABLE_TOTAL:
-        rate = lam * params.n
-    cfg = SimConfig(params, scenario, rate, n_target=params.n + 1,
-                    initial_fill=1.0)
-    try:
-        _, outcome = run(cfg)
-    except InsufficientBandwidth:
-        return False
-    return outcome.kind == STABILIZED
+    _check_probe(params, scenario, lam)
+    return _stabilizes(params, scenario, lam)
 
 
 def feasibility_threshold(params: ClusterParams, scenario: Scenario) -> float:
     """Bisect the largest feasible per-node write rate over (0, b/v), to a
-    bracket 1e-4 wide relative to its feasible end or for 60 probes."""
+    bracket 1e-4 wide relative to its feasible end or for 60 probes.
+
+    The write inflow rises with the rate, so checking the probe at b/v
+    checks every probe: they run the kernel unchecked."""
     lo = 0.0
     hi = params.max_write_rate
+    _check_probe(params, scenario, hi)
     for _ in range(_THRESHOLD_PROBES):
         mid = 0.5 * (lo + hi)
-        if single_expansion_feasible(params, scenario, mid):
+        if _stabilizes(params, scenario, mid):
             lo = mid
         else:
             hi = mid

@@ -1,15 +1,29 @@
+import csv
+import io
 import json
 import math
 import os
+import random
 import re
 import signal
 import subprocess
 import sys
+import tracemalloc
+from collections import defaultdict
+from itertools import repeat
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dht_rebalance.bounds import ALL_SCENARIOS, WorkloadKind, bound_table
+from dht_rebalance.bounds import (
+    ALL_SCENARIOS,
+    BoundKind,
+    Scenario,
+    WorkloadKind,
+    applicable_kinds,
+    bound_table,
+)
 
 from dht_rebalance.cli import (
     _UNIT_BYTES,
@@ -186,6 +200,89 @@ def test_sweep_rows_sorted_and_monotone():
     pair = [float(bound_table(17, mu, b_rate, WorkloadKind.INCREASING_PER_NODE)
                   ["storage"]) for mu in (0.5, mu_close)]
     assert pair[0] != pair[1] and at_17 == pair * 2
+
+
+def _sweep_rows_oracle(n_min, n_max, mu_values, scenarios, bandwidth,
+                      value_size):
+    """sweep_rows with one bound_table call per curve, all rows in memory."""
+    n = np.arange(n_min, n_max + 1)
+    b_rate = bandwidth / value_size
+    curves = defaultdict(list)
+    for scenario in scenarios:
+        for kind in applicable_kinds(scenario):
+            labels = ([(f"storage(mu={mu:g})", mu) for mu in mu_values]
+                      if kind is BoundKind.STORAGE else [(kind.value, 0.5)])
+            for label, mu in labels:
+                table = bound_table(n, mu, b_rate, scenario.workload)
+                curves[scenario.name, label].append(table[kind.value])
+    rows = []
+    for name, label in sorted(curves):
+        group = curves[name, label]
+        rows.extend(zip(np.repeat(n, len(group)).tolist(), repeat(name),
+                        repeat(label), np.stack(group, axis=1).ravel().tolist()))
+    return rows
+
+
+def _oracle_csv(rows) -> bytes:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["n", "scenario", "bound_kind", "lambda_bound_writes_per_s"])
+    for n, scenario, kind, value in rows:
+        writer.writerow([n, scenario, kind, f"{value:.6g}"])
+    return buf.getvalue().encode()
+
+
+def test_sweep_rows_match_per_curve_tables():
+    """One bound_table call per scenario gives the rows of one call per
+    curve, bit for bit: repeated scenarios, mu values that share a label,
+    an empty mu list and both ends of the range included."""
+    rnd = random.Random(20261021)
+    cases = [(1, 2, [0.5], list(ALL_SCENARIOS)),
+             (10 ** 6 - 1, 10 ** 6, [0.3, 0.5, 0.7], list(ALL_SCENARIOS)),
+             (2, 40, [], list(ALL_SCENARIOS)),
+             (2, 40, [0.5, 0.5000001, 0.5], list(ALL_SCENARIOS) * 2)]
+    for _ in range(400):
+        n_min = rnd.choice((1, rnd.randint(1, 1000), rnd.randint(1, 10 ** 6 - 1)))
+        n_max = min(10 ** 6, n_min + rnd.choice((1, rnd.randint(1, 400))))
+        mus = rnd.sample([0.5, 0.5000001, 1.0, 1e-5, 0.3, rnd.uniform(0.01, 1.0)],
+                         rnd.randint(0, 4))
+        scenarios = rnd.choices(ALL_SCENARIOS, k=rnd.randint(0, 5))
+        cases.append((n_min, n_max, mus, scenarios))
+    for case in cases:
+        link = (10 ** rnd.uniform(6, 10), 10 ** rnd.uniform(0, 3))
+        assert repr(sweep_rows(*case, *link)) == \
+            repr(_sweep_rows_oracle(*case, *link)), case
+
+
+def test_sweep_csv_matches_rows(tmp_path):
+    """The streamed CSV holds the rows as csv.writer writes them, across
+    blocks of sizes too."""
+    out = tmp_path / "sweep.csv"
+    stable_clear, incr_conc = Scenario.parse("stable-clear"), ALL_SCENARIOS[0]
+    for n_min, n_max, mus, scenarios in (
+            (1, 66_000, [0.5], [stable_clear, incr_conc]),
+            (5, 9_000, [0.5, 0.5000001], [stable_clear, incr_conc, stable_clear]),
+            (2, 300, [], list(ALL_SCENARIOS))):
+        argv = ["sweep", "--n-min", str(n_min), "--n-max", str(n_max),
+                "--mu-list", ",".join(map(repr, mus)),
+                "--scenario-list", ",".join(sc.name for sc in scenarios),
+                "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        rows = _sweep_rows_oracle(n_min, n_max, mus, scenarios, 1.25e8, 16.0)
+        assert out.read_bytes() == _oracle_csv(rows)
+
+
+def test_sweep_streams_its_csv(tmp_path):
+    """An in-process sweep keeps well under its CSV's size in memory."""
+    out = tmp_path / "sweep.csv"
+    tracemalloc.start()
+    try:
+        assert main(["sweep", "--n-min", "2", "--n-max", "40000",
+                     "--out", str(out)]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.stat().st_size / 2
 
 
 def test_sweep_rows_checks_link_and_mu():

@@ -800,6 +800,74 @@ def test_thresholds_match_golden_digest():
     assert h.hexdigest() == GOLDEN_THRESHOLDS_SHA256
 
 
+def _threshold_oracle(p, scenario):
+    """feasibility_threshold as a bisection over a full run of a checked
+    SimConfig per probe."""
+    def feasible(lam):
+        rate = lam * p.n if scenario.workload is WorkloadKind.STABLE_TOTAL else lam
+        cfg = SimConfig(p, scenario, rate, n_target=p.n + 1, initial_fill=1.0)
+        try:
+            _, outcome = run(cfg)
+        except InsufficientBandwidth:
+            return False
+        return outcome.kind == STABILIZED
+
+    lo, hi = 0.0, p.max_write_rate
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+        if lo > 0 and (hi - lo) <= 1e-4 * lo:
+            break
+    return lo
+
+
+def test_threshold_matches_per_probe_config_bisection():
+    """The threshold's probes run the kernel on inputs checked once; every
+    threshold is the one a checked run per probe gives, bit for bit."""
+    rnd = random.Random(20261020)
+    configs = []
+    for i in range(2000):
+        p = ClusterParams(n=rnd.choice((1, 2, rnd.randint(1, 100),
+                                        rnd.randint(1, 10 ** 5))),
+                          bandwidth=10 ** rnd.uniform(6, 10),
+                          value_size=10 ** rnd.uniform(0, 3),
+                          mu=rnd.choice((1.0, rnd.uniform(0.01, 1.0))),
+                          storage=10 ** rnd.uniform(9, 13))
+        configs.append((p, ALL_SCENARIOS[i % 4]))
+    for i in range(8):
+        p = ClusterParams(n=rnd.randint(1, 50),
+                          bandwidth=Fraction(rnd.randint(10 ** 6, 10 ** 9), 3),
+                          value_size=Fraction(rnd.randint(1, 1000), 7),
+                          mu=Fraction(rnd.randint(1, 10), 10),
+                          storage=Fraction(10 ** 12))
+        configs.append((p, ALL_SCENARIOS[i % 4]))
+    for p, scenario in configs:
+        assert repr(feasibility_threshold(p, scenario)) == \
+            repr(_threshold_oracle(p, scenario)), (p, scenario)
+
+
+def test_threshold_checks_the_top_of_its_range():
+    """One check at b/v covers every probe: a write inflow that overflows
+    there is rejected before the first probe, while a single probe at a
+    lower rate still runs."""
+    p = ClusterParams(n=2, bandwidth=1e308, value_size=1.0, mu=0.5)
+    for scenario in ALL_SCENARIOS:
+        with pytest.raises(ValueError):
+            feasibility_threshold(p, scenario)
+        assert single_expansion_feasible(p, scenario, 1e300) in (True, False)
+
+
+def test_single_expansion_feasible_rejects_bad_rates():
+    """The public probe checks its rate on every call."""
+    for scenario in ALL_SCENARIOS:
+        for lam in (math.inf, math.nan, -1.0):
+            with pytest.raises(ValueError):
+                single_expansion_feasible(params(4), scenario, lam)
+
+
 @settings(max_examples=300, deadline=None)
 @given(scenario=st.sampled_from(ALL_SCENARIOS),
        n=st.integers(1, 10 ** 4),
