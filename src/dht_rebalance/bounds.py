@@ -259,6 +259,7 @@ def _check_alpha(alpha: float, strict: bool = False) -> None:
 # capacity planning
 
 _SCAN_BLOCK = 4_096  # largest min_feasible_n scan block: keeps memory flat
+_SCALAR_SCAN = 4     # sizes min_feasible_n tests one at a time before a block
 
 # A stable workload that misses a bound at N by more than this relative
 # margin misses it at every smaller N (see min_feasible_n).  At every N up
@@ -266,6 +267,26 @@ _SCAN_BLOCK = 4_096  # largest min_feasible_n scan block: keeps memory flat
 # which is about N * 2**-53 (from n * mu in the storage form).
 _PROOF_MARGIN = 1e-6
 _PROOF_N_MAX = 10 ** 9
+
+
+def _stable_missed_size(x: float, mu: float, enforced) -> float:
+    """The N (a float; inf for every N) up to which a stable workload of
+    rate x * B misses an enforced bound in exact arithmetic; 0 if it misses
+    none that rises with N.
+
+    Solves rate = g(N) * B for the bounds that rise with N: storage
+    g = 1 + N(1 - mu), time g = (s^2 + 3) / (2(s + 1)) with s = sqrt(4N + 1),
+    so s = x + sqrt((x + 3)(x - 1)) and N = (s - 1)(s + 1) / 4."""
+    size = 0.0
+    if BoundKind.STORAGE in enforced:
+        if mu < 1:
+            size = max(size, (x - 1.0) / (1.0 - mu))
+        elif x >= 1:
+            size = math.inf
+    if BoundKind.TIME in enforced and x > 1:
+        r = math.sqrt((x + 3.0) * (x - 1.0))
+        size = max(size, (x - 1.0 + r) * (x + 1.0 + r) / 4.0)
+    return size
 
 
 def min_feasible_n(
@@ -288,12 +309,19 @@ def min_feasible_n(
     ``storage`` is checked with the link and mu; no bound reads it yet.
 
     The answer is the first N of an exact scan, which tests every size with
-    the ``bound_table`` bits.  For a stable workload the scan starts past a
-    size proven infeasible: in exact arithmetic rate < g(N) * B with g
-    nondecreasing in N for every bound (1 + N(1 - mu) for storage, 1 for
-    bandwidth, (s^2 + 3) / (2(s + 1)) with s = sqrt(4N + 1) for time), so a
-    bound missed at N by more than its rounding error is missed at every
-    smaller N.  A bisection over N finds such a size.
+    the ``bound_table`` bits: the first few one at a time with a scalar n,
+    then in blocks of 64 growing to 4096.  For a stable workload the scan
+    starts past a size lo proven infeasible.  In exact arithmetic a stable
+    workload is feasible iff rate < g(N) * B, with g nondecreasing in N for
+    every bound: 1 + N(1 - mu) for storage, 1 for bandwidth (which fails
+    outright when rate >= B) and (s^2 + 3) / (2(s + 1)) with s = sqrt(4N + 1)
+    for time.  Inverting g at x = rate / B / (1 + 2 * margin) gives lo:
+    N = (x - 1) / (1 - mu) for storage (every N when mu = 1 and x >= 1), and
+    N = (s^2 - 1) / 4 with s = x + sqrt(x^2 + 2x - 3) for time, the largest
+    over the enforced kinds.  One check that lo misses a bound by more than
+    the margin, which exceeds its rounding error, then proves every smaller
+    size infeasible.  If that check fails, or the floats are not normal, the
+    scan starts at 2.
     """
     if not 0 < rate < math.inf:
         raise ValueError("rate must be positive and finite")
@@ -324,15 +352,17 @@ def min_feasible_n(
     # The proof needs normal floats: every bound and lambda is at least
     # min(rate, B) / N.
     lo = 1  # every size up to lo is infeasible
-    if min(rate, b_rate) / _PROOF_N_MAX >= sys.float_info.min:
-        hi = min(top, _PROOF_N_MAX) + 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if misses(mid, 1.0 + _PROOF_MARGIN):
-                lo = mid
-            else:
-                hi = mid
-    start, block = lo + 1, 64
+    if stable and min(rate, b_rate) / _PROOF_N_MAX >= sys.float_info.min:
+        x = rate / b_rate / (1.0 + 2.0 * _PROOF_MARGIN)
+        n = int(min(_stable_missed_size(x, mu, enforced), top, _PROOF_N_MAX))
+        if n > 1 and misses(n, 1.0 + _PROOF_MARGIN):
+            lo = n
+    for n in range(lo + 1, lo + _SCALAR_SCAN + 1):
+        if n > top:
+            return None
+        if not misses(n, 1.0):
+            return n
+    start, block = lo + _SCALAR_SCAN + 1, 64
     while start <= top:
         n = np.arange(start, min(start + block, top + 1))
         table = bound_table(n, mu, b_rate, scenario.workload)

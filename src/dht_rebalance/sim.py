@@ -430,7 +430,11 @@ def feasibility_threshold(params: ClusterParams, scenario: Scenario) -> float:
     bracket 1e-4 wide relative to its feasible end or for 60 probes.
 
     The write inflow rises with the rate, so checking the probe at b/v
-    checks every probe: they run the kernel unchecked."""
+    checks every probe: they run the kernel unchecked.  At b/v the inflow
+    is about b * (n + 1), so a bandwidth too large for that is named."""
+    if not params.bandwidth * (params.n + 1) < math.inf:
+        raise ValueError(f"bandwidth {params.bandwidth:g} B/s is too large at "
+                         f"n = {params.n}: bandwidth * (n + 1) overflows a float")
     lo = 0.0
     hi = params.max_write_rate
     _check_probe(params, scenario, hi)

@@ -1,12 +1,14 @@
 import itertools
 import math
 import random
+import sys
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from dht_rebalance import bounds
 from dht_rebalance.bounds import (
     ALL_SCENARIOS,
     AlphaOutOfRange,
@@ -403,6 +405,172 @@ def test_min_feasible_n_matches_block_scan_at_large_edges(scenario, kinds, mu):
                                  n_max=n_max)
             assert got == _scan_min_n(scenario, r, bandwidth, value_size, mu,
                                       kinds, n_max)
+
+
+def _bisect_min_n(scenario, rate, bandwidth, value_size, mu, kinds, n_max):
+    """min_feasible_n with the proven start found by a bisection over N: the
+    oracle for the inverted bounds, which must give the same answer."""
+    b_rate = bandwidth / value_size
+    stable = scenario.workload is WorkloadKind.STABLE_TOTAL
+    enforced = [k for k in applicable_kinds(scenario)
+                if kinds is None or k in kinds]
+    if stable and BoundKind.BANDWIDTH in enforced and rate >= b_rate:
+        return None
+    top = n_max if stable else min(n_max, 1)
+
+    def misses(n, slack):
+        table = bound_table(n, mu, b_rate, scenario.workload)
+        lam = rate / n if stable else rate
+        return not all(lam < table[k.value] * slack for k in enforced)
+
+    if not misses(1, 1.0):
+        return 1
+    lo = 1
+    if min(rate, b_rate) / bounds._PROOF_N_MAX >= sys.float_info.min:
+        hi = min(top, bounds._PROOF_N_MAX) + 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if misses(mid, 1.0 + bounds._PROOF_MARGIN):
+                lo = mid
+            else:
+                hi = mid
+    start, block = lo + 1, 64
+    while start <= top:
+        n = np.arange(start, min(start + block, top + 1))
+        table = bound_table(n, mu, b_rate, scenario.workload)
+        lam = rate / n if stable else rate
+        hits = np.flatnonzero(np.all([lam < table[k.value] for k in enforced], axis=0))
+        if hits.size:
+            return int(n[hits[0]])
+        start += block
+        block = min(2 * block, 4096)
+    return None
+
+
+_N_MAX_EDGES = (1, 50, 10 ** 6, bounds._PROOF_N_MAX + 64)
+
+
+def _scans_every_size(bandwidth, value_size, mu, rate, enforced):
+    """Queries whose scan may run from N = 2 to n_max under either start:
+    nothing is proven on subnormal floats, nor for storage at mu within
+    1e-13 of 1 when rate is within 1e-5 of B (margins of 1e-6 hide the
+    slope N(1 - mu))."""
+    b_rate = bandwidth / value_size
+    return (min(rate, b_rate) / bounds._PROOF_N_MAX < sys.float_info.min
+            or (BoundKind.STORAGE in enforced and mu > 1 - 1e-13
+                and rate < (1 + 1e-5) * b_rate))
+
+
+@settings(max_examples=500, deadline=None)
+@given(scenario=st.sampled_from(ALL_SCENARIOS),
+       kinds=st.sampled_from(_KIND_SUBSETS),
+       mu=st.one_of(st.sampled_from(_MU_EDGES), st.floats(0.01, 1.0)),
+       link=st.one_of(st.tuples(st.floats(1e3, 1e10), st.floats(1.0, 1e4)),
+                      st.tuples(st.floats(1e-310, 1e-307), st.floats(1.0, 1e8))),
+       log_ratio=st.floats(-3.0, 6.0),
+       edge_n=st.one_of(st.none(), st.integers(1, 100),
+                        st.integers(100, 10 ** 6),
+                        st.integers(10 ** 6, 2 * 10 ** 9)),
+       ulps=st.sampled_from((-1, 0, 1)),
+       n_max=st.sampled_from(_N_MAX_EDGES))
+def test_min_feasible_n_matches_bisection(scenario, kinds, mu, link, log_ratio,
+                                          edge_n, ulps, n_max):
+    """The start proven from the inverted bounds gives the bisection's
+    answer: rates on a bound and one ulp either side, mu at and just below
+    1, n_max from 1 to past the proof's reach, and subnormal links."""
+    bandwidth, value_size = link
+    if edge_n is None:
+        rate = 10.0 ** log_ratio * bandwidth / value_size
+    else:
+        rate = _edge_rate(scenario, bandwidth, value_size, mu, kinds, edge_n)
+        rate = math.nextafter(rate, ulps * math.inf) if ulps else rate
+    assume(0 < rate < math.inf)
+    enforced = [k for k in applicable_kinds(scenario)
+                if kinds is None or k in kinds]
+    if _scans_every_size(bandwidth, value_size, mu, rate, enforced):
+        n_max = min(n_max, 10 ** 6)  # the full scan is slow, not wrong
+    got = min_feasible_n(scenario, rate, bandwidth=bandwidth,
+                         value_size=value_size, mu=mu, kinds=kinds, n_max=n_max)
+    assert got == _bisect_min_n(scenario, rate, bandwidth, value_size, mu,
+                                kinds, n_max)
+
+
+def test_min_feasible_n_matches_bisection_past_one():
+    """Seeded stable queries on the storage or time bound at a size from 2
+    to 2 * 10^9, and one ulp either side: the answer lies past N = 1, where
+    the property above draws few cases."""
+    rnd = random.Random(14)
+    rising = [(sc, kinds) for sc in ALL_SCENARIOS[2:] for kinds in _KIND_SUBSETS
+              if {BoundKind.STORAGE, BoundKind.TIME}
+              & set(applicable_kinds(sc))
+              & (set(BoundKind) if kinds is None else kinds)]
+    for _ in range(1500):
+        scenario, kinds = rnd.choice(rising)
+        mu = rnd.choice(_MU_EDGES + (rnd.uniform(0.01, 1.0),) * 3)
+        bandwidth, value_size = 10 ** rnd.uniform(3, 10), 10 ** rnd.uniform(0, 4)
+        edge_n = int(10 ** rnd.uniform(0.3, 9.3))
+        n_max = rnd.choice(_N_MAX_EDGES + (rnd.randint(2, 10 ** 7),))
+        rate = _edge_rate(scenario, bandwidth, value_size, mu, kinds, edge_n)
+        rate = math.nextafter(rate, rnd.choice((0.0, rate, math.inf)))
+        enforced = [k for k in applicable_kinds(scenario)
+                    if kinds is None or k in kinds]
+        if _scans_every_size(bandwidth, value_size, mu, rate, enforced):
+            n_max = min(n_max, 10 ** 6)
+        got = min_feasible_n(scenario, rate, bandwidth=bandwidth,
+                             value_size=value_size, mu=mu, kinds=kinds,
+                             n_max=n_max)
+        assert got == _bisect_min_n(scenario, rate, bandwidth, value_size, mu,
+                                    kinds, n_max), (scenario, kinds, mu,
+                                                    bandwidth, value_size,
+                                                    rate, n_max)
+
+
+def _on_bound_queries():
+    """Stable queries on a bound and one ulp either side at sizes up to
+    10^6."""
+    stable_conc, stable_clear = ALL_SCENARIOS[2:]
+    for edge_n in (2, 17, 93, 1_000, 65_537, 10 ** 6 - 7):
+        for mu in (0.05, 0.5, 0.98):
+            link = dict(bandwidth=3.3e8, value_size=77.0, mu=mu)
+            for scenario, kinds in ((stable_conc, {BoundKind.STORAGE}),
+                                    (stable_clear, None)):
+                rate = _edge_rate(scenario, link["bandwidth"],
+                                  link["value_size"], mu, kinds, edge_n)
+                for r in (math.nextafter(rate, 0.0), rate,
+                          math.nextafter(rate, math.inf)):
+                    yield scenario, r, link, kinds
+
+
+def test_min_feasible_n_bound_table_calls(monkeypatch):
+    """A stable query makes a fixed handful of bound_table calls: N = 1,
+    the proof at the inverted size, then scalar sizes, and an array block
+    only once all the scalar sizes are tested."""
+    calls = []
+
+    def counting(n, *args):
+        calls.append(np.ndim(n))
+        return bound_table(n, *args)
+
+    monkeypatch.setattr(bounds, "bound_table", counting)
+    prefix = [0] * (2 + bounds._SCALAR_SCAN)
+    for scenario, rate, link, kinds in _on_bound_queries():
+        calls.clear()
+        got = min_feasible_n(scenario, rate, kinds=kinds, **link)
+        assert len(calls) <= 8, (scenario, rate, link, kinds)
+        if 1 in calls:
+            assert calls[:len(prefix)] == prefix
+        assert got == _bisect_min_n(scenario, rate, link["bandwidth"],
+                                    link["value_size"], link["mu"], kinds,
+                                    10 ** 6)
+    # the case study: N = 1 is infeasible and the answers 17 and 93 are each
+    # the first size past the proven one
+    case = dict(bandwidth=1.25e8, value_size=240.0, mu=0.5)
+    for scenario, kinds, want in ((ALL_SCENARIOS[2], None, None),
+                                  (ALL_SCENARIOS[2], {BoundKind.STORAGE}, 17),
+                                  (ALL_SCENARIOS[3], None, 93)):
+        calls.clear()
+        assert min_feasible_n(scenario, 4_800_000.0, kinds=kinds, **case) == want
+        assert calls == ([] if want is None else [0, 0, 0])
 
 
 def test_cluster_params_validation():

@@ -460,6 +460,18 @@ def test_validate_n_below_one(capsys):
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+def test_validate_bandwidth_too_large(capsys):
+    """At b/v the threshold's write inflow is about b * (N + 1): a bandwidth
+    that overflows it is named, not a write rate the user never gave."""
+    rc = main(["validate", "--n-list", "2", "--bandwidth", "1e308"])
+    assert rc == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bandwidth 1e+308 B/s is too large")
+    assert captured.err.count("\n") == 1
+    assert "rate" not in captured.err
+
+
 def test_validate_nan_tol(capsys):
     rc = main(["validate", "--n-list", "4",
                "--scenario-list", "increasing-concurrent", "--tol", "nan"])
