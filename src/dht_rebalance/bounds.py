@@ -20,11 +20,12 @@ the join) by the time bound alone.  All bounds are strict: feasibility means
 lambda < bound.  The replication factor cancels out of every bound; it is
 kept in ClusterParams for capacity and simulator accounting.
 
-The six closed forms are written once, in ``bound_table`` (N an int or an
-ndarray).  A bound is read in one of two ways: ``bound_table(n, mu, B,
-workload)[kind]`` for one form at one N, or ``bound_report`` for a
+The six closed forms are written once, as one entry per workload and kind
+(N an int or an ndarray).  A bound is read in one of two ways:
+``bound_table(n, mu, B, workload, kinds)[kind]``, which evaluates only the
+kinds asked for (all three by default), or ``bound_report`` for a
 scenario's applicable kinds and the binding one.  ``min_feasible_n`` reads
-the table too.
+the table for its enforced kinds only.
 """
 
 from __future__ import annotations
@@ -100,8 +101,7 @@ class ClusterParams:
         link = (self.bandwidth, self.value_size, self.storage)
         if not all(0 < x < math.inf for x in link):
             raise ValueError("bandwidth, value_size and storage must be finite and > 0")
-        if not 0 < self.mu <= 1:
-            raise ValueError(f"mu={self.mu} outside (0, 1]")
+        check_mu(self.mu)
         if self.replication < 1:
             raise ValueError("replication must be >= 1")
 
@@ -109,6 +109,12 @@ class ClusterParams:
     def max_write_rate(self) -> float:
         """B = bandwidth / value_size, writes/s saturating one node."""
         return self.bandwidth / self.value_size
+
+
+def check_mu(mu) -> None:
+    """Raise ``ValueError`` unless the trigger fill ratio mu is in (0, 1]."""
+    if not 0 < mu <= 1:
+        raise ValueError(f"mu={mu} outside (0, 1]")
 
 
 class BoundKind(Enum):
@@ -134,19 +140,32 @@ class BoundReport:
 # ---------------------------------------------------------------------------
 # the six bounds
 
-def bound_table(n, mu, b_rate, workload: WorkloadKind) -> dict:
+# One entry per (workload, kind): f(n, mu, B) in writes/s per node.
+_FORMS = {
+    WorkloadKind.INCREASING_PER_NODE: {
+        BoundKind.STORAGE: lambda n, mu, b_rate: (1.0 - n / (n + 1.0) * mu) * b_rate,
+        BoundKind.BANDWIDTH: lambda n, mu, b_rate: b_rate / (n + 1.0),
+        BoundKind.TIME: lambda n, mu, b_rate:
+            (np.sqrt(4.0 * n + 1.0) - 1.0) / (2.0 * n) * b_rate,
+    },
+    WorkloadKind.STABLE_TOTAL: {
+        # (1 + 1/N - mu) * B, grouped so integer-valued cases stay exact
+        BoundKind.STORAGE: lambda n, mu, b_rate: (n + 1.0 - n * mu) / n * b_rate,
+        BoundKind.BANDWIDTH: lambda n, mu, b_rate: b_rate / n,
+        BoundKind.TIME: lambda n, mu, b_rate:
+            (n + 1.0) * (np.sqrt(4.0 * n + 1.0) - 1.0) / (2.0 * n * n) * b_rate,
+    },
+}
+
+
+def bound_table(n, mu, b_rate, workload: WorkloadKind,
+                kinds=tuple(BoundKind)) -> dict:
     """{BoundKind value: writes/s per node} for one workload at size n (an
-    int or an integer ndarray), b_rate = B.  The only place the six closed
-    forms are written; a scalar n gives the bits of an ndarray element."""
-    root = np.sqrt(4.0 * n + 1.0) - 1.0
-    if workload is WorkloadKind.INCREASING_PER_NODE:
-        return {"storage": (1.0 - n / (n + 1.0) * mu) * b_rate,
-                "bandwidth": b_rate / (n + 1.0),
-                "time": root / (2.0 * n) * b_rate}
-    # stable storage (1 + 1/N - mu) * B, grouped so integer-valued cases stay exact
-    return {"storage": (n + 1.0 - n * mu) / n * b_rate,
-            "bandwidth": b_rate / n,
-            "time": (n + 1.0) * root / (2.0 * n * n) * b_rate}
+    int or an integer ndarray), b_rate = B, holding the given kinds only.
+    The only place the six closed forms are written; a scalar n gives the
+    bits of an ndarray element, and a form reads mu only for storage."""
+    forms = _FORMS[workload]
+    return {kind.value: forms[kind](n, mu, b_rate) for kind in kinds}
 
 
 def applicable_kinds(scenario: Scenario) -> tuple[BoundKind, ...]:
@@ -342,7 +361,7 @@ def min_feasible_n(
     def misses(n: int, slack: float) -> bool:
         """Does size n miss an enforced bound times slack?  A scalar n
         gives the bits of the scan's array element."""
-        table = bound_table(n, mu, b_rate, scenario.workload)
+        table = bound_table(n, mu, b_rate, scenario.workload, enforced)
         lam = rate / n if stable else rate
         return not all(lam < table[k.value] * slack for k in enforced)
 
@@ -365,7 +384,7 @@ def min_feasible_n(
     start, block = lo + _SCALAR_SCAN + 1, 64
     while start <= top:
         n = np.arange(start, min(start + block, top + 1))
-        table = bound_table(n, mu, b_rate, scenario.workload)
+        table = bound_table(n, mu, b_rate, scenario.workload, enforced)
         lam = rate / n if stable else rate
         hits = np.flatnonzero(np.all([lam < table[k.value] for k in enforced], axis=0))
         if hits.size:

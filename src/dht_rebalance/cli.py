@@ -131,19 +131,28 @@ def _sweep_groups(n_min: int, n_max: int, mu_values, scenarios,
                   bandwidth: float, value_size: float):
     """Check the sweep's inputs, then return an iterator over its curve
     groups, one block of sizes at a time: (scenario name, bound_kind, n,
-    values) in (scenario, bound_kind, n) order.  ``values[i]`` holds the
-    group's curves at ``n[i]``: one per mu value with the group's label, for
-    each copy of the scenario, in input order.
+    values) in (scenario, bound_kind, n) order.  ``values`` holds the
+    group's curves at the sizes n: one per mu value with the group's label,
+    for each copy of the scenario, in input order.  It is the curve itself
+    when the group has one, and one column per curve otherwise.
 
-    A range outside 1 <= n_min < n_max <= 10**6 is rejected, and
-    ClusterParams rejects a bad link or mu, before the first group."""
+    A range outside 1 <= n_min < n_max <= 10**6 is rejected, and so are a
+    link and a mu that ClusterParams rejects and an empty mu list when a
+    scenario applies the storage bound, before the first group."""
     if not 1 <= n_min < n_max <= 10 ** 6:
         raise ValueError("need 1 <= n-min < n-max <= 10^6")
-    for mu in mu_values or [1.0]:
-        ClusterParams(n=n_min, bandwidth=bandwidth, value_size=value_size, mu=mu)
+    # the link once, at a mu it accepts; then each mu by the same rule
+    b_rate = ClusterParams(n=n_min, bandwidth=bandwidth, value_size=value_size,
+                           mu=1.0).max_write_rate
+    for mu in mu_values:
+        bnd.check_mu(mu)
+    if not mu_values and any(BoundKind.STORAGE in bnd.applicable_kinds(sc)
+                             for sc in scenarios):
+        raise ValueError("mu list is empty: the storage bound of a "
+                         "concurrent scenario needs at least one mu")
     n = np.arange(n_min, n_max + 1)
     blocks = [n[i:i + _TABLE_BLOCK] for i in range(0, len(n), _TABLE_BLOCK)]
-    return _curve_groups(blocks, mu_values, scenarios, bandwidth / value_size)
+    return _curve_groups(blocks, mu_values, scenarios, b_rate)
 
 
 def _curve_groups(blocks, mu_values, scenarios, b_rate):
@@ -162,28 +171,31 @@ def _curve_groups(blocks, mu_values, scenarios, b_rate):
 
 def _curves(n, scenario: Scenario, mu_values, b_rate, copies: int) -> dict:
     """{label: values} for one scenario over the sizes n, from one
-    bound_table call."""
+    bound_table call that evaluates the scenario's applicable kinds only."""
     curves = defaultdict(list)
     kinds = bnd.applicable_kinds(scenario)
-    if BoundKind.STORAGE in kinds:
-        # N as a column and mu as a row: one call gives every storage curve;
-        # the bandwidth and time forms do not read mu
-        table = bnd.bound_table(n[:, None], np.array(mu_values, dtype=float),
-                                b_rate, scenario.workload)
-        for j, mu in enumerate(mu_values):
-            curves[f"storage(mu={mu:g})"].append(table["storage"][:, j])
-    else:
-        table = bnd.bound_table(n, 0.5, b_rate, scenario.workload)
+    # N as a column and mu as a row: one call gives every storage curve; the
+    # bandwidth and time forms do not read mu
+    table = bnd.bound_table(n[:, None], np.array(mu_values, dtype=float),
+                            b_rate, scenario.workload, kinds)
     for kind in kinds:
-        if kind is not BoundKind.STORAGE:
+        if kind is BoundKind.STORAGE:
+            for j, mu in enumerate(mu_values):
+                curves[f"storage(mu={mu:g})"].append(table["storage"][:, j])
+        else:
             curves[kind.value].append(table[kind.value].ravel())
-    # the curves of one label as columns, each scenario copy's in turn
-    return {label: np.array(group * copies).T for label, group in curves.items()}
+    # a lone curve as it is; else the curves of one label as columns, each
+    # scenario copy's in turn
+    return {label: group[0] if len(group) * copies == 1
+            else np.array(group * copies).T
+            for label, group in curves.items()}
 
 
 def _group_rows(name: str, label: str, n, values):
     """One group's rows (n, scenario, bound_kind, value), its curves
     alternating per n."""
+    if values.ndim == 1:
+        return zip(n.tolist(), repeat(name), repeat(label), values.tolist())
     return zip(np.repeat(n, values.shape[1]).tolist(), repeat(name),
                repeat(label), values.ravel().tolist())
 
@@ -196,7 +208,8 @@ def sweep_rows(n_min: int, n_max: int, mu_values, scenarios,
     and appear once.  Curves that share a (scenario, bound_kind) pair -- a
     repeated scenario, or mu values with the same label -- alternate per n in
     input order.  A range outside 1 <= n_min < n_max <= 10**6 is rejected,
-    and ClusterParams rejects a bad link or mu.
+    so are a link or mu that ClusterParams rejects, and so is an empty mu
+    list when a scenario applies the storage bound.
 
     ``sweep`` streams the same rows to its CSV a block of sizes at a time,
     so its memory does not grow with the range."""
@@ -304,13 +317,14 @@ def cmd_validate(args) -> int:
                                                tol=args.tol)
                for scenario in scenarios]
     print(f"{'n':>4} {'scenario':<22} {'analytic':>14} {'simulated':>14} "
-          f"{'rel_err':>10}  result")
+          f"{'rel_err':>10}  result  breakdown_above")
     for scenario, report in zip(scenarios, reports):
         for row in report.rows:
             status = "pass" if row.passed else "FAIL"
             print(f"{row.n:>4} {scenario.name:<22} {row.analytic_bound:>14.6g} "
                   f"{row.simulated_threshold:>14.6g} "
-                  f"{row.relative_error:>10.3e}  {status}")
+                  f"{row.relative_error:>10.3e}  {status:<6}  "
+                  f"{row.breakdown_above}")
     return EXIT_OK if all(r.all_passed for r in reports) else EXIT_VALIDATION
 
 

@@ -40,6 +40,14 @@ checks its inputs once, as the ``SimConfig`` of its fastest rate b/v: the
 write inflow rises with the rate, so that check covers every probe, and each
 probe runs the kernel on the checked fields with no config, table or
 outcome object.  ``single_expansion_feasible`` checks its rate every call.
+The bisection keeps a memo of monotone facts, the largest rate a probe
+showed stabilizes and the smallest one a probe showed does not, and
+decides a midpoint from it without a probe when it can.  Two seed probes
+1e-9 either side of the binding bound fill the memo first.  Where the
+bound and the simulator agree those two probes decide almost every
+midpoint, and because each memo entry is a fact about a monotone outcome,
+the midpoints and the result are bit for bit those of the blind bisection.  Where they
+disagree (ROADMAP item 1) the seeds are two more probes.
 
 The kernel's arithmetic is + - * / and comparisons only: no square root,
 and no float literal enters a computed quantity.  So it runs on any numeric
@@ -72,7 +80,9 @@ from .bounds import (
     Scenario,
     StabilizationMode,
     WorkloadKind,
+    applicable_kinds,
     bound_report,
+    bound_table,
 )
 
 STORAGE_OVERFLOW = "storage_overflow"
@@ -83,8 +93,12 @@ STABILIZED = "stabilized"
 BREAKDOWN = "breakdown"
 MAX_TIME_EXCEEDED = "max_time_exceeded"
 
+# validate's breakdown column when no rate below b/v was shown unstable
+NO_BREAKDOWN = "none_below_b/v"
+
 _THRESHOLD_WIDTH = 1e-4  # relative width of the final bracket
 _THRESHOLD_PROBES = 60
+_SEED_OFFSET = 1e-9  # relative distance of the two seed probes from binding
 
 
 class EmptyRange(ValueError):
@@ -425,38 +439,79 @@ def single_expansion_feasible(params: ClusterParams, scenario: Scenario,
     return _stabilizes(params, scenario, lam)
 
 
+def _threshold_bracket(params: ClusterParams, scenario: Scenario):
+    """(lo, hi) of the threshold bisection: lo is ``feasibility_threshold``,
+    hi the smallest rate a probe showed does not stabilize, or b/v if none
+    did.  See ``feasibility_threshold``."""
+    if not params.bandwidth * (params.n + 1) < math.inf:
+        raise ValueError(f"bandwidth {params.bandwidth:g} B/s is too large at "
+                         f"n = {params.n}: bandwidth * (n + 1) overflows a float")
+    top = params.max_write_rate
+    _check_probe(params, scenario, top)
+    # the memo: every rate up to stable_to stabilizes, none from
+    # unstable_from up does; no probe has run yet
+    stable_to, unstable_from = 0.0, math.inf
+    binding = float(min(bound_table(params.n, params.mu, top, scenario.workload,
+                                    applicable_kinds(scenario)).values()))
+    for lam in (binding * (1.0 - _SEED_OFFSET), binding * (1.0 + _SEED_OFFSET)):
+        if 0 < lam < top:
+            if _stabilizes(params, scenario, lam):
+                stable_to = max(stable_to, lam)
+            else:
+                unstable_from = min(unstable_from, lam)
+    lo, hi = 0.0, top
+    for _ in range(_THRESHOLD_PROBES):
+        mid = 0.5 * (lo + hi)
+        if mid <= stable_to:
+            lo = mid
+        elif mid >= unstable_from:
+            hi = mid
+        elif _stabilizes(params, scenario, mid):
+            lo = stable_to = mid
+        else:
+            hi = unstable_from = mid
+        if lo > 0 and (hi - lo) <= _THRESHOLD_WIDTH * lo:
+            break
+    return lo, min(unstable_from, top)
+
+
 def feasibility_threshold(params: ClusterParams, scenario: Scenario) -> float:
     """Bisect the largest feasible per-node write rate over (0, b/v), to a
     bracket 1e-4 wide relative to its feasible end or for 60 probes.
 
     The write inflow rises with the rate, so checking the probe at b/v
     checks every probe: they run the kernel unchecked.  At b/v the inflow
-    is about b * (n + 1), so a bandwidth too large for that is named."""
-    if not params.bandwidth * (params.n + 1) < math.inf:
-        raise ValueError(f"bandwidth {params.bandwidth:g} B/s is too large at "
-                         f"n = {params.n}: bandwidth * (n + 1) overflows a float")
-    lo = 0.0
-    hi = params.max_write_rate
-    _check_probe(params, scenario, hi)
-    for _ in range(_THRESHOLD_PROBES):
-        mid = 0.5 * (lo + hi)
-        if _stabilizes(params, scenario, mid):
-            lo = mid
-        else:
-            hi = mid
-        if lo > 0 and (hi - lo) <= _THRESHOLD_WIDTH * lo:
-            break
-    return lo
+    is about b * (n + 1), so a bandwidth too large for that is named.
+
+    Each midpoint is decided by a memo of monotone facts where it can be:
+    one at or below the largest rate a probe showed stabilizes is stable,
+    one at or above the smallest rate a probe showed does not is not.  Two
+    seed probes, 1e-9 either side of the binding bound and each only inside
+    (0, b/v), fill the memo before the loop, so where the bound holds the
+    loop seldom runs the kernel at all.  The midpoints, the stop
+    rule and the result are the blind bisection's wherever stabilizing is
+    monotone in the rate, which the bisection assumes anyway; where the
+    bound is off, the seeds are two more probes."""
+    return _threshold_bracket(params, scenario)[0]
 
 
 @dataclass(frozen=True)
 class ValidationRow:
+    """One size's bound against its simulated threshold.
+
+    ``breakdown_above`` names how one single expansion ends at the smallest
+    rate the bisection showed unstable: its breakdown kind, or its outcome
+    kind when it has none (max_time_exceeded).  It is ``NO_BREAKDOWN`` when
+    no rate below b/v was shown unstable.
+    """
+
     n: int
     scenario: Scenario
     analytic_bound: float
     simulated_threshold: float
     relative_error: float
     passed: bool
+    breakdown_above: str
 
 
 @dataclass(frozen=True)
@@ -472,7 +527,8 @@ class ValidationReport:
 def validate_against_bounds(n_values, scenario: Scenario,
                             base_params: ClusterParams,
                             tol: float = 0.02) -> ValidationReport:
-    """Compare bisected thresholds to the analytic binding bound per size.
+    """Compare bisected thresholds to the analytic binding bound per size,
+    and name the breakdown just above each threshold.
 
     Rejects an empty n_values, an n that ClusterParams rejects and a tol
     below 1e-6 (or NaN) before any bisection."""
@@ -484,10 +540,17 @@ def validate_against_bounds(n_values, scenario: Scenario,
     rows = []
     for params in sizes:
         analytic = bound_report(params, scenario).binding.value
-        simulated = feasibility_threshold(params, scenario)
+        simulated, hi = _threshold_bracket(params, scenario)
         rel = abs(simulated - analytic) / analytic
+        if hi < params.max_write_rate:
+            _, outcome = run(SimConfig(params, scenario,
+                                       _probe_rate(params, scenario, hi),
+                                       n_target=params.n + 1, initial_fill=1.0))
+            above = outcome.breakdown_kind or outcome.kind
+        else:
+            above = NO_BREAKDOWN
         rows.append(ValidationRow(params.n, scenario, analytic, simulated,
-                                  rel, rel <= tol))
+                                  rel, rel <= tol, above))
     return ValidationReport(tuple(rows), tol)
 
 

@@ -179,6 +179,50 @@ def test_clear_inequality_chain_round_trip():
         assert not (1.0 / n > alpha * alpha / (1.0 - alpha))
 
 
+def _whole_table(n, mu, b_rate, workload):
+    """The six closed forms as one function evaluating all three kinds, as
+    bound_table was written before it assembled per-kind entries."""
+    root = np.sqrt(4.0 * n + 1.0) - 1.0
+    if workload is INC:
+        return {"storage": (1.0 - n / (n + 1.0) * mu) * b_rate,
+                "bandwidth": b_rate / (n + 1.0),
+                "time": root / (2.0 * n) * b_rate}
+    return {"storage": (n + 1.0 - n * mu) / n * b_rate,
+            "bandwidth": b_rate / n,
+            "time": (n + 1.0) * root / (2.0 * n * n) * b_rate}
+
+
+def test_per_kind_forms_assemble_the_whole_table():
+    """bound_table evaluates only the kinds asked for, each with the bits of
+    the whole table: a scalar n, an array of sizes, and sizes as a column
+    against a row of mu values."""
+    rnd = random.Random(20261022)
+    sizes = np.array([1, 2, 3, 13, 17, 10 ** 6, 10 ** 9] +
+                     [rnd.randint(1, 10 ** 7) for _ in range(40)])
+    mus = np.array([1.0, 0.5, 1 - 2 ** -53, 1e-5] +
+                   [rnd.uniform(0.01, 1.0) for _ in range(4)])
+    subsets = [tuple(c) for r in range(1, 4)
+               for c in itertools.combinations(BoundKind, r)]
+    for workload in WorkloadKind:
+        b_rate = 10 ** rnd.uniform(0, 9)
+        cases = [(int(n), float(mu)) for n in sizes[:12] for mu in mus]
+        cases += [(sizes, float(mu)) for mu in mus]
+        cases.append((sizes[:, None], mus))
+        for n, mu in cases:
+            whole = _whole_table(n, mu, b_rate, workload)
+            assert list(bound_table(n, mu, b_rate, workload)) == \
+                [k.value for k in BoundKind]
+            for kinds in subsets:
+                table = bound_table(n, mu, b_rate, workload, kinds)
+                assert list(table) == [k.value for k in kinds]
+                for kind in kinds:
+                    got, want = table[kind.value], whole[kind.value]
+                    assert type(got) is type(want)
+                    assert np.shape(got) == np.shape(want)
+                    assert np.asarray(got).tobytes() == \
+                        np.asarray(want).tobytes(), (workload, kind, n, mu)
+
+
 def test_bound_report_applicability():
     p = params(10)
     conc = bound_report(p, Scenario.parse("increasing-concurrent"))

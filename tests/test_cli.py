@@ -20,6 +20,7 @@ from dht_rebalance.bounds import (
     ALL_SCENARIOS,
     BoundKind,
     Scenario,
+    StabilizationMode,
     WorkloadKind,
     applicable_kinds,
     bound_table,
@@ -37,6 +38,7 @@ from dht_rebalance.cli import (
     parse_bandwidth,
     sweep_rows,
 )
+from dht_rebalance.sim import NO_BREAKDOWN
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -235,7 +237,8 @@ def _oracle_csv(rows) -> bytes:
 def test_sweep_rows_match_per_curve_tables():
     """One bound_table call per scenario gives the rows of one call per
     curve, bit for bit: repeated scenarios, mu values that share a label,
-    an empty mu list and both ends of the range included."""
+    an empty mu list and both ends of the range included.  An empty mu list
+    is rejected when a scenario applies the storage bound."""
     rnd = random.Random(20261021)
     cases = [(1, 2, [0.5], list(ALL_SCENARIOS)),
              (10 ** 6 - 1, 10 ** 6, [0.3, 0.5, 0.7], list(ALL_SCENARIOS)),
@@ -248,8 +251,15 @@ def test_sweep_rows_match_per_curve_tables():
                          rnd.randint(0, 4))
         scenarios = rnd.choices(ALL_SCENARIOS, k=rnd.randint(0, 5))
         cases.append((n_min, n_max, mus, scenarios))
+    cases.append((2, 40, [], [sc for sc in ALL_SCENARIOS
+                              if sc.mode is StabilizationMode.CLEAR]))
     for case in cases:
         link = (10 ** rnd.uniform(6, 10), 10 ** rnd.uniform(0, 3))
+        if not case[2] and any(sc.mode is StabilizationMode.CONCURRENT
+                               for sc in case[3]):
+            with pytest.raises(ValueError, match="mu list is empty"):
+                sweep_rows(*case, *link)
+            continue
         assert repr(sweep_rows(*case, *link)) == \
             repr(_sweep_rows_oracle(*case, *link)), case
 
@@ -262,7 +272,8 @@ def test_sweep_csv_matches_rows(tmp_path):
     for n_min, n_max, mus, scenarios in (
             (1, 66_000, [0.5], [stable_clear, incr_conc]),
             (5, 9_000, [0.5, 0.5000001], [stable_clear, incr_conc, stable_clear]),
-            (2, 300, [], list(ALL_SCENARIOS))):
+            (2, 300, [], [sc for sc in ALL_SCENARIOS
+                          if sc.mode is StabilizationMode.CLEAR])):
         argv = ["sweep", "--n-min", str(n_min), "--n-max", str(n_max),
                 "--mu-list", ",".join(map(repr, mus)),
                 "--scenario-list", ",".join(sc.name for sc in scenarios),
@@ -300,6 +311,27 @@ def test_sweep_rows_checks_link_and_mu():
     for n_min, n_max in ((1, 2), (10 ** 6 - 1, 10 ** 6)):
         assert len(sweep_rows(n_min, n_max, [0.5], ALL_SCENARIOS[:1],
                               1.25e8, 16.0)) == 4
+
+
+def test_sweep_empty_mu_list(tmp_path, capsys):
+    """Every storage curve needs a mu: an empty list is bad input when a
+    scenario applies the storage bound, and a clear-only sweep needs none."""
+    out = tmp_path / "x.csv"
+    for scenarios in ("all", "increasing-clear,stable-concurrent"):
+        rc = main(["sweep", "--n-min", "2", "--n-max", "5", "--mu-list", "",
+                   "--scenario-list", scenarios, "--out", str(out)])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: mu list is empty")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+    rc = main(["sweep", "--n-min", "2", "--n-max", "5", "--mu-list", "",
+               "--scenario-list", "increasing-clear,stable-clear",
+               "--out", str(out)])
+    assert rc == EXIT_OK
+    lines = out.read_text().splitlines()
+    assert len(lines) == 1 + 2 * 4
+    assert {ln.split(",")[2] for ln in lines[1:]} == {"time"}
 
 
 def test_sweep_bad_range(tmp_path, capsys):
@@ -427,6 +459,39 @@ def test_validate_pass(capsys):
     out = capsys.readouterr().out
     assert out.count("pass") == 2
     assert "FAIL" not in out
+
+
+def _breakdowns_above(argv, capsys):
+    """{(n, scenario): breakdown_above} of one validate run, and its code."""
+    rc = main(["validate", *argv])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[-1] == "breakdown_above"
+    return rc, {(int(ln.split()[0]), ln.split()[1]): ln.split()[-1]
+                for ln in lines[1:]}
+
+
+def test_validate_names_the_breakdown_above_each_threshold(capsys):
+    """The last column names how one expansion ends just above the
+    threshold: the binding bound's own breakdown where the bound holds, and
+    the known defects where it does not (ROADMAP item 1)."""
+    rc, kinds = _breakdowns_above(["--n-list", "4", "--mu", "0.5"], capsys)
+    assert rc == EXIT_OK
+    assert kinds == {(4, "increasing-concurrent"): "expansion_overlap",
+                     (4, "stable-concurrent"): "expansion_overlap",
+                     (4, "increasing-clear"): "catchup_starvation",
+                     (4, "stable-clear"): "catchup_starvation"}
+    # 1b: the clear modes overflow far below the time bound at mu = 0.9
+    rc, kinds = _breakdowns_above(
+        ["--n-list", "4", "--mu", "0.9",
+         "--scenario-list", "increasing-clear,stable-clear"], capsys)
+    assert rc == EXIT_VALIDATION
+    assert kinds == {(4, "increasing-clear"): "storage_overflow",
+                     (4, "stable-clear"): "storage_overflow"}
+    # 1a: at N = 1 stable-clear stabilizes at every rate below b/v
+    rc, kinds = _breakdowns_above(
+        ["--n-list", "1", "--scenario-list", "stable-clear"], capsys)
+    assert rc == EXIT_VALIDATION
+    assert kinds == {(1, "stable-clear"): NO_BREAKDOWN}
 
 
 def test_validate_fail_with_tiny_tol(capsys):

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from dht_rebalance import sim as sim_mod
 from dht_rebalance.bounds import (
     ALL_SCENARIOS,
     ClusterParams,
@@ -259,6 +260,7 @@ def test_validate_report():
     assert report.all_passed
     assert len(report.rows) == 2
     assert {r.n for r in report.rows} == {4, 8}
+    assert {r.breakdown_above for r in report.rows} == {CATCHUP_STARVATION}
     with pytest.raises(EmptyRange):
         validate_against_bounds([], INCR_CLEAR, base)
 
@@ -847,6 +849,56 @@ def test_threshold_matches_per_probe_config_bisection():
     for p, scenario in configs:
         assert repr(feasibility_threshold(p, scenario)) == \
             repr(_threshold_oracle(p, scenario)), (p, scenario)
+
+
+def test_threshold_matches_the_bisection_where_the_seeds_are_wrong():
+    """The seeds beside the binding bound are two wasted probes where the
+    bound is not the threshold: clear modes near and at mu = 1 (item 1b and
+    the time-limit case), stable-clear at N = 1 (item 1a), and the float-edge
+    overflow.  The threshold is still the blind bisection's, bit for bit."""
+    rnd = random.Random(20261023)
+    clear = [sc for sc in ALL_SCENARIOS if sc.mode is StabilizationMode.CLEAR]
+    configs = []
+    for i in range(160):
+        p = ClusterParams(n=rnd.choice((1, 2, rnd.randint(1, 100),
+                                        rnd.randint(1, 10 ** 4))),
+                          bandwidth=10 ** rnd.uniform(6, 10),
+                          value_size=10 ** rnd.uniform(0, 3),
+                          mu=rnd.choice((1.0, 1 - 2 ** -53, 1 - 1e-9,
+                                         rnd.uniform(0.9, 1.0))),
+                          storage=10 ** rnd.uniform(9, 13))
+        configs.append((p, clear[i % 2]))
+    for _ in range(20):
+        p = ClusterParams(n=1, bandwidth=10 ** rnd.uniform(6, 10),
+                          value_size=10 ** rnd.uniform(0, 3),
+                          mu=rnd.uniform(0.01, 1.0),
+                          storage=10 ** rnd.uniform(9, 13))
+        configs.append((p, STAB_CLEAR))
+    configs += [(_float_edge_config().params, sc) for sc in ALL_SCENARIOS]
+    for p, scenario in configs:
+        assert repr(feasibility_threshold(p, scenario)) == \
+            repr(_threshold_oracle(p, scenario)), (p, scenario)
+
+
+def test_threshold_seeds_decide_the_bisection(monkeypatch):
+    """Where the binding bound is the threshold, the two seed probes beside
+    it decide almost every midpoint: at most three kernel probes in all."""
+    probes = []
+    stabilizes = sim_mod._stabilizes
+
+    def counting(params, scenario, lam):
+        probes.append(lam)
+        return stabilizes(params, scenario, lam)
+
+    monkeypatch.setattr(sim_mod, "_stabilizes", counting)
+    for scenario in ALL_SCENARIOS:
+        for n in (2, 4, 13, 100):
+            p = params(n)
+            probes.clear()
+            thr = feasibility_threshold(p, scenario)
+            assert 2 <= len(probes) <= 3, (scenario, n, probes)
+            binding = bound_report(p, scenario).binding.value
+            assert thr == pytest.approx(binding, rel=1e-4)
 
 
 def test_threshold_checks_the_top_of_its_range():
