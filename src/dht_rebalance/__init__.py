@@ -10,12 +10,7 @@ from .bounds import (
     WorkloadKind,
     bound_report,
     bound_table,
-    catchup_time,
-    inter_expansion_time,
-    keys_capacity,
     min_feasible_n,
-    stabilization_time,
-    time_to_first_expansion,
 )
 from .ring import (
     BalanceStats,

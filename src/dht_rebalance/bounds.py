@@ -17,8 +17,21 @@ stable total writes    (1 + 1/N - mu) * B            (N+1)(sqrt(4N+1)-1)
 Concurrent stabilization (writes served during the join) is governed by the
 storage and bandwidth bounds; clear stabilization (writes backlogged during
 the join) by the time bound alone.  All bounds are strict: feasibility means
-lambda < bound.  The replication factor cancels out of every bound; it is
-kept in ClusterParams for capacity and simulator accounting.
+lambda < bound.  Neither the storage S nor the replication factor enters
+any bound: ClusterParams carries S for the simulator, and the ring model has
+its own replication.
+
+Each bound is the root in lambda of one condition of the expansion cycle
+that ``sim._kernel`` runs.  With w the per-node write share after the join,
+alpha = w/b and M = mu*S*N/(N+1) the bytes each old node migrates:
+
+* bandwidth (overlap): an old node stops draining, w - (b - w)/N >= 0;
+* storage: the joining node ends the join at M*b/(b - w) = S;
+* time (starvation): catch-up, alpha*M/((1 - alpha)*b), lasts the trigger
+  interval (mu*S - M)/(alpha*b).
+
+``tests/test_sim.py`` runs the kernel exactly at each root where every form
+is rational, N = k(k+1).
 
 The six closed forms are written once, as one entry per workload and kind
 (N an int or an ndarray).  A bound is read in one of two ways:
@@ -41,10 +54,6 @@ import numpy as np
 
 class InsufficientBandwidth(RuntimeError):
     """The write share alone saturates the joining node's bandwidth."""
-
-
-class AlphaOutOfRange(ValueError):
-    pass
 
 
 class WorkloadKind(Enum):
@@ -92,7 +101,6 @@ class ClusterParams:
     bandwidth: float
     value_size: float
     mu: float
-    replication: int = 1
     storage: float = 1e12
 
     def __post_init__(self):
@@ -102,8 +110,6 @@ class ClusterParams:
         if not all(0 < x < math.inf for x in link):
             raise ValueError("bandwidth, value_size and storage must be finite and > 0")
         check_mu(self.mu)
-        if self.replication < 1:
-            raise ValueError("replication must be >= 1")
 
     @property
     def max_write_rate(self) -> float:
@@ -188,90 +194,6 @@ def bound_report(params: ClusterParams, scenario: Scenario) -> BoundReport:
                     for kind in BoundKind)
     binding = min((e for e in entries if e.applicable), key=lambda e: e.value)
     return BoundReport(scenario, entries, binding)
-
-
-# ---------------------------------------------------------------------------
-# derived quantities
-
-def keys_capacity(params: ClusterParams) -> float:
-    """Keys held at the expansion trigger: K = mu*S*N / (r*v)."""
-    return (params.mu * params.storage * params.n
-            / (params.replication * params.value_size))
-
-
-def join_bandwidth(params: ClusterParams, scenario: Scenario, lam: float) -> float:
-    """Bandwidth left for migration at the joining node.
-
-    Concurrent: b minus the joining node's write share (v*lambda for an
-    increasing workload, N/(N+1)*v*lambda for a stable one).  Clear: the
-    full b, writes being backlogged.
-    """
-    if scenario.mode is StabilizationMode.CLEAR:
-        return params.bandwidth
-    share = params.value_size * lam
-    if scenario.workload is WorkloadKind.STABLE_TOTAL:
-        share *= params.n / (params.n + 1.0)
-    return params.bandwidth - share
-
-
-def stabilization_time(params: ClusterParams, scenario: Scenario, lam: float) -> float:
-    """Duration of a single join: mu*S*N / ((N+1) * b_join)."""
-    b_join = join_bandwidth(params, scenario, lam)
-    if b_join <= 0:
-        raise InsufficientBandwidth(
-            "write share meets or exceeds node bandwidth; the join cannot finish")
-    n = params.n
-    return params.mu * params.storage * n / ((n + 1.0) * b_join)
-
-
-def accumulated_backlog(params: ClusterParams, alpha: float,
-                        workload: WorkloadKind) -> float:
-    """Bytes backlogged over a clear join when writes use alpha*b per node."""
-    _check_alpha(alpha)
-    n = params.n
-    if workload is WorkloadKind.INCREASING_PER_NODE:
-        return params.mu * params.storage * n * alpha
-    return n * n / (n + 1.0) * params.mu * params.storage * alpha
-
-
-def catchup_time(params: ClusterParams, alpha: float,
-                 workload: WorkloadKind) -> float:
-    """Time to drain the clear-join backlog after the join completes."""
-    _check_alpha(alpha)
-    if alpha == 0.0:
-        return 0.0
-    n = params.n
-    mu_s = params.mu * params.storage
-    if workload is WorkloadKind.INCREASING_PER_NODE:
-        return mu_s * n * alpha / ((n + 1.0) * (1.0 - alpha) * params.bandwidth)
-    return (n * n * mu_s * alpha
-            / ((n + 1.0) * (n + 1.0 - n * alpha) * params.bandwidth))
-
-
-def inter_expansion_time(params: ClusterParams, alpha: float,
-                         workload: WorkloadKind) -> float:
-    """Time between consecutive expansion triggers."""
-    _check_alpha(alpha, strict=True)
-    n = params.n
-    mu_s = params.mu * params.storage
-    if workload is WorkloadKind.INCREASING_PER_NODE:
-        return mu_s / ((n + 1.0) * alpha * params.bandwidth)
-    return mu_s / (n * alpha * params.bandwidth)
-
-
-def time_to_first_expansion(params: ClusterParams, alpha: float) -> float:
-    """Fill time from empty to the first trigger: mu*S / (alpha*b)."""
-    _check_alpha(alpha, strict=True)
-    return params.mu * params.storage / (alpha * params.bandwidth)
-
-
-def _check_alpha(alpha: float, strict: bool = False) -> None:
-    if strict:
-        ok = 0.0 < alpha < 1.0
-    else:
-        ok = 0.0 <= alpha < 1.0
-    if not ok:
-        raise AlphaOutOfRange(f"alpha={alpha} outside (0, 1)")
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,6 @@ EXIT_VALIDATION = 5
 
 DEFAULT_BANDWIDTH = 125_000_000.0  # 1 Gbps in bytes/s
 DEFAULT_VALUE_SIZE = 16.0
-DEFAULT_STORAGE = 1e12
 
 # decimal prefixes; bit units divide by 8
 _UNIT_BYTES = {
@@ -246,11 +245,16 @@ def cmd_sweep(args) -> int:
 # simulate
 
 _CONFIG_FIELDS = {
-    "n", "bandwidth", "value_size", "mu", "replication", "storage",
+    "n", "bandwidth", "value_size", "mu", "storage",
     "workload", "rate", "mode", "n_target", "initial_fill", "max_sim_time",
 }
 _CONFIG_REQUIRED = {"n", "bandwidth", "value_size", "mu", "workload", "rate",
                     "mode", "n_target"}
+
+
+def _given(doc: dict, *keys) -> dict:
+    """The optional keys that doc has, as floats; the rest keep defaults."""
+    return {key: float(doc[key]) for key in keys if key in doc}
 
 
 def load_sim_config(doc: dict) -> sim_mod.SimConfig:
@@ -261,16 +265,15 @@ def load_sim_config(doc: dict) -> sim_mod.SimConfig:
     if missing:
         raise ValueError(f"missing config fields: {sorted(missing)}")
     try:
-        for key in ("n", "n_target", "replication"):
-            if key in doc and not float(doc[key]).is_integer():
+        for key in ("n", "n_target"):
+            if not float(doc[key]).is_integer():
                 raise ValueError(f"{key} must be an integer, got {doc[key]!r}")
         params = ClusterParams(
             n=int(doc["n"]),
             bandwidth=parse_bandwidth(doc["bandwidth"]),
             value_size=float(doc["value_size"]),
             mu=float(doc["mu"]),
-            replication=int(doc.get("replication", 1)),
-            storage=float(doc.get("storage", DEFAULT_STORAGE)),
+            **_given(doc, "storage"),
         )
         scenario = Scenario(WorkloadKind(doc["workload"]),
                             StabilizationMode(doc["mode"]))
@@ -279,8 +282,7 @@ def load_sim_config(doc: dict) -> sim_mod.SimConfig:
             scenario=scenario,
             rate=float(doc["rate"]),
             n_target=int(doc["n_target"]),
-            initial_fill=float(doc.get("initial_fill", 0.0)),
-            max_sim_time=float(doc.get("max_sim_time", 1e18)),
+            **_given(doc, "initial_fill", "max_sim_time"),
         )
     except OverflowError as exc:
         # float() met an integer too large for a float: name its field
@@ -472,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=0.5)
     p.add_argument("--bandwidth", default="1Gbps")
     p.add_argument("--value-size", default="16", dest="value_size")
-    p.add_argument("--storage", type=float, default=DEFAULT_STORAGE)
+    p.add_argument("--storage", type=float, default=ClusterParams.storage)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("case-study", help="metro-IoT sizing analysis")

@@ -23,13 +23,14 @@ Each size n has one per-node write share w: the per-node rate, or the
 system-wide rate over n for a stable workload.  In clear mode the next-trigger
 clock counts live write arrivals only: after a join the system triggers again
 once new writes fill the mu*S headroom, while the drained backlog adds to
-stored bytes without advancing that clock.  This matches the closed-form
-inter-expansion times and makes the bisected feasibility thresholds reproduce
-the time-oriented bounds.  A node's level rises at b during catch-up and at
-w after it.  A level that reaches S at or before the next trigger is a
-storage overflow.  A backlog still present at the trigger is starvation, and
-that includes a backlog that drains exactly then: at exactly the time bound
-the run starves, as the strict bounds say.
+stored bytes without advancing that clock.  With M = mu*S*n/(n+1) migrated
+per old node and alpha = w/b, the trigger interval after a clear join is
+(mu*S - M)/(alpha*b) and catch-up takes alpha*M/((1-alpha)*b); the rate at
+which they are equal is ``bounds._FORMS``' time entry.  A node's level rises
+at b during catch-up and at w after it.  A level that reaches S at or
+before the next trigger is a storage overflow.  A backlog still present at
+the trigger is starvation, and that includes a backlog that drains exactly
+then: at exactly the time bound the run starves, as the strict bounds say.
 
 Under symmetry every old node holds the same bytes, so an event stores that
 one ``level`` plus the joining node's ``joining_level`` while a join is in
@@ -410,7 +411,7 @@ def _probe_rate(params: ClusterParams, scenario: Scenario, lam):
 def _check_probe(params: ClusterParams, scenario: Scenario, lam) -> None:
     """Raise ``ValueError`` unless the probe at lam is a valid ``SimConfig``."""
     SimConfig(params, scenario, _probe_rate(params, scenario, lam),
-              n_target=params.n + 1, initial_fill=1.0)
+              n_target=params.n + 1, initial_fill=1)
 
 
 def _stabilizes(params: ClusterParams, scenario: Scenario, lam) -> bool:
@@ -421,7 +422,7 @@ def _stabilizes(params: ClusterParams, scenario: Scenario, lam) -> bool:
         # SimConfig's default time limit: at mu = 1 it sets the clear modes'
         # thresholds
         cut = _kernel(params, scenario, _probe_rate(params, scenario, lam),
-                      params.n + 1, 1.0, SimConfig.max_sim_time, rows)
+                      params.n + 1, 1, SimConfig.max_sim_time, rows)
     except InsufficientBandwidth:
         return False
     return _decide(rows, cut, params.n, params.n + 1)[0] == STABILIZED
@@ -545,7 +546,7 @@ def validate_against_bounds(n_values, scenario: Scenario,
         if hi < params.max_write_rate:
             _, outcome = run(SimConfig(params, scenario,
                                        _probe_rate(params, scenario, hi),
-                                       n_target=params.n + 1, initial_fill=1.0))
+                                       n_target=params.n + 1, initial_fill=1))
             above = outcome.breakdown_kind or outcome.kind
         else:
             above = NO_BREAKDOWN

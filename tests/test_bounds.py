@@ -11,24 +11,15 @@ from hypothesis import assume, given, settings, strategies as st
 from dht_rebalance import bounds
 from dht_rebalance.bounds import (
     ALL_SCENARIOS,
-    AlphaOutOfRange,
     BoundKind,
     ClusterParams,
-    InsufficientBandwidth,
     Scenario,
     StabilizationMode,
     WorkloadKind,
-    accumulated_backlog,
     applicable_kinds,
     bound_report,
     bound_table,
-    catchup_time,
-    inter_expansion_time,
-    join_bandwidth,
-    keys_capacity,
     min_feasible_n,
-    stabilization_time,
-    time_to_first_expansion,
 )
 
 B = 1.25e8 / 16  # writes/s saturating one node at 1 Gbps, 16 B values
@@ -237,64 +228,6 @@ def test_bound_report_applicability():
 
     mu1 = bound_report(params(10, mu=1.0), Scenario.parse("stable-concurrent"))
     assert mu1.binding.value == pytest.approx(B / 10)
-
-
-def test_keys_capacity():
-    p = ClusterParams(n=10, bandwidth=1.25e8, value_size=16.0, mu=0.5,
-                      replication=3, storage=1e12)
-    assert keys_capacity(p) == pytest.approx(5e12 / 48)
-    unit = ClusterParams(n=1, bandwidth=1.0, value_size=1.0, mu=1.0,
-                         replication=1, storage=1.0)
-    assert keys_capacity(unit) == pytest.approx(1.0)
-    p2 = ClusterParams(n=20, bandwidth=1.25e8, value_size=16.0, mu=0.5,
-                       replication=3, storage=1e12)
-    assert keys_capacity(p2) == pytest.approx(2 * keys_capacity(p))
-
-
-def test_stabilization_time():
-    p = params(10)
-    clear = Scenario(WorkloadKind.INCREASING_PER_NODE, StabilizationMode.CLEAR)
-    conc = Scenario(WorkloadKind.INCREASING_PER_NODE, StabilizationMode.CONCURRENT)
-    assert stabilization_time(p, clear, 0.0) == pytest.approx(
-        5e12 / 1.375e9, rel=1e-12)
-    assert stabilization_time(p, conc, 1e-9) == pytest.approx(
-        stabilization_time(p, clear, 0.0), rel=1e-6)
-    with pytest.raises(InsufficientBandwidth):
-        stabilization_time(p, conc, p.max_write_rate)
-    assert join_bandwidth(p, clear, 1e6) == p.bandwidth
-
-
-def test_catchup_time():
-    p = params(10)
-    incr = WorkloadKind.INCREASING_PER_NODE
-    assert catchup_time(p, 0.0, incr) == 0.0
-    assert catchup_time(p, 0.5, incr) == pytest.approx(
-        5e12 * 0.5 / (11 * 0.5 * 1.25e8), rel=1e-12)
-    # independent evaluation of the stable form: N^2 mu S alpha / ((N+1)(N+1-N alpha) b)
-    expect = 100 * 0.5e12 * 0.5 / (11 * (11 - 5) * 1.25e8)
-    assert catchup_time(p, 0.5, WorkloadKind.STABLE_TOTAL) == pytest.approx(
-        expect, rel=1e-12)
-    with pytest.raises(AlphaOutOfRange):
-        catchup_time(p, 1.0, incr)
-
-
-def test_accumulated_backlog():
-    p = params(10)
-    assert accumulated_backlog(p, 0.5, WorkloadKind.INCREASING_PER_NODE) == \
-        pytest.approx(0.5e12 * 10 * 0.5)
-    assert accumulated_backlog(p, 0.5, WorkloadKind.STABLE_TOTAL) == \
-        pytest.approx(100 / 11 * 0.5e12 * 0.5)
-
-
-def test_expansion_times():
-    p = params(10)
-    assert time_to_first_expansion(p, 0.5) == pytest.approx(8000.0)
-    assert inter_expansion_time(p, 0.5, WorkloadKind.INCREASING_PER_NODE) == \
-        pytest.approx(8000.0 / 11)
-    assert inter_expansion_time(p, 0.5, WorkloadKind.STABLE_TOTAL) == \
-        pytest.approx(800.0)
-    with pytest.raises(AlphaOutOfRange):
-        time_to_first_expansion(p, 0.0)
 
 
 def test_min_feasible_n_case_study_numbers():

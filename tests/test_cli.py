@@ -408,10 +408,14 @@ def test_simulate_malformed_json(tmp_path, capsys):
 
 
 def test_simulate_unknown_field(tmp_path, capsys):
-    cfg = write_config(tmp_path, typo_field=1)
-    rc = main(["simulate", "--config", cfg])
-    assert rc == EXIT_USAGE
-    assert "typo_field" in capsys.readouterr().err
+    # replication is the ring's parameter: no simulated quantity reads it
+    for field in ("typo_field", "replication"):
+        cfg = write_config(tmp_path, **{field: 1})
+        rc = main(["simulate", "--config", cfg])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert field in err
 
 
 def test_simulate_missing_field(tmp_path, capsys):
@@ -678,7 +682,7 @@ GOOD_ARGVS = (
 GOOD_CONFIG = {
     "n": 8, "bandwidth": "1Gbps", "value_size": 16.0, "mu": 0.5,
     "workload": "increasing", "mode": "concurrent", "rate": 100000.0,
-    "n_target": 9, "initial_fill": 1.0, "replication": 1, "storage": 1e12,
+    "n_target": 9, "initial_fill": 1.0, "storage": 1e12,
     "max_sim_time": 1e18,
 }
 

@@ -12,14 +12,15 @@ from hypothesis import assume, given, settings, strategies as st
 from dht_rebalance import sim as sim_mod
 from dht_rebalance.bounds import (
     ALL_SCENARIOS,
+    BoundKind,
     ClusterParams,
     InsufficientBandwidth,
     Scenario,
     StabilizationMode,
     WorkloadKind,
+    applicable_kinds,
     bound_report,
     bound_table,
-    stabilization_time,
 )
 from dht_rebalance.sim import (
     BREAKDOWN,
@@ -66,15 +67,28 @@ def test_zero_write_clear_join_exact_migration():
     assert outcome.total_time == pytest.approx(3636.3636363636, rel=1e-9)
 
 
+def _share(p, scenario, rate):
+    """The per-node write share (bytes/s) after an n -> n+1 join."""
+    if scenario.workload is WorkloadKind.STABLE_TOTAL:
+        return rate * p.value_size / (p.n + 1)
+    return rate * p.value_size
+
+
 def test_concurrent_join_duration_matches_formula():
-    p = params(10)
-    lam = 0.5 * bound_report(p, STAB_CONC).binding.value
-    cfg = SimConfig(p, STAB_CONC, lam * 10, n_target=11, initial_fill=1.0)
-    events, outcome = run(cfg)
-    assert outcome.kind == STABILIZED
-    jc = next(e for e in events if e.kind == "join_completed")
-    assert jc.duration == pytest.approx(
-        stabilization_time(p, STAB_CONC, lam), rel=1e-9)
+    """Exact concurrent 10 -> 11 joins at half the bandwidth bound: with w
+    the write share after the join, the join takes mu*S*N/((N+1)(b - w)),
+    and every node ends it at mu*S*N/(N+1) * b/(b - w)."""
+    p = _exact_link(10, Fraction(1, 2))
+    b, mu_s, n = p.bandwidth, p.mu * p.storage, p.n
+    for scenario, rate in ((INCR_CONC, p.max_write_rate / 22),
+                           (STAB_CONC, p.max_write_rate / 2)):
+        events, outcome = run(SimConfig(p, scenario, rate, n + 1,
+                                        initial_fill=1))
+        assert outcome.kind == STABILIZED
+        w = _share(p, scenario, rate)
+        jc = next(e for e in events if e.kind == "join_completed")
+        assert jc.duration == mu_s * n / ((n + 1) * (b - w))
+        assert jc.level == mu_s * n / (n + 1) * b / (b - w)
 
 
 def test_just_above_bandwidth_bound_overlaps():
@@ -107,15 +121,22 @@ def test_clear_backlog_matches_accumulation_formulas():
 
 
 def test_clear_catchup_duration_matches_formula():
-    from dht_rebalance.bounds import catchup_time
-    p = params(8)
-    lam = 0.5 * bound_report(p, INCR_CLEAR).binding.value
-    alpha = lam * 16 / 1.25e8
-    cfg = SimConfig(p, INCR_CLEAR, lam, n_target=9, initial_fill=1.0)
-    events, _ = run(cfg)
-    cc = next(e for e in events if e.kind == "catchup_completed")
-    assert cc.duration == pytest.approx(
-        catchup_time(p, alpha, WorkloadKind.INCREASING_PER_NODE), rel=1e-9)
+    """Exact clear 8 -> 9 joins below the time bound: with w the write share
+    after the join, alpha = w/b and M = mu*S*N/(N+1), the backlog drains in
+    alpha*M/((1 - alpha)*b) and the next trigger comes (mu*S - M)/(alpha*b)
+    after the join completes."""
+    p = _exact_link(8, Fraction(1, 2))
+    b, mu_s, n = p.bandwidth, p.mu * p.storage, p.n
+    m = mu_s * n / (n + 1)
+    for scenario, rate in ((INCR_CLEAR, p.max_write_rate / 10),
+                           (STAB_CLEAR, p.max_write_rate)):
+        events, _ = run(SimConfig(p, scenario, rate, n + 2, initial_fill=1))
+        alpha = _share(p, scenario, rate) / b
+        jc = next(e for e in events if e.kind == "join_completed")
+        cc = next(e for e in events if e.kind == "catchup_completed")
+        trigger = [e for e in events if e.kind == "expansion_triggered"][1]
+        assert cc.duration == alpha * m / ((1 - alpha) * b)
+        assert trigger.time - jc.time == (mu_s - m) / (alpha * b)
 
 
 def test_time_to_first_expansion_from_empty():
@@ -596,6 +617,85 @@ def _single_expansion(p, scenario, lam, fill):
     return outcome.kind, outcome.breakdown_kind
 
 
+def test_threshold_probe_is_exact_on_exact_inputs():
+    """The threshold's probe starts from the exact trigger level, so on
+    exact inputs it is an exact run: at exactly the increasing-clear time
+    bound of a 2 -> 3 join at mu = 1/2, B/2 = 3 906 250 writes/s, it starves
+    as ``run`` does."""
+    p = _exact_link(2, Fraction(1, 2))
+    bound = Fraction(3_906_250)
+    assert _single_expansion(p, INCR_CLEAR, bound, 1) == (BREAKDOWN,
+                                                          CATCHUP_STARVATION)
+    assert single_expansion_feasible(p, INCR_CLEAR, bound) is False
+    below = bound * (1 - Fraction(1, 2 ** 40))
+    assert single_expansion_feasible(p, INCR_CLEAR, below) is True
+
+
+# the lattice's trigger fill ratios: sixteenths, and 1 - 2**-j up to j = 9
+LATTICE_MUS = sorted({Fraction(j, 16) for j in range(1, 17)}
+                     | {1 - Fraction(1, 2 ** j) for j in range(1, 10)})
+
+
+@pytest.mark.parametrize("scenario", ALL_SCENARIOS, ids=lambda sc: sc.name)
+def test_each_form_is_the_root_of_its_kernel_condition(scenario):
+    """At N = k(k+1), k = 1..7, sqrt(4N + 1) = 2k + 1, so every form is
+    rational.  Each condition of one expansion cycle, written in alpha = w/b
+    with w the write share after the join and M = mu*S*N/(N+1), holds with
+    equality at its exact root:
+
+    * bandwidth: an old node's net rate w - (b - w)/N is 0;
+    * storage: the joining node ends the join at M*b/(b - w) = S;
+    * time: catch-up, alpha*M/((1 - alpha)*b), lasts the trigger interval
+      (mu*S - M)/(alpha*b).
+
+    Each root as a per-node rate is its ``bound_table`` form to within
+    2**-44, the forms' rounding with a tenfold margin and 16 times below a
+    2**-40 change.  An exact run at the binding root breaks down with the
+    matching kind, and one at root * (1 - 2**-40) stabilizes; the
+    threshold's probe says the same.  The clear scenarios stop at
+    mu = 11/16: above it ROADMAP item 1b's trigger form binds, and at N = 2,
+    mu = 3/4 that form ties with the time form."""
+    stable = scenario.workload is WorkloadKind.STABLE_TOTAL
+    if scenario.mode is StabilizationMode.CONCURRENT:
+        binding, breakdown = BoundKind.BANDWIDTH, EXPANSION_OVERLAP
+        mus = LATTICE_MUS
+    else:
+        binding, breakdown = BoundKind.TIME, CATCHUP_STARVATION
+        mus = [mu for mu in LATTICE_MUS if mu <= Fraction(11, 16)]
+    below = 1 - Fraction(1, 2 ** 40)
+    for k in range(1, 8):
+        n = k * (k + 1)
+        for mu in mus:
+            p = _exact_link(n, mu)
+            b, mu_s = p.bandwidth, p.mu * p.storage
+            m = mu_s * n / (n + 1)
+            alpha = {BoundKind.BANDWIDTH: Fraction(1, n + 1),
+                     BoundKind.STORAGE: 1 - mu * n / (n + 1),
+                     BoundKind.TIME: Fraction(1, k + 1)}
+            a = alpha[BoundKind.BANDWIDTH]
+            assert a * b - (b - a * b) / n == 0
+            a = alpha[BoundKind.STORAGE]
+            assert m * b / (b - a * b) == p.storage
+            a = alpha[BoundKind.TIME]
+            assert a * m / ((1 - a) * b) == (mu_s - m) / (a * b)
+            # w = lam * v, or lam * v * N/(N+1) for a stable workload
+            scale = p.max_write_rate * (Fraction(n + 1, n) if stable else 1)
+            roots = {kind: a * scale for kind, a in alpha.items()}
+            table = bound_table(n, float(mu), float(p.max_write_rate),
+                                scenario.workload)
+            for kind, root in roots.items():
+                assert abs(Fraction(float(table[kind.value])) - root) \
+                    <= root * 2 ** -44, (scenario.name, n, mu, kind)
+            lam = min(roots[kind] for kind in applicable_kinds(scenario))
+            assert lam == roots[binding], (scenario.name, n, mu)
+            assert _single_expansion(p, scenario, lam, 1) == (BREAKDOWN,
+                                                              breakdown)
+            assert _single_expansion(p, scenario, lam * below, 1) == (
+                STABILIZED, None), (scenario.name, n, mu)
+            assert not single_expansion_feasible(p, scenario, lam)
+            assert single_expansion_feasible(p, scenario, lam * below)
+
+
 def _exact_threshold_bracket(p, scenario):
     """(lo, hi) with lo feasible and hi infeasible (or b/v) for one exact
     expansion, bisected until hi - lo <= 1e-12 * lo."""
@@ -899,6 +999,26 @@ def test_threshold_seeds_decide_the_bisection(monkeypatch):
             assert 2 <= len(probes) <= 3, (scenario, n, probes)
             binding = bound_report(p, scenario).binding.value
             assert thr == pytest.approx(binding, rel=1e-4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario=st.sampled_from(ALL_SCENARIOS),
+       log_n=st.floats(0, 4),
+       mu=st.floats(0.05, 0.95),
+       links=st.lists(st.tuples(st.floats(3, 11), st.floats(-1, 4),
+                                st.floats(6, 14)), min_size=2, max_size=2))
+def test_threshold_over_b_does_not_depend_on_the_link(scenario, log_n, mu,
+                                                      links):
+    """Scaling b, v and S scales every time and level of the kernel, so
+    threshold / B is a function of (scenario, N, mu) alone: two links agree
+    to within one bracket width.  mu = 1 is left out, because there the
+    time limit sets the clear modes' thresholds."""
+    ratios = []
+    for log_b, log_v, log_s in links:
+        p = ClusterParams(n=int(10 ** log_n), bandwidth=10 ** log_b,
+                          value_size=10 ** log_v, mu=mu, storage=10 ** log_s)
+        ratios.append(feasibility_threshold(p, scenario) / p.max_write_rate)
+    assert abs(ratios[0] - ratios[1]) <= 1e-4 * max(ratios), ratios
 
 
 def test_threshold_checks_the_top_of_its_range():
