@@ -237,7 +237,7 @@ def min_feasible_n(
     bandwidth: float,
     value_size: float,
     mu: float,
-    storage: float = 1e12,
+    storage: float = ClusterParams.storage,
     kinds: Optional[set[BoundKind]] = None,
     n_max: int = 10 ** 6,
 ) -> Optional[int]:

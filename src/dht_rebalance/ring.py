@@ -21,12 +21,15 @@ positions in ``nodes`` are cached too, and ``join`` and ``leave`` carry them
 forward from the parent ring.  The replica owner table (the first r
 distinct nodes clockwise from every slot) is built from them with numpy
 once per ring and replication factor, level-major, and cached on the state;
-``lookup``, ``lookup_many`` and ``balance_stats`` all read it.  A key sample
-is hashed, placed and counted in the one array that hashing allocates: a
-key's partition is arithmetic, and random-part rings sort the sample in
-place and search the token points in it.  Moved keys are counted on the
-changed slots of one ring, the side of a join or leave that holds every
-slot boundary.
+``lookup``, ``lookup_many`` and ``balance_stats`` all read it; a
+random-part ``lookup`` bisects a cached memoryview of the points.  A key
+sample is hashed, placed and counted in the one array that hashing
+allocates: a key's partition is arithmetic, and random-part rings sort the
+sample in place and search the token points in it.  Moved keys are counted
+on one ring, the side of a join or leave that holds every slot boundary:
+on an equal-part ring in the changed partitions, and on a random-part ring
+by searching the sorted sample at the changed node's range ends only, at a
+cost independent of Q.
 
 All operations are purely functional: they return a new ``RingState``.
 """
@@ -153,7 +156,8 @@ class RingState:
     ``owners`` (equal-part: the owner per partition) and ``tokens``
     (random-part: the sorted (token_point, owner) pairs) are tuple-of-int
     views, built on first access and never by the operations of this module.
-    Derived arrays and the replica tables are cached on the state.
+    Derived arrays, the replica tables and, for a random-part ``lookup``, a
+    memoryview of the points are cached on the state.
     """
 
     strategy: Strategy
@@ -180,6 +184,15 @@ class RingState:
 
     def __hash__(self):
         return hash((self.strategy, self.nodes, self.seed))
+
+    def __getstate__(self):
+        # the cache is derived, and its memoryview of the points cannot be
+        # pickled or deep-copied
+        return {**self.__dict__, "_cache": {}}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.__post_init__()            # unpickled arrays come back writeable
 
     def _cached(self, key, build):
         try:
@@ -212,6 +225,12 @@ class RingState:
             return None
         return self._cached("tokens", lambda: tuple(
             zip(self.points.tolist(), self.slot_owner.tolist())))
+
+    def _point_view(self) -> memoryview:
+        """Random-part: a memoryview of the token points.  Its items read as
+        Python ints, so ``bisect`` searches it for one key several times
+        faster than numpy does, and it copies nothing."""
+        return self._cached("point_view", lambda: memoryview(self.points))
 
     def _slot_index(self) -> np.ndarray:
         """Position in ``nodes`` of each slot's owner: set by the operations
@@ -297,6 +316,21 @@ def _interval_counts(h_sorted: np.ndarray, points: np.ndarray) -> np.ndarray:
     counts = np.diff(upto, prepend=0)
     counts[0] += len(h_sorted) - upto[-1]
     return counts
+
+
+def _count_in_tokens(h: np.ndarray, points: np.ndarray,
+                     slots: np.ndarray) -> int:
+    """Number of the circle positions h in the tokens ``slots``, ascending
+    indices into ``points``; sorts h.  Token i takes (points[i-1], points[i]],
+    so the sorted positions are searched at the 2 * len(slots) range ends
+    only, at a cost independent of len(points).  Token 0's range wraps past
+    2**64 and also takes every position above the last point; on a one-token
+    ring that range is the whole circle."""
+    h.sort()
+    upto = np.searchsorted(h, points[slots], side="right")
+    after = np.searchsorted(h, points[slots - 1], side="right")
+    wrap = len(h) if slots[0] == 0 else 0
+    return int((upto - after).sum()) + wrap
 
 
 def _clockwise_distinct(seq: np.ndarray, r: int) -> np.ndarray:
@@ -445,7 +479,8 @@ def lookup(ring: RingState, key: int, r: int = 1) -> list[int]:
     if ring.is_equal_part:
         slot = partition_of(h, ring.q)
     else:
-        slot = int(np.searchsorted(ring.points, np.uint64(h))) % len(ring.points)
+        points = ring._point_view()
+        slot = bisect_left(points, h) % len(points)
     nodes = ring.nodes
     return [nodes[i] for i in ring.replica_table(r)[slot].tolist()]
 
@@ -525,9 +560,9 @@ def join(
             del own[bisect_left(own, part)]
             moved.append((part, victim, new_node))
         owner = ring.slot_owner.copy()
-        stolen = np.array([part for part, _, _ in moved])
-        owner[stolen] = new_node
-        index[stolen] = pos
+        slots = np.array([part for part, _, _ in moved])
+        owner[slots] = new_node
+        index[slots] = pos
         new_ring = _ring(ring.strategy, nodes, ring.seed, owner, index)
     else:
         t, points = ring.strategy.tokens_per_node, ring.points
@@ -544,8 +579,10 @@ def join(
         new_ring = _ring(ring.strategy, nodes, ring.seed,
                          np.insert(ring.slot_owner, at, new_node),
                          np.insert(index, at, pos), np.insert(points, at, fresh))
+        # at is ascending, so fresh token j lands at at[j] + j
+        slots = at + np.arange(t)
 
-    keys, bytes_ = _movement_estimate(new_ring, new_node, key_sample,
+    keys, bytes_ = _movement_estimate(new_ring, slots, key_sample,
                                       sample_seed, replication, value_size)
     report = RebalanceReport(new_node, "join", tuple(moved), keys, bytes_)
     return new_ring, report
@@ -580,15 +617,15 @@ def leave(
     pos = ring.nodes.index(node)
     nodes = ring.nodes[:pos] + ring.nodes[pos + 1:]
     leaving = ring.slot_owner == node
+    slots = np.flatnonzero(leaving)
     index = _shifted_index(ring, pos, -1)
 
     if ring.is_equal_part:
         counts = dict(zip(ring.nodes, ring._node_slot_counts().tolist()))
         del counts[node]
-        parts = np.flatnonzero(leaving)
         heirs = []
         low_nodes: list[int] = []
-        for _ in range(len(parts)):
+        for _ in range(len(slots)):
             # the least-loaded survivors, ascending; each takes one partition
             # before the next-higher level is drawn from
             if not low_nodes:
@@ -599,10 +636,10 @@ def leave(
             counts[heir] += 1
             heirs.append(heir)
         owner = ring.slot_owner.copy()
-        owner[parts] = heirs
-        index[parts] = np.searchsorted(np.asarray(nodes), heirs)
+        owner[slots] = heirs
+        index[slots] = np.searchsorted(np.asarray(nodes), heirs)
         new_ring = _ring(ring.strategy, nodes, ring.seed, owner, index)
-        moved = [(part, node, heir) for part, heir in zip(parts.tolist(), heirs)]
+        moved = [(part, node, heir) for part, heir in zip(slots.tolist(), heirs)]
     else:
         points = ring.points[~leaving]
         owner = ring.slot_owner[~leaving]
@@ -613,26 +650,30 @@ def leave(
         new_ring = _ring(ring.strategy, nodes, ring.seed, owner,
                          index[~leaving], points)
 
-    keys, bytes_ = _movement_estimate(ring, node, key_sample, sample_seed,
+    keys, bytes_ = _movement_estimate(ring, slots, key_sample, sample_seed,
                                       replication, value_size)
     report = RebalanceReport(node, "leave", tuple(moved), keys, bytes_)
     return new_ring, report
 
 
-def _movement_estimate(ring: RingState, node: int, k: int, sample_seed: int,
-                       r: int, v: float) -> tuple[int, float]:
+def _movement_estimate(ring: RingState, slots: np.ndarray, k: int,
+                       sample_seed: int, r: int, v: float) -> tuple[int, float]:
     """Sample keys whose primary owner changed, times r.
 
     ``ring`` is the side of the change that holds every slot boundary: the
     ring after a join, the ring before a leave.  Its slots whose owner
-    changed are exactly those of ``node``, the joining or leaving node, and
-    a key's owner is fixed by the slot it falls in, so the count is the
-    number of sample keys in ``node``'s slots.
+    changed are exactly ``slots``, those of the joining or leaving node
+    (ascending on a random-part ring), and a key's owner is fixed by the slot
+    it falls in, so the count is the number of sample keys in ``slots``.
     """
     if k <= 0:
         return 0, 0.0
-    per_slot = ring._slot_counts(_hash_keys(k, sample_seed))
-    moved_keys = int(per_slot[ring.slot_owner == node].sum()) * r
+    h = _hash_keys(k, sample_seed)
+    if ring.is_equal_part:
+        in_slots = int(ring._slot_counts(h)[slots].sum())
+    else:
+        in_slots = _count_in_tokens(h, ring.points, slots)
+    moved_keys = in_slots * r
     return moved_keys, moved_keys * v
 
 

@@ -1,12 +1,14 @@
 import bisect
+import copy
 import dataclasses
 import hashlib
 import json
+import pickle
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dht_rebalance import lookup_many
 from dht_rebalance.ring import (
@@ -365,6 +367,34 @@ def _strategies_and_sizes():
         st.builds(LimitedTokenRandomPart, st.integers(1, 8)))
 
 
+# Random-part scripts whose first op changes the token at points[0], the
+# range that wraps past 2**64: (strategy, n, seed, ops).
+WRAP_JOIN = (LimitedTokenRandomPart(4), 3, 9, [True])
+WRAP_LEAVE = (LimitedTokenRandomPart(4), 3, 2, [False])
+WRAP_ONE_TOKEN = (LimitedTokenRandomPart(1), 1, 2, [True, False])
+WRAP_BENCH_SIZE = (LimitedTokenRandomPart(64), 32, 52, [True, False])
+
+
+def _wrap_example(script):
+    strategy, n, seed, ops = script
+    return example(strategy=strategy, n=n, seed=seed, ops=ops, key_sample=5000,
+                   sample_seed=7, r=3, value_size=16.0)
+
+
+@pytest.mark.parametrize("script", [WRAP_JOIN, WRAP_LEAVE, WRAP_ONE_TOKEN,
+                                    WRAP_BENCH_SIZE])
+def test_wrap_examples_change_the_first_token(script):
+    strategy, n, seed, ops = script
+    ring = build_ring(n, strategy, seed)
+    if ops[0]:
+        after, _ = join(ring, n, seed)
+        assert after.slot_owner[0] == n
+    else:
+        assert ring.slot_owner[0] == sorted(ring.nodes)[seed % n]
+    if script is WRAP_ONE_TOKEN:
+        assert len(ring.points) == 1
+
+
 @settings(max_examples=150, deadline=None)
 @given(strategy=_strategies_and_sizes(), n=st.integers(2, 6),
        seed=st.integers(0, 2**32), ops=st.lists(st.booleans(), min_size=1,
@@ -372,6 +402,10 @@ def _strategies_and_sizes():
        key_sample=st.sampled_from([0, 1, 5000]),
        sample_seed=st.integers(0, MASK64), r=st.integers(1, 3),
        value_size=st.floats(0.0, 1e6))
+@_wrap_example(WRAP_JOIN)
+@_wrap_example(WRAP_LEAVE)
+@_wrap_example(WRAP_ONE_TOKEN)
+@_wrap_example(WRAP_BENCH_SIZE)
 def test_movement_estimate_matches_key_by_key_count(
         strategy, n, seed, ops, key_sample, sample_seed, r, value_size):
     ring = build_ring(n, strategy, seed)
@@ -460,6 +494,17 @@ def test_views_hold_python_ints():
         assert all(type(x) is int for x in ring2.token_counts().values())
         assert all(type(x) is int for move in report.moved_partitions for x in move)
         assert all(type(x) is int for x in lookup(ring2, 9, 3))
+
+
+def test_pickle_and_deepcopy_after_lookup():
+    for strategy in ALL_STRATEGIES:
+        ring = build_ring(5, strategy, 4)
+        want = [lookup(ring, k, 3) for k in range(20)]
+        for restored in (pickle.loads(pickle.dumps(ring)), copy.deepcopy(ring)):
+            assert restored == ring
+            assert not restored.slot_owner.flags.writeable
+            assert ring.is_equal_part or not restored.points.flags.writeable
+            assert [lookup(restored, k, 3) for k in range(20)] == want
 
 
 def test_ring_from_dict_rejects_broken_layouts():
