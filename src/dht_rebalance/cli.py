@@ -51,7 +51,6 @@ EXIT_BREAKDOWN = 4
 EXIT_VALIDATION = 5
 
 DEFAULT_BANDWIDTH = 125_000_000.0  # 1 Gbps in bytes/s
-DEFAULT_VALUE_SIZE = 16.0
 
 # decimal prefixes; bit units divide by 8
 _UNIT_BYTES = {
@@ -438,25 +437,27 @@ def build_parser() -> argparse.ArgumentParser:
                     "simulation and ring statistics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the link options of bounds, sweep and validate
+    link = argparse.ArgumentParser(add_help=False)
+    link.add_argument("--bandwidth", default=DEFAULT_BANDWIDTH)
+    link.add_argument("--value-size", default=16.0, dest="value_size")
 
-    p = sub.add_parser("bounds", help="evaluate the feasibility bounds")
+    p = sub.add_parser("bounds", parents=[link],
+                       help="evaluate the feasibility bounds")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--bandwidth", default="1Gbps")
-    p.add_argument("--value-size", default="16", dest="value_size")
     p.add_argument("--scenario", required=True,
                    help="increasing-concurrent | increasing-clear | "
                         "stable-concurrent | stable-clear")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("sweep", help="emit bound curves over N as CSV")
+    p = sub.add_parser("sweep", parents=[link],
+                       help="emit bound curves over N as CSV")
     p.add_argument("--n-min", type=int, required=True, dest="n_min")
     p.add_argument("--n-max", type=int, required=True, dest="n_max")
     p.add_argument("--mu-list", default="0.3,0.5,0.7", dest="mu_list")
     p.add_argument("--scenario-list", default="all", dest="scenario_list")
-    p.add_argument("--bandwidth", default="1Gbps")
-    p.add_argument("--value-size", default="16", dest="value_size")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 
@@ -466,14 +467,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write a JSON-lines event trace here")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("validate",
+    p = sub.add_parser("validate", parents=[link],
                        help="cross-check simulated thresholds against the bounds")
     p.add_argument("--n-list", required=True, dest="n_list")
     p.add_argument("--scenario-list", default="all", dest="scenario_list")
     p.add_argument("--tol", type=float, default=0.02)
     p.add_argument("--mu", type=float, default=0.5)
-    p.add_argument("--bandwidth", default="1Gbps")
-    p.add_argument("--value-size", default="16", dest="value_size")
     p.add_argument("--storage", type=float, default=ClusterParams.storage)
     p.set_defaults(func=cmd_validate)
 

@@ -62,8 +62,10 @@ later than ``max_sim_time``, drops it, computes nothing after it and returns
 ``True``.  One rule, ``_decide``, turns the rows into the outcome: a run cut
 by the limit is max_time_exceeded; a breakdown event gives breakdown; a run
 that ends at ``n_target`` is stabilized, and any other end is
-max_time_exceeded.  ``run`` builds its ``SimOutcome`` from that rule, and the
-threshold's probes compare its kind with stabilized.
+max_time_exceeded.  ``run`` builds its ``SimOutcome`` from that rule, and a
+threshold probe returns its kind, or the breakdown kind.  A validation row
+is one bisection: its seed bound, its threshold, and how its own probe at
+the smallest rate it showed unstable ended.
 """
 
 from __future__ import annotations
@@ -82,7 +84,6 @@ from .bounds import (
     StabilizationMode,
     WorkloadKind,
     applicable_kinds,
-    bound_report,
     bound_table,
 )
 
@@ -414,9 +415,11 @@ def _check_probe(params: ClusterParams, scenario: Scenario, lam) -> None:
               n_target=params.n + 1, initial_fill=1)
 
 
-def _stabilizes(params: ClusterParams, scenario: Scenario, lam) -> bool:
-    """The probe on inputs ``_check_probe`` accepted: does one n -> n+1
-    expansion from a full trigger level stabilize?"""
+def _probe(params: ClusterParams, scenario: Scenario, lam) -> str:
+    """The probe on inputs ``_check_probe`` accepted: how one n -> n+1
+    expansion from a full trigger level ends.  ``STABILIZED``, its breakdown
+    kind, or ``MAX_TIME_EXCEEDED``; a per-node write share at or above b is
+    ``EXPANSION_OVERLAP``, as the old nodes never stop filling."""
     rows: list[tuple] = []
     try:
         # SimConfig's default time limit: at mu = 1 it sets the clear modes'
@@ -424,8 +427,9 @@ def _stabilizes(params: ClusterParams, scenario: Scenario, lam) -> bool:
         cut = _kernel(params, scenario, _probe_rate(params, scenario, lam),
                       params.n + 1, 1, SimConfig.max_sim_time, rows)
     except InsufficientBandwidth:
-        return False
-    return _decide(rows, cut, params.n, params.n + 1)[0] == STABILIZED
+        return EXPANSION_OVERLAP
+    kind = _decide(rows, cut, params.n, params.n + 1)[0]
+    return rows[-1][-1] if kind == BREAKDOWN else kind
 
 
 def single_expansion_feasible(params: ClusterParams, scenario: Scenario,
@@ -437,29 +441,30 @@ def single_expansion_feasible(params: ClusterParams, scenario: Scenario,
     ``ValueError`` for a lam that ``SimConfig`` rejects.
     """
     _check_probe(params, scenario, lam)
-    return _stabilizes(params, scenario, lam)
+    return _probe(params, scenario, lam) == STABILIZED
 
 
 def _threshold_bracket(params: ClusterParams, scenario: Scenario):
-    """(lo, hi) of the threshold bisection: lo is ``feasibility_threshold``,
-    hi the smallest rate a probe showed does not stabilize, or b/v if none
-    did.  See ``feasibility_threshold``."""
+    """(threshold, binding bound it seeded from, how its probe at the
+    smallest rate shown unstable ended, or ``NO_BREAKDOWN`` if no rate
+    below b/v was) of the bisection ``feasibility_threshold`` describes."""
     if not params.bandwidth * (params.n + 1) < math.inf:
         raise ValueError(f"bandwidth {params.bandwidth:g} B/s is too large at "
                          f"n = {params.n}: bandwidth * (n + 1) overflows a float")
     top = params.max_write_rate
     _check_probe(params, scenario, top)
     # the memo: every rate up to stable_to stabilizes, none from
-    # unstable_from up does; no probe has run yet
-    stable_to, unstable_from = 0.0, math.inf
+    # unstable_from up does (its probe ended as above); no probe has run yet
+    stable_to, unstable_from, above = 0.0, math.inf, NO_BREAKDOWN
     binding = float(min(bound_table(params.n, params.mu, top, scenario.workload,
                                     applicable_kinds(scenario)).values()))
     for lam in (binding * (1.0 - _SEED_OFFSET), binding * (1.0 + _SEED_OFFSET)):
         if 0 < lam < top:
-            if _stabilizes(params, scenario, lam):
+            ending = _probe(params, scenario, lam)
+            if ending == STABILIZED:
                 stable_to = max(stable_to, lam)
-            else:
-                unstable_from = min(unstable_from, lam)
+            elif lam < unstable_from:
+                unstable_from, above = lam, ending
     lo, hi = 0.0, top
     for _ in range(_THRESHOLD_PROBES):
         mid = 0.5 * (lo + hi)
@@ -467,13 +472,14 @@ def _threshold_bracket(params: ClusterParams, scenario: Scenario):
             lo = mid
         elif mid >= unstable_from:
             hi = mid
-        elif _stabilizes(params, scenario, mid):
+        elif (ending := _probe(params, scenario, mid)) == STABILIZED:
             lo = stable_to = mid
         else:
             hi = unstable_from = mid
+            above = ending
         if lo > 0 and (hi - lo) <= _THRESHOLD_WIDTH * lo:
             break
-    return lo, min(unstable_from, top)
+    return lo, binding, above
 
 
 def feasibility_threshold(params: ClusterParams, scenario: Scenario) -> float:
@@ -500,10 +506,9 @@ def feasibility_threshold(params: ClusterParams, scenario: Scenario) -> float:
 class ValidationRow:
     """One size's bound against its simulated threshold.
 
-    ``breakdown_above`` names how one single expansion ends at the smallest
-    rate the bisection showed unstable: its breakdown kind, or its outcome
-    kind when it has none (max_time_exceeded).  It is ``NO_BREAKDOWN`` when
-    no rate below b/v was shown unstable.
+    ``breakdown_above`` names how the bisection's own probe at the smallest
+    rate it showed unstable ended: its breakdown kind, or max_time_exceeded.
+    It is ``NO_BREAKDOWN`` when no rate below b/v was shown unstable.
     """
 
     n: int
@@ -540,16 +545,8 @@ def validate_against_bounds(n_values, scenario: Scenario,
         raise EmptyRange("n-range is empty")
     rows = []
     for params in sizes:
-        analytic = bound_report(params, scenario).binding.value
-        simulated, hi = _threshold_bracket(params, scenario)
+        simulated, analytic, above = _threshold_bracket(params, scenario)
         rel = abs(simulated - analytic) / analytic
-        if hi < params.max_write_rate:
-            _, outcome = run(SimConfig(params, scenario,
-                                       _probe_rate(params, scenario, hi),
-                                       n_target=params.n + 1, initial_fill=1))
-            above = outcome.breakdown_kind or outcome.kind
-        else:
-            above = NO_BREAKDOWN
         rows.append(ValidationRow(params.n, scenario, analytic, simulated,
                                   rel, rel <= tol, above))
     return ValidationReport(tuple(rows), tol)

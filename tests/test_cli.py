@@ -496,6 +496,12 @@ def test_validate_names_the_breakdown_above_each_threshold(capsys):
         ["--n-list", "1", "--scenario-list", "stable-clear"], capsys)
     assert rc == EXIT_VALIDATION
     assert kinds == {(1, "stable-clear"): NO_BREAKDOWN}
+    # on a 1 B/s link with 1e20 B nodes every probe runs past the 1e18 s
+    # time limit, so no rate stabilizes and each row names the cut
+    rc, kinds = _breakdowns_above(
+        ["--n-list", "4", "--bandwidth", "1B/s", "--storage", "1e20"], capsys)
+    assert rc == EXIT_VALIDATION
+    assert kinds == {(4, sc.name): "max_time_exceeded" for sc in ALL_SCENARIOS}
 
 
 def test_validate_fail_with_tiny_tol(capsys):

@@ -984,13 +984,13 @@ def test_threshold_seeds_decide_the_bisection(monkeypatch):
     """Where the binding bound is the threshold, the two seed probes beside
     it decide almost every midpoint: at most three kernel probes in all."""
     probes = []
-    stabilizes = sim_mod._stabilizes
+    probe = sim_mod._probe
 
     def counting(params, scenario, lam):
         probes.append(lam)
-        return stabilizes(params, scenario, lam)
+        return probe(params, scenario, lam)
 
-    monkeypatch.setattr(sim_mod, "_stabilizes", counting)
+    monkeypatch.setattr(sim_mod, "_probe", counting)
     for scenario in ALL_SCENARIOS:
         for n in (2, 4, 13, 100):
             p = params(n)
@@ -999,6 +999,27 @@ def test_threshold_seeds_decide_the_bisection(monkeypatch):
             assert 2 <= len(probes) <= 3, (scenario, n, probes)
             binding = bound_report(p, scenario).binding.value
             assert thr == pytest.approx(binding, rel=1e-4)
+
+
+def test_validate_runs_the_kernel_only_inside_the_bisection(monkeypatch):
+    """A validation row is one bisection: it runs the kernel exactly as
+    often as the bisection's own probes, and no more."""
+    calls = []
+    kernel = sim_mod._kernel
+
+    def counting(*args):
+        calls.append(args[2])  # the rate
+        return kernel(*args)
+
+    monkeypatch.setattr(sim_mod, "_kernel", counting)
+    for scenario in ALL_SCENARIOS:
+        for n in (2, 4, 13):
+            calls.clear()
+            sim_mod._threshold_bracket(params(n), scenario)
+            probes = len(calls)
+            calls.clear()
+            validate_against_bounds([n], scenario, params(1))
+            assert len(calls) == probes, (scenario, n, probes, calls)
 
 
 @settings(max_examples=150, deadline=None)
