@@ -35,7 +35,10 @@ then: at exactly the time bound the run starves, as the strict bounds say.
 Under symmetry every old node holds the same bytes, so an event stores that
 one ``level`` plus the joining node's ``joining_level`` while a join is in
 progress.  ``run`` returns the events as an ``EventTable`` of plain rows,
-which ``write_trace`` and ``summary_dict`` read directly.
+which ``write_trace`` and ``summary_dict`` read directly.  ``write_trace``
+formats the numbers of 1024 rows at a time in one call to json's C encoder,
+each distinct time and level object once, so its lines are ``json.dumps``'
+text and its memory holds one block's texts whatever the row count.
 ``feasibility_threshold`` bisects to a fixed relative width of 1e-4.  It
 checks its inputs once, as the ``SimConfig`` of its fastest rate b/v: the
 write inflow rises with the rate, so that check covers every probe, and each
@@ -570,46 +573,57 @@ def event_to_dict(ev: SimEvent) -> dict:
     return d
 
 
-_JSON_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+# json's C encoder writes a list of numbers as their json.dumps texts joined
+# by ", ": a float's repr, an int as an int, Infinity, -Infinity and NaN, and
+# with default=float anything else (a Fraction) as the float nearest it
+_encode_numbers = json.JSONEncoder(default=float, check_circular=False).encode
+_TRACE_BLOCK = 1024  # rows formatted per encoder call
 
 
 def write_trace(events: EventTable, path: str) -> None:
     """JSON-lines trace, one event per line, streamed from the rows.
 
-    Each line is byte-identical to ``json.dumps(event_to_dict(ev))`` for its
-    row.  Each level is formatted once and the old nodes' token repeated, so
-    a line costs a few number formats, not n.  Kinds are plain identifiers
-    and need no JSON escaping.
+    A line is byte-identical to ``json.dumps(event_to_dict(ev))`` wherever
+    that call succeeds; an exact run's ``Fraction``, which ``json.dumps``
+    rejects, is written as the float nearest it.  The rows are formatted
+    1024 at a time: one encoder call writes every number of the block, and
+    each line repeats its old nodes' text, so a line costs a few number
+    texts, not n, and memory holds one block's texts whatever the row
+    count.  The file is written 64 KiB at a time.  Kinds are plain
+    identifiers and need no JSON escaping.
     """
-    # The kernel puts one float object in several cells (a time shared by
-    # two events, the trigger level mu*S, the 0.0 constants), so recent
-    # objects keep their text.  The table holds every object, so an id
-    # stays unique for the whole call.
-    texts: dict[int, str] = {}
-
-    def num(x) -> str:
-        text = texts.get(id(x))
-        if text is None:
-            if len(texts) >= 256:
-                texts.clear()
-            try:
-                text = float.__repr__(x)
-            except TypeError:  # an int (written as one) or a Fraction
-                text = json.dumps(x) if isinstance(x, int) else repr(float(x))
-            text = texts[id(x)] = _JSON_NON_FINITE.get(text, text)
-        return text
-
-    with open(path, "w") as fh:
-        for time, kind, n, level, joining, backlog, duration, breakdown \
-                in events.rows:
-            tok = num(level)
-            last = tok if joining is None else num(joining)
-            tail = "" if duration is None else f', "duration": {num(duration)}'
-            if breakdown is not None:
-                tail += f', "breakdown_kind": "{breakdown}"'
-            fh.write(f'{{"time": {num(time)}, "kind": "{kind}", "n": {n}, '
-                     f'"stored": [{(tok + ", ") * (n - 1)}{last}], '
-                     f'"backlog": {num(backlog)}{tail}}}\n')
+    rows = events.rows
+    with open(path, "w", buffering=1 << 16) as fh:  # 64 KiB per write
+        write = fh.write
+        for start in range(0, len(rows), _TRACE_BLOCK):
+            block = rows[start:start + _TRACE_BLOCK]
+            m = len(block)
+            times, kinds, ns, levels, joinings, backlogs, durations, \
+                breakdowns = zip(*block)
+            # The kernel puts one time and one level object in two rows
+            # (expansion_triggered and join_started), so those columns are
+            # formatted once per object (the block holds each object, so
+            # its id is unique here); the rest are mostly None or the 0.0
+            # constant, which cost little to format each time.
+            shared = times + levels
+            ids = list(map(id, shared))
+            distinct = dict(zip(ids, shared))
+            k = len(distinct)
+            texts = _encode_numbers([*distinct.values(), *joinings, *backlogs,
+                                     *durations])[1:-1].split(", ")
+            shared_texts = list(map(dict(zip(distinct, texts)).__getitem__,
+                                    ids))
+            for time, kind, n, tok, last, backlog, duration, breakdown in zip(
+                    shared_texts, kinds, ns, shared_texts[m:], texts[k:],
+                    texts[k + m:], texts[k + 2 * m:], breakdowns):
+                # "null" is the text of None, and of no number
+                tail = "" if duration == "null" else f', "duration": {duration}'
+                if breakdown is not None:
+                    tail += f', "breakdown_kind": "{breakdown}"'
+                write(f'{{"time": {time}, "kind": "{kind}", "n": {n}, '
+                      f'"stored": [{(tok + ", ") * (n - 1)}'
+                      f'{tok if last == "null" else last}], '
+                      f'"backlog": {backlog}{tail}}}\n')
 
 
 def summary_dict(events: EventTable, outcome: SimOutcome) -> dict:

@@ -393,6 +393,14 @@ def test_simulate_max_time_is_not_breakdown(tmp_path, capsys):
     rc = main(["simulate", "--config", cfg])
     assert rc == EXIT_OK
     assert json.loads(capsys.readouterr().out)["outcome"] == "max_time_exceeded"
+    # the limit cuts the run before its first event: the trace has no rows,
+    # and writing it still empties a file that held text
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("stale\n")
+    rc = main(["simulate", "--config", cfg, "--trace", str(trace)])
+    assert rc == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["outcome"] == "max_time_exceeded"
+    assert trace.read_text() == ""
 
 
 def test_simulate_missing_file(tmp_path, capsys):

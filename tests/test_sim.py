@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import random
 import tracemalloc
 from dataclasses import replace
@@ -449,6 +450,68 @@ def test_trace_and_summary_of_an_exact_run(tmp_path):
     assert isinstance(summary["total_time"], Fraction)
     assert json.loads(json.dumps(summary, default=float))["total_time"] == \
         float(summary["total_time"])
+
+
+def test_trace_lines_match_json_dumps_across_blocks(tmp_path):
+    """The writer formats its rows a block at a time.  A table of several
+    blocks holds one time and one level object in the two rows that
+    straddle the first boundary, as the kernel's expansion_triggered and
+    join_started share them, and one level object in every block; its
+    levels cycle through floats, ints, Fractions, +-inf, NaN and -0.0."""
+    block = sim_mod._TRACE_BLOCK
+    rnd = random.Random(19)
+    levels = [math.inf, -math.inf, math.nan, -0.0, 0, 7, 10**15,
+              Fraction(1, 3), Fraction(-22, 7), 1e-300, 0.1]
+    everywhere = rnd.uniform(0, 1e12)
+    rows = []
+    for i in range(5000):
+        n = 1 + i % 4
+        level = (everywhere if i % 500 == 0 else levels[i % len(levels)]
+                 if i % 3 == 0 else rnd.uniform(0, 1e12))
+        joining = rnd.choice([None, 0.0, rnd.uniform(0, 1e12)])
+        duration = rnd.choice([None, rnd.uniform(0, 1e6)])
+        breakdown = rnd.choice([None, STORAGE_OVERFLOW])
+        rows.append((rnd.uniform(0, 1e9), "breakdown", n, level, joining,
+                     rnd.choice([0.0, rnd.uniform(0, 1e9)]), duration,
+                     breakdown))
+    assert len(rows) > 2 * block
+    time, level = rnd.uniform(0, 1e9), rnd.uniform(0, 1e12)
+    rows[block - 1] = (time, "expansion_triggered", 3, level, None, 0.0,
+                       None, None)
+    rows[block] = (time, "join_started", 4, level, 0.0, 0.0, None, None)
+    events = EventTable(rows)
+    path = tmp_path / "trace.jsonl"
+    write_trace(events, str(path))
+    lines = path.read_text().split("\n")
+    assert lines.pop() == ""
+    assert len(lines) == len(events)
+    exact = 0
+    for ev, line in zip(events, lines):
+        d = event_to_dict(ev)
+        if isinstance(ev.level, Fraction):
+            # json.dumps rejects a Fraction; the line holds the nearest float
+            exact += 1
+            d["stored"] = [float(x) if isinstance(x, Fraction) else x
+                           for x in d["stored"]]
+            assert json.loads(line) == d
+        else:
+            assert line == json.dumps(d)
+    assert exact > 100
+
+
+def test_trace_memory_stays_flat_in_the_row_count():
+    # several blocks of rows, each with four numbers of its own: the writer
+    # holds one block's number texts at a time, so its peak does not grow
+    # with the row count (all 6000 rows' texts at once took about 4.5 MB)
+    events = EventTable([(i + 0.5, "join_completed", 2, i * 1.1, None,
+                          i * 0.3, i * 0.7, None) for i in range(6000)])
+    tracemalloc.start()
+    try:
+        write_trace(events, os.devnull)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
 
 
 def test_clear_run_at_time_inf_holds_no_nan():
