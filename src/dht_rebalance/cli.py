@@ -300,7 +300,7 @@ def cmd_simulate(args) -> int:
     events, outcome = sim_mod.run(cfg)
     if args.trace:
         sim_mod.write_trace(events, args.trace)
-    print(json.dumps(sim_mod.summary_dict(events, outcome), indent=2))
+    print(sim_mod.summary_json(sim_mod.summary_dict(events, outcome)))
     return EXIT_BREAKDOWN if outcome.kind == sim_mod.BREAKDOWN else EXIT_OK
 
 

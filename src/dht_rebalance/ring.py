@@ -21,15 +21,19 @@ positions in ``nodes`` are cached too, and ``join`` and ``leave`` carry them
 forward from the parent ring.  The replica owner table (the first r
 distinct nodes clockwise from every slot) is built from them with numpy
 once per ring and replication factor, level-major, and cached on the state;
-``lookup``, ``lookup_many`` and ``balance_stats`` all read it; a
-random-part ``lookup`` bisects a cached memoryview of the points.  A key
-sample is hashed, placed and counted in the one array that hashing
-allocates: a key's partition is arithmetic, and random-part rings sort the
-sample in place and search the token points in it.  Moved keys are counted
-on one ring, the side of a join or leave that holds every slot boundary:
-on an equal-part ring in the changed partitions, and on a random-part ring
-by searching the sorted sample at the changed node's range ends only, at a
-cost independent of Q.
+``lookup``, ``lookup_many`` and ``balance_stats`` all read it.  ``lookup``
+checks r once per ring and r and caches a resolver holding the table, the
+nodes and the slot finder: the key's top bits on a ring of 2**b equal
+partitions, arithmetic on other equal-part rings, a bisection of a cached
+memoryview of the points on a random-part ring.  A key sample is hashed,
+placed and counted in the one array that hashing allocates: a key's
+partition is arithmetic (for Q = 2**b, b <= 31, the top b bits of the hash
+taken before SplitMix64's last step, which does not change them), and
+random-part rings sort the sample in place and search the token points in
+it.  Moved keys are counted on one ring, the side of a join or leave that
+holds every slot boundary: on an equal-part ring in the changed partitions,
+and on a random-part ring by searching the sorted sample at the changed
+node's range ends only, at a cost independent of Q.
 
 All operations are purely functional: they return a new ``RingState``.
 """
@@ -87,15 +91,23 @@ class LastNode(RingError):
 
 def mix64(x: int) -> int:
     """SplitMix64 finalizer: fixed, platform-independent 64-bit avalanche hash."""
-    z = (x + 0x9E3779B97F4A7C15) & MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    z = _premix64(x)
     return z ^ (z >> 31)
 
 
+def _premix64(x: int) -> int:
+    """``mix64`` up to its last step, ``z ^= z >> 31``, which leaves the top
+    31 bits as they are: a partition of 2**b equal ones (b <= 31) is the
+    top b bits of either value."""
+    z = (x + 0x9E3779B97F4A7C15) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    return ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+
+
 def hash_key(key: int, seed: int = 0) -> int:
-    """Circle position of a key; the seed perturbs the input word."""
-    return mix64((key ^ seed) & MASK64)
+    """Circle position of a key, any integer (numpy ones too) taken modulo
+    2**64 as ``lookup_many`` takes it; the seed perturbs the input word."""
+    return mix64((operator.index(key) ^ seed) & MASK64)
 
 
 _C_ADD = np.uint64(0x9E3779B97F4A7C15)
@@ -103,23 +115,39 @@ _C_M1 = np.uint64(0xBF58476D1CE4E5B9)
 _C_M2 = np.uint64(0x94D049BB133111EB)
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    """``mix64`` of every word of the ``uint64`` array z, in place; returns z."""
-    t = np.empty_like(z)
-    z += _C_ADD
-    z ^= np.right_shift(z, np.uint64(30), out=t)
-    z *= _C_M1
-    z ^= np.right_shift(z, np.uint64(27), out=t)
-    z *= _C_M2
-    z ^= np.right_shift(z, np.uint64(31), out=t)
+# words _mix64_array hashes per step: its temporary (64 KiB) stays under
+# glibc's 128 KiB mmap threshold, where one as long as a 20 000-key sample
+# was mapped and page-faulted afresh on most calls
+_MIX_BLOCK = 8192
+
+
+def _mix64_array(z: np.ndarray, finish: bool = True) -> np.ndarray:
+    """``mix64`` of every word of the ``uint64`` array z, in place; returns z.
+    With ``finish`` false it stops where ``_premix64`` does."""
+    t = np.empty(min(len(z), _MIX_BLOCK), dtype=np.uint64)
+    for start in range(0, len(z), _MIX_BLOCK):
+        zb = z[start:start + _MIX_BLOCK]
+        tb = t[:len(zb)]
+        zb += _C_ADD
+        zb ^= np.right_shift(zb, np.uint64(30), out=tb)
+        zb *= _C_M1
+        zb ^= np.right_shift(zb, np.uint64(27), out=tb)
+        zb *= _C_M2
+        if finish:
+            zb ^= np.right_shift(zb, np.uint64(31), out=tb)
     return z
+
+
+def _key_words(k: int, seed: int) -> np.ndarray:
+    """The hash inputs of keys 0..k-1 under seed, in one new array."""
+    words = np.arange(k, dtype=np.uint64)
+    words ^= np.uint64(seed & MASK64)
+    return words
 
 
 def _hash_keys(k: int, seed: int) -> np.ndarray:
     """``hash_key(i, seed)`` for i in 0..k-1, in one new array."""
-    keys = np.arange(k, dtype=np.uint64)
-    keys ^= np.uint64(seed & MASK64)
-    return _mix64_array(keys)
+    return _mix64_array(_key_words(k, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +184,9 @@ class RingState:
     ``owners`` (equal-part: the owner per partition) and ``tokens``
     (random-part: the sorted (token_point, owner) pairs) are tuple-of-int
     views, built on first access and never by the operations of this module.
-    Derived arrays, the replica tables and, for a random-part ``lookup``, a
-    memoryview of the points are cached on the state.
+    Derived arrays, the replica tables, ``lookup``'s resolver per r and,
+    for a random-part ``lookup``, a memoryview of the points are cached on
+    the state.
     """
 
     strategy: Strategy
@@ -186,8 +215,8 @@ class RingState:
         return hash((self.strategy, self.nodes, self.seed))
 
     def __getstate__(self):
-        # the cache is derived, and its memoryview of the points cannot be
-        # pickled or deep-copied
+        # the cache is derived, and its memoryview of the points and lookup
+        # closures cannot be pickled or deep-copied
         return {**self.__dict__, "_cache": {}}
 
     def __setstate__(self, state):
@@ -246,10 +275,13 @@ class RingState:
     def token_counts(self) -> dict[int, int]:
         return dict(zip(self.nodes, self._node_slot_counts().tolist()))
 
-    def _slot_counts(self, h: np.ndarray) -> np.ndarray:
-        """Number of the circle positions h in each slot; consumes h."""
+    def _sample_counts(self, k: int, seed: int) -> np.ndarray:
+        """Number of the keys ``hash_key(i, seed)``, i < k, in each slot."""
+        words = _key_words(k, seed)
         if self.is_equal_part:
-            return np.bincount(_partition_of_array(h, self.q), minlength=self.q)
+            return np.bincount(_partitions_of_words(words, self.q),
+                               minlength=self.q)
+        h = _mix64_array(words)
         h.sort()
         return _interval_counts(h, self.points)
 
@@ -296,9 +328,22 @@ def partition_of(h: int, q: int) -> int:
     return min(h // (CIRCLE // q), q - 1)
 
 
-def _partition_of_array(h: np.ndarray, q: int) -> np.ndarray:
-    """``partition_of`` of every position in h, computed in h in place;
-    returns an ``int64`` view of h."""
+def _top_bits(q: int) -> Optional[int]:
+    """b where q = 2**b and 1 <= b <= 31, else None: then ``partition_of``
+    is ``h >> (64 - b)``, and ``_premix64`` gives those bits."""
+    b = q.bit_length() - 1
+    return b if q == 1 << b and 1 <= b <= 31 else None
+
+
+def _partitions_of_words(z: np.ndarray, q: int) -> np.ndarray:
+    """``partition_of(mix64(w), q)`` for every word w of the ``uint64``
+    array z, computed in z in place; returns an ``int64`` view of z."""
+    b = _top_bits(q)
+    if b is not None:
+        z = _mix64_array(z, finish=False)
+        z >>= np.uint64(64 - b)
+        return z.view(np.int64)
+    h = _mix64_array(z)
     if q == 1:
         h.fill(0)
     else:
@@ -350,25 +395,31 @@ def _clockwise_distinct(seq: np.ndarray, r: int) -> np.ndarray:
     n_runs = len(runs)
     if n_runs == 0:                         # one value in every slot
         return np.full((r, len(seq)), seq[0]).T
+    # the runs twice over: a walk ends within one lap, so it never reads
+    # past them, and needs no modulo
+    laps = np.concatenate((runs, runs))
     levels = np.empty((r, n_runs), dtype=seq.dtype)
-    levels[0] = runs
+    levels[0] = laps[:n_runs]
     if r > 1:                               # circularly adjacent runs differ
-        levels[1, :-1], levels[1, -1] = runs[1:], runs[0]
+        levels[1] = laps[1:n_runs + 1]
     at = np.arange(1, n_runs + 1)           # run where the last level was found
     for j in range(2, r):
         at += 1
-        value = runs[at % n_runs]
-        walking = np.arange(n_runs)
-        for _ in range(n_runs):             # a walk ends within one lap
+        levels[j] = laps[at]
+        value = levels[j]
+        # the first step of every walk on whole arrays, then only the walks
+        # that met an already-found value
+        seen = levels[0] == value
+        for level in levels[1:j]:
+            seen |= level == value
+        walking = np.flatnonzero(seen)
+        while len(walking):
+            at[walking] += 1
+            value[walking] = laps[at[walking]]
             seen = levels[0, walking] == value[walking]
             for level in levels[1:j]:
                 seen |= level[walking] == value[walking]
             walking = walking[seen]
-            if not len(walking):
-                break
-            at[walking] += 1
-            value[walking] = runs[at[walking] % n_runs]
-        levels[j] = value
     # slots before the first run start belong to the last (wrapping) run
     run_of_slot = np.cumsum(starts) - 1
     return np.take(levels, run_of_slot, axis=1).T
@@ -473,16 +524,48 @@ def _check_lookup_replication(ring: RingState, r: int) -> None:
 # lookup
 
 def lookup(ring: RingState, key: int, r: int = 1) -> list[int]:
-    """First r distinct nodes met walking the circle clockwise from the key."""
-    _check_lookup_replication(ring, r)
-    h = hash_key(key)
-    if ring.is_equal_part:
-        slot = partition_of(h, ring.q)
-    else:
+    """First r distinct nodes met walking the circle clockwise from the key.
+
+    r is checked once per ring; the resolver cached for it then costs one
+    hash, one slot and one replica table row per key."""
+    try:
+        resolve = ring._cache["lookup", r]
+    except KeyError:
+        _check_lookup_replication(ring, r)
+        resolve = ring._cache["lookup", r] = _lookup_resolver(ring, r)
+    return resolve(key)
+
+
+def _lookup_resolver(ring: RingState, r: int):
+    """``lookup(ring, ·, r)`` for an r already checked, with ``hash_key``
+    inlined: the slot is the key's top bits on a ring of 2**b equal
+    partitions, arithmetic on other equal-part rings, and a bisection of the
+    cached point view on a random-part ring."""
+    table, nodes = ring.replica_table(r), ring.nodes
+    if not ring.is_equal_part:
         points = ring._point_view()
-        slot = bisect_left(points, h) % len(points)
-    nodes = ring.nodes
-    return [nodes[i] for i in ring.replica_table(r)[slot].tolist()]
+        n_points = len(points)
+
+        def resolve(key):
+            z = _premix64(operator.index(key) & MASK64)
+            slot = bisect_left(points, z ^ (z >> 31))
+            row = table[slot if slot < n_points else 0]
+            return [nodes[i] for i in row.tolist()]
+        return resolve
+    q = ring.q
+    b = _top_bits(q)
+    if b is not None:
+        shift = 64 - b
+
+        def resolve(key):
+            z = _premix64(operator.index(key) & MASK64)
+            return [nodes[i] for i in table[z >> shift].tolist()]
+        return resolve
+
+    def resolve(key):
+        return [nodes[i] for i in
+                table[partition_of(hash_key(key), q)].tolist()]
+    return resolve
 
 
 def lookup_many(ring: RingState, keys, r: int = 1) -> np.ndarray:
@@ -497,11 +580,11 @@ def lookup_many(ring: RingState, keys, r: int = 1) -> np.ndarray:
     else:
         words = np.array([operator.index(k) & MASK64 for k in keys],
                          dtype=np.uint64)
-    h = _mix64_array(words)
     if ring.is_equal_part:
-        slots = _partition_of_array(h, ring.q)
+        slots = _partitions_of_words(words, ring.q)
     else:
-        slots = np.searchsorted(ring.points, h) % len(ring.points)
+        slots = (np.searchsorted(ring.points, _mix64_array(words))
+                 % len(ring.points))
     node_ids = np.asarray(ring.nodes, dtype=np.int64)
     return node_ids[ring.replica_table(r)[slots]]
 
@@ -576,11 +659,14 @@ def join(
         prev = ring.slot_owner[at % len(points)]
         moved = [(tok, frm, new_node)
                  for tok, frm in zip(fresh.tolist(), prev.tolist())]
-        new_ring = _ring(ring.strategy, nodes, ring.seed,
-                         np.insert(ring.slot_owner, at, new_node),
-                         np.insert(index, at, pos), np.insert(points, at, fresh))
         # at is ascending, so fresh token j lands at at[j] + j
         slots = at + np.arange(t)
+        kept = np.ones(len(points) + t, dtype=bool)
+        kept[slots] = False
+        new_ring = _ring(ring.strategy, nodes, ring.seed,
+                         _spliced(ring.slot_owner, kept, slots, new_node),
+                         _spliced(index, kept, slots, pos),
+                         _spliced(points, kept, slots, fresh))
 
     keys, bytes_ = _movement_estimate(new_ring, slots, key_sample,
                                       sample_seed, replication, value_size)
@@ -588,11 +674,21 @@ def join(
     return new_ring, report
 
 
+def _spliced(a: np.ndarray, kept: np.ndarray, slots: np.ndarray,
+             values) -> np.ndarray:
+    """a's items at the true places of kept, and values at slots."""
+    out = np.empty(len(kept), dtype=a.dtype)
+    out[kept] = a
+    out[slots] = values
+    return out
+
+
 def _parts_by_node(ring: RingState) -> dict[int, list[int]]:
     """Each node's partitions, ascending."""
-    q = ring.q
-    # one sort of (owner, partition) keys; cheaper than a stable argsort
-    order = (np.sort(ring._slot_index() * q + np.arange(q)) % q).tolist()
+    # a stable sort of the owner positions in their narrowest unsigned type:
+    # numpy radix-sorts up to 16 bits, that is up to 65 536 nodes
+    index = ring._slot_index().astype(np.min_scalar_type(ring.n - 1))
+    order = np.argsort(index, kind="stable").tolist()
     ends = np.cumsum(ring._node_slot_counts()).tolist()
     return {nd: order[a:b] for nd, a, b in zip(ring.nodes, [0] + ends[:-1], ends)}
 
@@ -668,11 +764,11 @@ def _movement_estimate(ring: RingState, slots: np.ndarray, k: int,
     """
     if k <= 0:
         return 0, 0.0
-    h = _hash_keys(k, sample_seed)
     if ring.is_equal_part:
-        in_slots = int(ring._slot_counts(h)[slots].sum())
+        in_slots = int(ring._sample_counts(k, sample_seed)[slots].sum())
     else:
-        in_slots = _count_in_tokens(h, ring.points, slots)
+        in_slots = _count_in_tokens(_hash_keys(k, sample_seed), ring.points,
+                                    slots)
     moved_keys = in_slots * r
     return moved_keys, moved_keys * v
 
@@ -690,7 +786,7 @@ def balance_stats(ring: RingState, k: int, r: int = 1, seed: int = 0) -> Balance
         raise RingError("key sample count must be >= 1")
     _check_lookup_replication(ring, r)
 
-    per_slot = ring._slot_counts(_hash_keys(k, seed))
+    per_slot = ring._sample_counts(k, seed)
     table = ring.replica_table(r)
     counts = np.zeros(ring.n, dtype=np.int64)
     for level in range(r):

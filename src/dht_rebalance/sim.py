@@ -39,6 +39,9 @@ which ``write_trace`` and ``summary_dict`` read directly.  ``write_trace``
 formats the numbers of 1024 rows at a time in one call to json's C encoder,
 each distinct time and level object once, so its lines are ``json.dumps``'
 text and its memory holds one block's texts whatever the row count.
+``summary_json`` gives a summary the text of ``json.dumps(..., indent=2)``,
+but every value is formatted by the C encoder, so the CLI does not run
+json's pure-Python indenting encoder.
 ``feasibility_threshold`` bisects to a fixed relative width of 1e-4.  It
 checks its inputs once, as the ``SimConfig`` of its fastest rate b/v: the
 write inflow rises with the rate, so that check covers every probe, and each
@@ -77,7 +80,8 @@ import json
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
-from itertools import starmap
+from itertools import chain, starmap
+from operator import itemgetter
 from typing import Optional
 
 from .bounds import (
@@ -645,3 +649,26 @@ def summary_dict(events: EventTable, outcome: SimOutcome) -> dict:
         d["at_n"] = outcome.at_n
         d["at_time"] = outcome.at_time
     return d
+
+
+_JOIN_TEXT = ('    {\n      "n_new": %s,\n      "completed_at": %s,\n'
+              '      "duration": %s\n    }')
+_join_values = itemgetter("n_new", "completed_at", "duration")
+
+
+def summary_json(summary: dict) -> str:
+    """``json.dumps(summary, indent=2)`` of a ``summary_dict``, byte for
+    byte; the indent would run json's pure-Python encoder, so every value is
+    formatted by the C encoder, the joins' numbers in one call, and each join
+    is written from a fixed template."""
+    joins = summary["joins"]
+    if joins:
+        texts = _encode_numbers(list(chain.from_iterable(
+            map(_join_values, joins))))[1:-1].split(", ")
+        joins_text = ("[\n" + (",\n".join([_JOIN_TEXT] * len(joins))
+                                % tuple(texts)) + "\n  ]")
+    else:
+        joins_text = "[]"
+    return "{\n" + ",\n".join(
+        f'  "{key}": {joins_text if key == "joins" else _encode_numbers(value)}'
+        for key, value in summary.items()) + "\n}"

@@ -371,7 +371,9 @@ def test_simulate_ok(tmp_path, capsys):
     trace = tmp_path / "trace.jsonl"
     rc = main(["simulate", "--config", cfg, "--trace", str(trace)])
     assert rc == EXIT_OK
-    doc = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert out == json.dumps(doc, indent=2) + "\n"
     assert doc["outcome"] == "stabilized"
     assert doc["final_n"] == 9
     assert len(trace.read_text().splitlines()) >= 3

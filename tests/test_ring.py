@@ -39,6 +39,7 @@ from dht_rebalance.ring import (
     strategy_from_dict,
     strategy_to_dict,
     _hash_keys,
+    _partitions_of_words,
 )
 
 
@@ -354,10 +355,133 @@ def test_hashing_leaves_caller_arrays_unchanged():
         got = lookup_many(ring, keys, 2)
         assert np.array_equal(keys, before) and keys.dtype == before.dtype
         assert got.tolist() == [lookup(ring, k, 2) for k in before.tolist()]
+    # 20 000 keys are hashed in three blocks, the last one short
     for seed in (0, 5, 2**64 - 1, -3):
-        h = _hash_keys(3000, seed)
-        for i in (0, 1, 17, 1234, 2999):
+        h = _hash_keys(20_000, seed)
+        for i in (0, 1, 17, 1234, 8191, 8192, 16383, 16384, 19999):
             assert int(h[i]) == hash_key(i, seed)
+
+
+# equal-part partition counts: powers of two, read from the hash's top bits,
+# and others
+EQUAL_PART_QS = (1, 2, 2048, 3, 2049, 3000)
+
+
+@st.composite
+def membership_histories(draw):
+    """A ring reached from ``build_ring`` by 1-6 random joins and leaves, of
+    each strategy; an equal-part ring has Q from ``EQUAL_PART_QS``."""
+    kind = draw(st.sampled_from(["many", "limited", "random"]))
+    if kind == "random":
+        n = draw(st.integers(1, 6))
+        strategy = LimitedTokenRandomPart(draw(st.integers(1, 8)))
+    else:
+        q = draw(st.sampled_from(EQUAL_PART_QS))
+        n = draw(st.sampled_from([d for d in range(1, 7) if q % d == 0]))
+        strategy = (ManyTokenEqualPart(q) if kind == "many"
+                    else LimitedTokenEqualPart(q // n))
+    ring = build_ring(n, strategy, draw(st.integers(0, 2**32)))
+    next_id = n
+    for is_join, op_seed in draw(st.lists(st.tuples(st.booleans(),
+                                                    st.integers(0, 2**32)),
+                                          min_size=1, max_size=6)):
+        if is_join and (ring.q is None or ring.q > ring.n):
+            ring, _ = join(ring, next_id, op_seed)
+            next_id += 1
+        elif ring.n > 1:
+            ring, _ = leave(ring, ring.nodes[op_seed % ring.n], op_seed)
+    return ring
+
+
+@settings(max_examples=80, deadline=None)
+@given(ring=membership_histories(),
+       keys=st.lists(st.integers(-2**63, CIRCLE - 1), min_size=1, max_size=6),
+       k=st.integers(0, 300), seed=st.integers(0, MASK64))
+def test_cached_lookup_matches_lookup_many_and_reference_walk(ring, keys, k,
+                                                              seed):
+    """lookup caches a resolver per (ring, r); every r's answers equal
+    lookup_many's rows and a walk of the owners, a bad r still raises once a
+    good one is cached, and the sample counts equal a key-by-key count."""
+    seq = ring.slot_owner.tolist()
+    if ring.is_equal_part:
+        def slot_of(h):
+            return partition_of(h, ring.q)
+    else:
+        points = ring.points.tolist()
+
+        def slot_of(h):
+            return bisect.bisect_left(points, h) % len(points)
+    starts = [slot_of(hash_key(key)) for key in keys]
+    for r in range(1, ring.n + 1):
+        rows = lookup_many(ring, keys, r).tolist()
+        for key, start, row in zip(keys, starts, rows):
+            assert lookup(ring, key, r) == row == _reference_walk(seq, start, r)
+    for bad in (0, ring.n + 1):
+        with pytest.raises(RingError):
+            lookup(ring, keys[0], bad)
+    want = [0] * len(seq)
+    for i in range(k):
+        want[slot_of(hash_key(i, seed))] += 1
+    assert ring._sample_counts(k, seed).tolist() == want
+
+
+def _unmix64(h):
+    """The word that ``mix64`` maps to h."""
+    def unshift(y, s):                      # inverse of y = x ^ (x >> s)
+        x = y
+        for _ in range(64 // s):
+            x = y ^ (x >> s)
+        return x
+    z = unshift(h, 31)
+    z = unshift(z * pow(0x94D049BB133111EB, -1, CIRCLE) & MASK64, 27)
+    z = unshift(z * pow(0xBF58476D1CE4E5B9, -1, CIRCLE) & MASK64, 30)
+    return (z - 0x9E3779B97F4A7C15) & MASK64
+
+
+@pytest.mark.parametrize("q", [2, 2**11, 2**24, 2**32, 3, 3000])
+def test_partitions_of_words_at_partition_boundaries(q):
+    """Hashes either side of partition boundaries.  For q = 2**b, b <= 31,
+    the partition is the top b bits of the hash before mix64's last step;
+    2**32 is past that and takes the division, as other q do."""
+    width = CIRCLE // q
+    edges = (0, width, 2 * width, q // 2 * width, (q - 1) * width, CIRCLE)
+    hashes = sorted({h for e in edges for h in (e - 1, e, e + 1)
+                     if 0 <= h < CIRCLE})
+    words = [_unmix64(h) for h in hashes]
+    assert [mix64(w) for w in words] == hashes
+    want = [partition_of(h, q) for h in hashes]
+    got = _partitions_of_words(np.array(words, dtype=np.uint64), q)
+    assert got.tolist() == want
+    if q <= 4096:
+        ring = build_ring(2, ManyTokenEqualPart(q), 1)
+        owners = [ring.owners[p] for p in want]
+        assert [lookup(ring, w) for w in words] == [[o] for o in owners]
+        assert lookup_many(ring, words).ravel().tolist() == owners
+
+
+def test_lookup_and_hash_key_take_numpy_integers():
+    """A key is any integer taken modulo 2**64, as in lookup_many: numpy
+    integers give the owners of the Python int (no OverflowError, and no
+    overflow RuntimeWarning, an error under the test settings); a float is
+    a TypeError."""
+    for strategy in ALL_STRATEGIES:
+        ring = build_ring(4, strategy, 3)
+        for key in (5, -5, 2**63 - 1, 2**63, CIRCLE - 1):
+            want, h = lookup(ring, key, 2), hash_key(key, 7)
+            typed = [np.uint64(key & MASK64)]
+            if key < 2**63:
+                typed.append(np.int64(key))
+            for k in typed:
+                assert lookup(ring, k, 2) == want
+                assert hash_key(k, 7) == h
+                assert lookup_many(ring, np.array([k]), 2).tolist() == [want]
+        for bad in (5.0, np.float64(5.0)):
+            with pytest.raises(TypeError):
+                lookup(ring, bad, 2)
+            with pytest.raises(TypeError):
+                hash_key(bad)
+            with pytest.raises(TypeError):
+                lookup_many(ring, [bad], 2)
 
 
 def _strategies_and_sizes():

@@ -38,6 +38,7 @@ from dht_rebalance.sim import (
     run,
     single_expansion_feasible,
     summary_dict,
+    summary_json,
     validate_against_bounds,
     write_trace,
 )
@@ -302,6 +303,24 @@ def test_trace_and_summary_export(tmp_path):
     assert summary["outcome"] == "stabilized"
     assert summary["final_n"] == 5
     assert len(summary["joins"]) == 1
+
+
+@pytest.mark.parametrize("scenario, frac, kind, joins", [
+    (INCR_CONC, 0.5, STABILIZED, 4),        # several joins
+    (INCR_CONC, 1.5, BREAKDOWN, 0),         # the first join never completes
+    (STAB_CLEAR, 0.25, STABILIZED, 4),      # clear mode
+])
+def test_summary_json_is_indented_json_dumps(scenario, frac, kind, joins):
+    """The printed summary is ``json.dumps(summary, indent=2)`` byte for
+    byte, written without running json's pure-Python encoder."""
+    p = params(4)
+    lam = frac * bound_report(p, scenario).binding.value
+    rate = lam if scenario.workload is WorkloadKind.INCREASING_PER_NODE else lam * 4
+    events, outcome = run(SimConfig(p, scenario, rate, n_target=8,
+                                    initial_fill=1.0))
+    summary = summary_dict(events, outcome)
+    assert (outcome.kind, len(summary["joins"])) == (kind, joins)
+    assert summary_json(summary) == json.dumps(summary, indent=2)
 
 
 def _run_at(n, mu, scenario, frac, n_target):
