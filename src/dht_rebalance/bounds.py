@@ -109,6 +109,8 @@ class ClusterParams:
         link = (self.bandwidth, self.value_size, self.storage)
         if not all(0 < x < math.inf for x in link):
             raise ValueError("bandwidth, value_size and storage must be finite and > 0")
+        if not 0 < self.bandwidth / self.value_size < math.inf:
+            raise ValueError("bandwidth / value_size must be finite and > 0")
         check_mu(self.mu)
 
     @property
@@ -237,7 +239,6 @@ def min_feasible_n(
     bandwidth: float,
     value_size: float,
     mu: float,
-    storage: float = ClusterParams.storage,
     kinds: Optional[set[BoundKind]] = None,
     n_max: int = 10 ** 6,
 ) -> Optional[int]:
@@ -247,7 +248,6 @@ def min_feasible_n(
     ``rate`` is the system-wide writes/s for a stable workload and the
     per-node writes/s for an increasing one.  ``kinds`` optionally restricts
     which of the applicable bounds are enforced (capacity-planning what-ifs).
-    ``storage`` is checked with the link and mu; no bound reads it yet.
 
     The answer is the first N of an exact scan, which tests every size with
     the ``bound_table`` bits: the first few one at a time with a scalar n,
@@ -266,9 +266,8 @@ def min_feasible_n(
     """
     if not 0 < rate < math.inf:
         raise ValueError("rate must be positive and finite")
-    # ClusterParams validates the link, storage and mu before anything divides
-    b_rate = ClusterParams(1, bandwidth, value_size, mu,
-                           storage=storage).max_write_rate
+    # ClusterParams validates the link and mu before anything divides
+    b_rate = ClusterParams(1, bandwidth, value_size, mu).max_write_rate
     stable = scenario.workload is WorkloadKind.STABLE_TOTAL
     enforced = [k for k in applicable_kinds(scenario)
                 if kinds is None or k in kinds]

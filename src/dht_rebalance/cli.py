@@ -6,8 +6,8 @@ Commands: bounds, sweep, simulate, validate, case-study, ring-stats.
 exception into an exit code and, for 2 and 3, one ``error:`` line on stderr.
 
 * 0 ok, 4 simulated breakdown, 5 validation failure.
-* 2 bad input: ``ValueError`` (which covers ``RingError``, ``EmptyRange``
-  and ``JSONDecodeError``), ``OverflowError`` and ``InsufficientBandwidth``.
+* 2 bad input: ``ValueError`` (which covers ``RingError`` and
+  ``JSONDecodeError``), ``OverflowError`` and ``InsufficientBandwidth``.
   A ``--config`` that cannot be read is bad input too: ``cmd_simulate``
   raises it as a ``ValueError``.
 * 3 an output file (``--out``, ``--trace``) could not be written:

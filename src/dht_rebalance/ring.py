@@ -62,30 +62,6 @@ class RingError(ValueError):
     pass
 
 
-class ZeroNodes(RingError):
-    pass
-
-
-class QSmallerThanN(RingError):
-    pass
-
-
-class ReplicationExceedsNodes(RingError):
-    pass
-
-
-class DuplicateNode(RingError):
-    pass
-
-
-class UnknownNode(RingError):
-    pass
-
-
-class LastNode(RingError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # hashing
 
@@ -429,26 +405,12 @@ def _clockwise_distinct(seq: np.ndarray, r: int) -> np.ndarray:
 # construction
 
 def build_ring(n: int, strategy: Strategy, seed: int) -> RingState:
-    """Build a ring over nodes 0..n-1 with a seed-deterministic token layout."""
+    """Build a ring over nodes 0..n-1 with a seed-deterministic token layout.
+
+    The slot count is checked before anything of size n is allocated."""
     if n <= 0:
-        raise ZeroNodes("node count must be >= 1")
+        raise RingError("node count must be >= 1")
     _check_node_id(n - 1)
-    rng = random.Random(seed)
-    nodes = tuple(range(n))
-
-    if isinstance(strategy, LimitedTokenRandomPart):
-        t = strategy.tokens_per_node
-        if t <= 0:
-            raise RingError("tokens_per_node must be >= 1")
-        _check_slot_count(t * n)
-        used: set[int] = set()
-        points = np.concatenate([_draw_tokens(rng, t, used) for _ in nodes])
-        order = np.argsort(points)
-        owner = np.repeat(np.arange(n, dtype=NODE_DTYPE), t)[order]
-        # node ids are 0..n-1, so an owner's position equals its id
-        return _ring(strategy, nodes, seed, owner, owner.astype(np.intp),
-                     points[order])
-
     if isinstance(strategy, ManyTokenEqualPart):
         q = strategy.q
     else:
@@ -456,8 +418,20 @@ def build_ring(n: int, strategy: Strategy, seed: int) -> RingState:
             raise RingError("tokens_per_node must be >= 1")
         q = strategy.tokens_per_node * n
     if q < n:
-        raise QSmallerThanN(f"q={q} < n={n}")
+        raise RingError(f"q={q} < n={n}")
     _check_slot_count(q)
+    rng = random.Random(seed)
+    nodes = tuple(range(n))
+
+    if isinstance(strategy, LimitedTokenRandomPart):
+        t = strategy.tokens_per_node
+        used: set[int] = set()
+        points = np.concatenate([_draw_tokens(rng, t, used) for _ in nodes])
+        order = np.argsort(points)
+        owner = np.repeat(np.arange(n, dtype=NODE_DTYPE), t)[order]
+        # node ids are 0..n-1, so an owner's position equals its id
+        return _ring(strategy, nodes, seed, owner, owner.astype(np.intp),
+                     points[order])
 
     parts = list(range(q))
     rng.shuffle(parts)
@@ -517,7 +491,7 @@ def _check_replication(r: int) -> None:
 def _check_lookup_replication(ring: RingState, r: int) -> None:
     _check_replication(r)
     if r > ring.n:
-        raise ReplicationExceedsNodes(f"r={r} > n={ring.n}")
+        raise RingError(f"r={r} > n={ring.n}")
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +589,7 @@ def join(
     and ``value_size`` for the byte figure.
     """
     if new_node in ring.nodes:
-        raise DuplicateNode(f"node {new_node} already in ring")
+        raise RingError(f"node {new_node} already in ring")
     _check_node_id(new_node)
     _check_replication(replication)
     rng = random.Random(seed)
@@ -626,7 +600,7 @@ def join(
     if ring.is_equal_part:
         q = ring.q
         if q < len(nodes):
-            raise QSmallerThanN(f"q={q} < n={len(nodes)}")
+            raise RingError(f"q={q} < n={len(nodes)}")
         parts = _parts_by_node(ring)
         moved = []
         top_nodes: list[int] = []
@@ -705,9 +679,9 @@ def leave(
 ) -> tuple[RingState, RebalanceReport]:
     """Remove a node; its tokens go to the least-loaded survivors (seeded ties)."""
     if node not in ring.nodes:
-        raise UnknownNode(f"node {node} not in ring")
+        raise RingError(f"node {node} not in ring")
     if ring.n == 1:
-        raise LastNode("cannot remove the only node")
+        raise RingError("cannot remove the only node")
     _check_replication(replication)
     rng = random.Random(seed)
     pos = ring.nodes.index(node)
@@ -852,40 +826,5 @@ def ring_to_dict(ring: RingState) -> dict:
     return d
 
 
-def ring_from_dict(d: dict) -> RingState:
-    """Inverse of ``ring_to_dict``; rejects a layout that breaks the
-    ``RingState`` invariants."""
-    strategy = strategy_from_dict(d["strategy"])
-    nodes = tuple(d["nodes"])
-    layout, other = (("tokens", "partition_owners")
-                     if isinstance(strategy, LimitedTokenRandomPart)
-                     else ("partition_owners", "tokens"))
-    if layout not in d or other in d:
-        raise RingError(f"a {_STRATEGY_NAMES[type(strategy)]} ring holds "
-                        f"{layout}, not {other}")
-    if layout == "partition_owners":
-        owners, points = d["partition_owners"], None
-        if len(owners) != d["q"]:
-            raise RingError(f"{len(owners)} partition owners for q={d['q']}")
-        if isinstance(strategy, ManyTokenEqualPart) and strategy.q != d["q"]:
-            raise RingError(f"q={d['q']} differs from the strategy's "
-                            f"q={strategy.q}")
-    else:
-        owners = [owner for _, owner in d["tokens"]]
-        points = np.array([tok for tok, _ in d["tokens"]], dtype=np.uint64)
-        if np.any(points[1:] <= points[:-1]):
-            raise RingError("token points must be strictly increasing")
-    if list(nodes) != sorted(set(nodes)) or set(owners) != set(nodes):
-        raise RingError("nodes must be sorted, distinct and each own a slot")
-    for node in nodes:
-        _check_node_id(node)
-    return RingState(strategy, nodes, d["seed"],
-                     np.array(owners, dtype=NODE_DTYPE), points)
-
-
 def ring_to_json(ring: RingState) -> str:
     return json.dumps(ring_to_dict(ring))
-
-
-def ring_from_json(s: str) -> RingState:
-    return ring_from_dict(json.loads(s))

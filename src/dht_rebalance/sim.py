@@ -46,10 +46,9 @@ json's pure-Python indenting encoder.
 checks its inputs once, as the ``SimConfig`` of its fastest rate b/v: the
 write inflow rises with the rate, so that check covers every probe, and each
 probe runs the kernel on the checked fields with no config, table or
-outcome object.  ``single_expansion_feasible`` checks its rate every call.
-The bisection keeps a memo of monotone facts, the largest rate a probe
-showed stabilizes and the smallest one a probe showed does not, and
-decides a midpoint from it without a probe when it can.  Two seed probes
+outcome object.  The bisection keeps a memo of monotone facts, the
+largest rate a probe showed stabilizes and the smallest one a probe showed
+does not, and decides a midpoint from it without a probe when it can.  Two seed probes
 1e-9 either side of the binding bound fill the memo first.  Where the
 bound and the simulator agree those two probes decide almost every
 midpoint, and because each memo entry is a fact about a monotone outcome,
@@ -108,10 +107,6 @@ NO_BREAKDOWN = "none_below_b/v"
 _THRESHOLD_WIDTH = 1e-4  # relative width of the final bracket
 _THRESHOLD_PROBES = 60
 _SEED_OFFSET = 1e-9  # relative distance of the two seed probes from binding
-
-
-class EmptyRange(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -198,7 +193,7 @@ class EventTable(Sequence[SimEvent]):
 
     A read-only ``Sequence[SimEvent]``: a ``SimEvent`` is built only when it
     is read, and ``repr`` is that of the list of them.  The table keeps the
-    list it is given; tables compare and concatenate row by row.
+    list it is given; tables compare row by row.
     """
 
     __slots__ = ("rows",)
@@ -224,11 +219,6 @@ class EventTable(Sequence[SimEvent]):
         if not isinstance(other, EventTable):
             return NotImplemented
         return self.rows == other.rows
-
-    def __add__(self, other):
-        if not isinstance(other, EventTable):
-            return NotImplemented
-        return EventTable(self.rows + other.rows)
 
     def __repr__(self) -> str:
         return repr(list(self))
@@ -416,15 +406,9 @@ def _probe_rate(params: ClusterParams, scenario: Scenario, lam):
     return lam
 
 
-def _check_probe(params: ClusterParams, scenario: Scenario, lam) -> None:
-    """Raise ``ValueError`` unless the probe at lam is a valid ``SimConfig``."""
-    SimConfig(params, scenario, _probe_rate(params, scenario, lam),
-              n_target=params.n + 1, initial_fill=1)
-
-
 def _probe(params: ClusterParams, scenario: Scenario, lam) -> str:
-    """The probe on inputs ``_check_probe`` accepted: how one n -> n+1
-    expansion from a full trigger level ends.  ``STABILIZED``, its breakdown
+    """How one n -> n+1 expansion from a full trigger level ends at per-node
+    rate lam, on inputs the bisection checked.  ``STABILIZED``, its breakdown
     kind, or ``MAX_TIME_EXCEEDED``; a per-node write share at or above b is
     ``EXPANSION_OVERLAP``, as the old nodes never stop filling."""
     rows: list[tuple] = []
@@ -439,18 +423,6 @@ def _probe(params: ClusterParams, scenario: Scenario, lam) -> str:
     return rows[-1][-1] if kind == BREAKDOWN else kind
 
 
-def single_expansion_feasible(params: ClusterParams, scenario: Scenario,
-                              lam: float) -> bool:
-    """Does one n -> n+1 expansion stabilize at per-node rate lam?
-
-    Nodes start prefilled to mu*S; in clear mode the run continues through
-    catch-up and the follow-on fill so starvation can be observed.  Raises
-    ``ValueError`` for a lam that ``SimConfig`` rejects.
-    """
-    _check_probe(params, scenario, lam)
-    return _probe(params, scenario, lam) == STABILIZED
-
-
 def _threshold_bracket(params: ClusterParams, scenario: Scenario):
     """(threshold, binding bound it seeded from, how its probe at the
     smallest rate shown unstable ended, or ``NO_BREAKDOWN`` if no rate
@@ -459,7 +431,9 @@ def _threshold_bracket(params: ClusterParams, scenario: Scenario):
         raise ValueError(f"bandwidth {params.bandwidth:g} B/s is too large at "
                          f"n = {params.n}: bandwidth * (n + 1) overflows a float")
     top = params.max_write_rate
-    _check_probe(params, scenario, top)
+    # the probe at b/v as a run: its check covers every slower probe
+    SimConfig(params, scenario, _probe_rate(params, scenario, top),
+              params.n + 1, initial_fill=1)
     # the memo: every rate up to stable_to stabilizes, none from
     # unstable_from up does (its probe ended as above); no probe has run yet
     stable_to, unstable_from, above = 0.0, math.inf, NO_BREAKDOWN
@@ -549,7 +523,7 @@ def validate_against_bounds(n_values, scenario: Scenario,
         raise ValueError("tol must be >= 1e-6")
     sizes = [replace(base_params, n=n) for n in n_values]
     if not sizes:
-        raise EmptyRange("n-range is empty")
+        raise ValueError("n-range is empty")
     rows = []
     for params in sizes:
         simulated, analytic, above = _threshold_bracket(params, scenario)

@@ -248,10 +248,10 @@ def test_min_feasible_n_case_study_numbers():
     for bad in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             min_feasible_n(stable_conc, bad, **common)
-    # the link, storage and mu are checked before anything divides
+    # the link and mu are checked before anything divides
     for key, bad in (("value_size", -240.0), ("value_size", 0.0),
                      ("value_size", math.nan), ("bandwidth", math.inf),
-                     ("storage", 0.0), ("mu", 5.0), ("mu", 0.0),
+                     ("value_size", 1e-320), ("mu", 5.0), ("mu", 0.0),
                      ("mu", math.nan)):
         with pytest.raises(ValueError):
             min_feasible_n(stable_conc, 4_800_000.0, **{**common, key: bad})
@@ -565,6 +565,15 @@ def test_cluster_params_validation():
         with pytest.raises(ValueError):
             ClusterParams(n=1, bandwidth=1.0, value_size=1.0, mu=0.5,
                           storage=bad)
+    # B = bandwidth / value_size that underflows to 0 or overflows to inf
+    for bandwidth, value_size in ((1e-300, 1e300), (1e300, 1e-300),
+                                  (1.25e8, 1e-320)):
+        with pytest.raises(ValueError, match="bandwidth / value_size"):
+            ClusterParams(n=1, bandwidth=bandwidth, value_size=value_size,
+                          mu=0.5)
+    # a subnormal but positive B is a link
+    assert 0 < ClusterParams(n=1, bandwidth=1e-300, value_size=1e18,
+                             mu=0.5).max_write_rate < 1e-300
 
 
 def test_scenario_parsing():

@@ -737,13 +737,14 @@ def test_main_never_lets_an_exception_out(tmp_path, monkeypatch, capsys):
             assert err.startswith("error:") and err.count("\n") == 1, (argv, doc, err)
 
 
-def _run_process(*argv, stdout=subprocess.PIPE):
+def _run_process(*argv, stdout=subprocess.PIPE, cwd=None):
     """The CLI as its own process: ``python -m dht_rebalance.cli`` with src
     first on the path, so entry() and the __main__ guard are exercised."""
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, "-m", "dht_rebalance.cli", *argv],
                           stdout=stdout, stderr=subprocess.PIPE, text=True,
-                          timeout=120, env=dict(os.environ, PYTHONPATH=path))
+                          timeout=120, cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=path))
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
@@ -776,3 +777,31 @@ def test_process_exit_codes(tmp_path):
                         write_config(tmp_path, rate=1.05 * 1.25e8 / (16 * 9)))
     assert proc.returncode == EXIT_BREAKDOWN, proc.stderr
     assert json.loads(proc.stdout)["breakdown_kind"] == "expansion_overlap"
+
+
+@pytest.mark.parametrize("argv", [
+    # B = bandwidth / value_size underflows to 0
+    ["validate", "--n-list", "2", "--bandwidth", "1e-300",
+     "--value-size", "1e300"],
+    # B overflows to inf
+    ["bounds", "--n", "3", "--mu", "0.5", "--scenario", "stable-clear",
+     "--value-size", "1e-320", "--json"],
+    ["sweep", "--n-min", "2", "--n-max", "4", "--value-size", "1e-320",
+     "--out", "curves.csv"],
+    ["case-study", "--override-value-size", "1e-320"],
+    ["validate", "--n-list", "2", "--bandwidth", "1e300",
+     "--value-size", "1e-300"],
+    # 2**31 nodes on 3 partitions: rejected before a node tuple is built
+    ["ring-stats", "--nodes", "2147483648", "--q", "3", "--keys", "10"],
+], ids=["validate-b-zero", "bounds-b-inf", "sweep-b-inf", "case-study-b-inf",
+        "validate-b-inf", "ring-stats-huge"])
+def test_process_rejects_a_degenerate_link_or_ring(tmp_path, argv):
+    """Exit 2 with one error line, no traceback and no output."""
+    proc = _run_process(*argv, cwd=tmp_path)
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    if argv[0] != "ring-stats":
+        assert "bandwidth / value_size" in proc.stderr
+    assert not (tmp_path / "curves.csv").exists()

@@ -5,6 +5,7 @@ import hashlib
 import json
 import pickle
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,17 +14,14 @@ from hypothesis import example, given, settings, strategies as st
 from dht_rebalance import lookup_many
 from dht_rebalance.ring import (
     CIRCLE,
-    DuplicateNode,
-    LastNode,
     LimitedTokenEqualPart,
     LimitedTokenRandomPart,
     MASK64,
+    MAX_SLOTS,
     ManyTokenEqualPart,
-    QSmallerThanN,
-    ReplicationExceedsNodes,
+    NODE_DTYPE,
     RingError,
-    UnknownNode,
-    ZeroNodes,
+    RingState,
     balance_stats,
     build_ring,
     hash_key,
@@ -32,9 +30,6 @@ from dht_rebalance.ring import (
     lookup,
     mix64,
     partition_of,
-    ring_from_dict,
-    ring_from_json,
-    ring_to_dict,
     ring_to_json,
     strategy_from_dict,
     strategy_to_dict,
@@ -77,13 +72,32 @@ def test_build_uneven_split_within_one():
 
 
 def test_build_q_smaller_than_n():
-    with pytest.raises(QSmallerThanN):
+    with pytest.raises(RingError, match="q=3 < n=4"):
         build_ring(4, ManyTokenEqualPart(3), 0)
 
 
 def test_build_zero_nodes():
-    with pytest.raises(ZeroNodes):
+    with pytest.raises(RingError, match="node count must be >= 1"):
         build_ring(0, ManyTokenEqualPart(8), 0)
+
+
+def test_build_checks_its_slot_count_before_allocating():
+    """Too few partitions for the nodes, or more than MAX_SLOTS tokens, is
+    rejected before anything of size n is built: a tuple of these 2**22 + 1
+    nodes alone would take about 150 MB."""
+    n = 2**22 + 1
+    assert 4 * n > MAX_SLOTS
+    for strategy, message in ((ManyTokenEqualPart(3), f"q=3 < n={n}"),
+                              (LimitedTokenRandomPart(4), "exceed the cap"),
+                              (LimitedTokenEqualPart(4), "exceed the cap")):
+        tracemalloc.start()
+        try:
+            with pytest.raises(RingError, match=message):
+                build_ring(n, strategy, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, (strategy, peak)
 
 
 def test_build_deterministic():
@@ -127,7 +141,7 @@ def test_lookup_matches_linear_scan():
 
 def test_lookup_replication_exceeds_nodes():
     ring = build_ring(2, ManyTokenEqualPart(16), 0)
-    with pytest.raises(ReplicationExceedsNodes):
+    with pytest.raises(RingError, match="r=3 > n=2"):
         lookup(ring, 1, 3)
 
 
@@ -152,7 +166,7 @@ def test_join_two_way_split():
 
 def test_join_duplicate_node():
     ring = build_ring(3, ManyTokenEqualPart(30), 0)
-    with pytest.raises(DuplicateNode):
+    with pytest.raises(RingError, match="node 2 already in ring"):
         join(ring, 2, 1)
 
 
@@ -166,10 +180,10 @@ def test_leave_redistributes_evenly():
 
 def test_leave_unknown_and_last_node():
     ring = build_ring(1, ManyTokenEqualPart(8), 0)
-    with pytest.raises(LastNode):
+    with pytest.raises(RingError, match="cannot remove the only node"):
         leave(ring, 0, 0)
     ring2 = build_ring(2, ManyTokenEqualPart(8), 0)
-    with pytest.raises(UnknownNode):
+    with pytest.raises(RingError, match="node 9 not in ring"):
         leave(ring2, 9, 0)
 
 
@@ -246,12 +260,6 @@ def test_balance_stats_replicated_mean():
     assert stats.mean_load == pytest.approx(3 * 50_000 / 8)
 
 
-def test_serialization_round_trip():
-    for strategy in (ManyTokenEqualPart(96), LimitedTokenRandomPart(3)):
-        ring = build_ring(5, strategy, 12)
-        assert ring_from_json(ring_to_json(ring)) == ring
-
-
 ALL_STRATEGIES = (ManyTokenEqualPart(96), LimitedTokenEqualPart(8),
                   LimitedTokenRandomPart(8))
 
@@ -298,17 +306,15 @@ def owner_layouts(draw):
     cut = draw(st.integers(0, len(seq) - 1))
     seq = seq[cut:] + seq[:cut]
     r = draw(st.one_of(st.just(n), st.integers(1, n)))
-    d = {"nodes": ids, "seed": 0}
+    owners = np.array(seq, dtype=NODE_DTYPE)
     if draw(st.booleans()):
-        d.update(strategy={"kind": "many-token-equal-part", "q": len(seq)},
-                 q=len(seq), partition_owners=seq)
+        ring = RingState(ManyTokenEqualPart(len(seq)), tuple(ids), 0, owners)
     else:
         points = sorted(draw(st.sets(st.integers(0, CIRCLE - 1),
                                      min_size=len(seq), max_size=len(seq))))
-        d.update(strategy={"kind": "limited-token-random-part",
-                           "tokens_per_node": 1},
-                 tokens=[[p, o] for p, o in zip(points, seq)])
-    return ring_from_dict(d), seq, r
+        ring = RingState(LimitedTokenRandomPart(1), tuple(ids), 0, owners,
+                         np.array(points, dtype=np.uint64))
+    return ring, seq, r
 
 
 @settings(max_examples=200, deadline=None)
@@ -562,7 +568,7 @@ def test_movement_estimate_matches_key_by_key_count(
                               st.integers(0, 2**32)), min_size=1, max_size=6))
 def test_carried_positions_equal_a_fresh_ring(strategy, n, seed, ops):
     """join and leave carry each owner's position in ``nodes`` forward from
-    the parent ring; a ring read back from its dict has no cache and
+    the parent ring; a ring built from the same arrays has no cache and
     searches for them."""
     ring = build_ring(n, strategy, seed)
     for where, op_seed in ops:
@@ -582,7 +588,8 @@ def test_carried_positions_equal_a_fresh_ring(strategy, n, seed, ops):
             else:
                 continue
             ring, _ = join(ring, node, op_seed)
-        fresh = ring_from_dict(ring_to_dict(ring))
+        fresh = RingState(ring.strategy, ring.nodes, ring.seed,
+                          ring.slot_owner, ring.points)
         assert "slot_index" not in fresh._cache
         assert ring._slot_index().tolist() == fresh._slot_index().tolist()
         assert ring.token_counts() == fresh.token_counts()
@@ -596,10 +603,9 @@ def test_join_draw_that_hits_an_existing_point():
     join's tokens are the second and third draws."""
     hit = 17485029721327973432
     assert random.Random(7).getrandbits(64) == hit
-    ring = ring_from_dict({
-        "strategy": {"kind": "limited-token-random-part", "tokens_per_node": 2},
-        "nodes": [0, 1], "seed": 0,
-        "tokens": [[1 << 62, 0], [3 << 62, 1], [hit, 0]]})
+    ring = RingState(LimitedTokenRandomPart(2), (0, 1), 0,
+                     np.array([0, 1, 0], dtype=NODE_DTYPE),
+                     np.array([1 << 62, 3 << 62, hit], dtype=np.uint64))
     after, report = join(ring, 5, 7, key_sample=1000, sample_seed=3)
     assert report.moved_partitions == ((890727360438182992, 0, 5),
                                        (7283207964119141687, 1, 5))
@@ -629,38 +635,6 @@ def test_pickle_and_deepcopy_after_lookup():
             assert not restored.slot_owner.flags.writeable
             assert ring.is_equal_part or not restored.points.flags.writeable
             assert [lookup(restored, k, 3) for k in range(20)] == want
-
-
-def test_ring_from_dict_rejects_broken_layouts():
-    ring = build_ring(3, ManyTokenEqualPart(12), 1)
-    rand = build_ring(3, LimitedTokenRandomPart(2), 1)
-    bad = []
-    for change in (lambda d: d.update(nodes=[2, 1, 0]),           # unsorted
-                   lambda d: d.update(nodes=[0, 1, 2, 3]),        # 3 owns nothing
-                   lambda d: d["partition_owners"].__setitem__(0, 9),
-                   lambda d: d.update(q=13)):
-        d = ring_to_dict(ring)
-        change(d)
-        bad.append(d)
-    d = ring_to_dict(rand)
-    d["tokens"][0], d["tokens"][1] = d["tokens"][1], d["tokens"][0]
-    bad.append(d)
-    # a layout that contradicts the strategy: tokens on an equal-part ring,
-    # partitions on a random-part one, a partition count other than q
-    for strategy in ({"kind": "many-token-equal-part", "q": 6},
-                     {"kind": "limited-token-equal-part", "tokens_per_node": 2}):
-        bad.append(dict(ring_to_dict(rand), strategy=strategy))
-    bad.append(dict(ring_to_dict(ring), strategy={
-        "kind": "limited-token-random-part", "tokens_per_node": 4}))
-    bad.append(dict(ring_to_dict(ring), strategy={
-        "kind": "many-token-equal-part", "q": 8}))
-    for d in bad:
-        with pytest.raises(RingError):
-            ring_from_dict(d)
-    # q stays fixed on a limited-token-equal-part ring, so after a join it
-    # is not tokens_per_node * n, and the layout is still valid
-    joined, _ = join(build_ring(3, LimitedTokenEqualPart(4), 1), 3, 1)
-    assert ring_from_dict(ring_to_dict(joined)) == joined
 
 
 def test_strategy_dict_round_trip_and_rejects():

@@ -30,13 +30,11 @@ from dht_rebalance.sim import (
     MAX_TIME_EXCEEDED,
     STABILIZED,
     STORAGE_OVERFLOW,
-    EmptyRange,
     EventTable,
     SimConfig,
     event_to_dict,
     feasibility_threshold,
     run,
-    single_expansion_feasible,
     summary_dict,
     summary_json,
     validate_against_bounds,
@@ -284,7 +282,7 @@ def test_validate_report():
     assert len(report.rows) == 2
     assert {r.n for r in report.rows} == {4, 8}
     assert {r.breakdown_above for r in report.rows} == {CATCHUP_STARVATION}
-    with pytest.raises(EmptyRange):
+    with pytest.raises(ValueError, match="n-range is empty"):
         validate_against_bounds([], INCR_CLEAR, base)
 
 
@@ -361,13 +359,14 @@ def test_float_edge_concurrent_storage_overflow():
 
 
 def test_trace_lines_match_event_to_dict(tmp_path):
-    events = (_run_at(4, 0.5, INCR_CONC, 0.5, 7)       # joins, stabilized
-              + _run_at(1, 0.5, STAB_CLEAR, 0.5, 3)    # catch-up, n = 1
-              + _run_at(4, 0.5, STAB_CONC, 1.05, 6)    # expansion_overlap
-              + _run_at(4, 0.9, INCR_CLEAR, 0.5, 6)    # clear storage_overflow
-              + _run_at(4, 0.5, STAB_CLEAR, 0.95, 6))  # catchup_starvation
-    # concurrent storage_overflow: old nodes' level, joining node at S
-    events += run(_float_edge_config())[0]
+    tables = (_run_at(4, 0.5, INCR_CONC, 0.5, 7),      # joins, stabilized
+              _run_at(1, 0.5, STAB_CLEAR, 0.5, 3),     # catch-up, n = 1
+              _run_at(4, 0.5, STAB_CONC, 1.05, 6),     # expansion_overlap
+              _run_at(4, 0.9, INCR_CLEAR, 0.5, 6),     # clear storage_overflow
+              _run_at(4, 0.5, STAB_CLEAR, 0.95, 6),    # catchup_starvation
+              # concurrent storage_overflow: old nodes' level, joining node at S
+              run(_float_edge_config())[0])
+    events = EventTable([row for table in tables for row in table.rows])
     kinds = {(ev.kind, ev.breakdown_kind, ev.joining_level is not None)
              for ev in events}
     assert kinds == {
@@ -403,26 +402,23 @@ def test_event_table_is_a_list_of_rows():
     assert events == run(cfg)[0]
     other, _ = run(replace(cfg, n_target=5))
     assert events != other
-    both = events + other
-    assert isinstance(both, EventTable)
-    assert list(both) == rows + list(other)
-    assert repr(both) == repr(rows + list(other))
 
 
 def test_trace_lines_match_json_dumps_for_non_finite_and_int_values(tmp_path):
     # rate 1e-300 puts every event at time inf; the hand-built row below
     # holds the NaN
-    events = EventTable([])
+    rows = []
     for scenario in ALL_SCENARIOS:
-        events += run(SimConfig(params(4), scenario, 1e-300, n_target=6,
-                                max_sim_time=math.inf))[0]
+        rows += run(SimConfig(params(4), scenario, 1e-300, n_target=6,
+                              max_sim_time=math.inf))[0].rows
     # integer-valued inputs give integer levels, which json writes as ints
     p = ClusterParams(n=4, bandwidth=10**8, value_size=16, mu=1,
                       storage=10**12)
-    events += run(SimConfig(p, INCR_CLEAR, 1000, n_target=6,
-                            initial_fill=1))[0]
-    events += EventTable([(-math.inf, "breakdown", 2, -0.0, math.nan,
-                           math.inf, None, STORAGE_OVERFLOW)])
+    rows += run(SimConfig(p, INCR_CLEAR, 1000, n_target=6,
+                          initial_fill=1))[0].rows
+    rows.append((-math.inf, "breakdown", 2, -0.0, math.nan, math.inf, None,
+                 STORAGE_OVERFLOW))
+    events = EventTable(rows)
     path = tmp_path / "trace.jsonl"
     write_trace(events, str(path))
     text = path.read_text()
@@ -441,14 +437,15 @@ def test_trace_and_summary_of_an_exact_run(tmp_path):
     parses and equals its row with each Fraction made a float, and the
     summary serialises with ``default=float``."""
     p = _exact_link(4, Fraction(1, 2))
-    events = EventTable([])
+    rows = []
     for scenario in ALL_SCENARIOS:
         rate = p.max_write_rate / 9
         if scenario.workload is WorkloadKind.STABLE_TOTAL:
             rate *= 4
         table, outcome = run(SimConfig(p, scenario, rate, 7,
                                        initial_fill=Fraction(1, 3)))
-        events += table
+        rows += table.rows
+    events = EventTable(rows)
     assert "catchup_completed" in {ev.kind for ev in events}
     assert any(isinstance(ev.level, Fraction) and ev.level.denominator > 1
                for ev in events)
@@ -689,8 +686,8 @@ def test_clear_level_reaching_storage_at_catchup_end_overflows():
 
 def _single_expansion(p, scenario, lam, fill):
     """How one n -> n+1 expansion from fill*mu*S ends at per-node rate lam,
-    as ``single_expansion_feasible`` runs it: (outcome kind, breakdown kind),
-    or the exception's name."""
+    as a ``run`` with the threshold probe's target: (outcome kind, breakdown
+    kind), or the exception's name."""
     rate = lam * p.n if scenario.workload is WorkloadKind.STABLE_TOTAL else lam
     try:
         _, outcome = run(SimConfig(p, scenario, rate, p.n + 1, fill))
@@ -708,9 +705,9 @@ def test_threshold_probe_is_exact_on_exact_inputs():
     bound = Fraction(3_906_250)
     assert _single_expansion(p, INCR_CLEAR, bound, 1) == (BREAKDOWN,
                                                           CATCHUP_STARVATION)
-    assert single_expansion_feasible(p, INCR_CLEAR, bound) is False
+    assert sim_mod._probe(p, INCR_CLEAR, bound) == CATCHUP_STARVATION
     below = bound * (1 - Fraction(1, 2 ** 40))
-    assert single_expansion_feasible(p, INCR_CLEAR, below) is True
+    assert sim_mod._probe(p, INCR_CLEAR, below) == STABILIZED
 
 
 # the lattice's trigger fill ratios: sixteenths, and 1 - 2**-j up to j = 9
@@ -774,8 +771,8 @@ def test_each_form_is_the_root_of_its_kernel_condition(scenario):
                                                               breakdown)
             assert _single_expansion(p, scenario, lam * below, 1) == (
                 STABILIZED, None), (scenario.name, n, mu)
-            assert not single_expansion_feasible(p, scenario, lam)
-            assert single_expansion_feasible(p, scenario, lam * below)
+            assert sim_mod._probe(p, scenario, lam) == breakdown
+            assert sim_mod._probe(p, scenario, lam * below) == STABILIZED
 
 
 def _exact_threshold_bracket(p, scenario):
@@ -1126,21 +1123,11 @@ def test_threshold_over_b_does_not_depend_on_the_link(scenario, log_n, mu,
 
 def test_threshold_checks_the_top_of_its_range():
     """One check at b/v covers every probe: a write inflow that overflows
-    there is rejected before the first probe, while a single probe at a
-    lower rate still runs."""
+    there is rejected before the first probe."""
     p = ClusterParams(n=2, bandwidth=1e308, value_size=1.0, mu=0.5)
     for scenario in ALL_SCENARIOS:
         with pytest.raises(ValueError):
             feasibility_threshold(p, scenario)
-        assert single_expansion_feasible(p, scenario, 1e300) in (True, False)
-
-
-def test_single_expansion_feasible_rejects_bad_rates():
-    """The public probe checks its rate on every call."""
-    for scenario in ALL_SCENARIOS:
-        for lam in (math.inf, math.nan, -1.0):
-            with pytest.raises(ValueError):
-                single_expansion_feasible(params(4), scenario, lam)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1152,13 +1139,12 @@ def test_single_expansion_feasible_rejects_bad_rates():
        storage=st.floats(1e9, 1e13),
        fracs=st.lists(st.one_of(st.floats(0.0, 2.0), st.floats(0.999, 1.001)),
                       min_size=2, max_size=12))
-def test_single_expansion_feasible_is_monotone_in_rate(scenario, n, mu,
-                                                       bandwidth, value_size,
-                                                       storage, fracs):
-    """feasibility_threshold bisects on the rate: every rate below a
-    feasible one must be feasible too."""
+def test_threshold_probe_is_monotone_in_rate(scenario, n, mu, bandwidth,
+                                            value_size, storage, fracs):
+    """feasibility_threshold bisects on the rate with its probe: every rate
+    below one the probe shows stabilizes must stabilize too."""
     p = ClusterParams(n=n, bandwidth=bandwidth, value_size=value_size, mu=mu,
                       storage=storage)
     lams = sorted(f * _rate_scale(p, scenario) for f in fracs)
-    feasible = [single_expansion_feasible(p, scenario, lam) for lam in lams]
+    feasible = [sim_mod._probe(p, scenario, lam) == STABILIZED for lam in lams]
     assert feasible == sorted(feasible, reverse=True)
