@@ -39,6 +39,14 @@ The six closed forms are written once, as one entry per workload and kind
 kinds asked for (all three by default), or ``bound_report`` for a
 scenario's applicable kinds and the binding one.  ``min_feasible_n`` reads
 the table for its enforced kinds only.
+
+The table is keyed by each kind's value string.  ``_KEYS`` reads those
+strings once at import, since ``Enum.value`` is a Python-level property, and
+a table's values come in the order of the kinds asked for, so its readers
+take them in order.  The three enums hash by identity: a member is a
+singleton and ``==`` on members is already identity, so a dict or set
+lookup means what it did, without enum's Python-level ``__hash__``.
+``Scenario.name`` is formatted once per instance and cached.
 """
 
 from __future__ import annotations
@@ -47,6 +55,8 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -60,10 +70,14 @@ class WorkloadKind(Enum):
     INCREASING_PER_NODE = "increasing"
     STABLE_TOTAL = "stable"
 
+    __hash__ = object.__hash__  # identity: see the module docstring
+
 
 class StabilizationMode(Enum):
     CONCURRENT = "concurrent"
     CLEAR = "clear"
+
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -71,8 +85,9 @@ class Scenario:
     workload: WorkloadKind
     mode: StabilizationMode
 
-    @property
+    @cached_property
     def name(self) -> str:
+        """'<workload>-<mode>', formatted once per instance."""
         return f"{self.workload.value}-{self.mode.value}"
 
     @classmethod
@@ -106,8 +121,8 @@ class ClusterParams:
     def __post_init__(self):
         if not 1 <= self.n <= sys.float_info.max:
             raise ValueError(f"n must be >= 1 and at most {sys.float_info.max:.3g}")
-        link = (self.bandwidth, self.value_size, self.storage)
-        if not all(0 < x < math.inf for x in link):
+        if not (0 < self.bandwidth < math.inf and 0 < self.value_size < math.inf
+                and 0 < self.storage < math.inf):
             raise ValueError("bandwidth, value_size and storage must be finite and > 0")
         if not 0 < self.bandwidth / self.value_size < math.inf:
             raise ValueError("bandwidth / value_size must be finite and > 0")
@@ -129,6 +144,13 @@ class BoundKind(Enum):
     STORAGE = "storage"
     BANDWIDTH = "bandwidth"
     TIME = "time"
+
+    __hash__ = object.__hash__
+
+
+_KINDS = tuple(BoundKind)
+# each kind's table key, read once here: Enum.value is a Python-level property
+_KEYS = {kind: kind.value for kind in _KINDS}
 
 
 @dataclass(frozen=True)
@@ -167,13 +189,13 @@ _FORMS = {
 
 
 def bound_table(n, mu, b_rate, workload: WorkloadKind,
-                kinds=tuple(BoundKind)) -> dict:
+                kinds=_KINDS) -> dict:
     """{BoundKind value: writes/s per node} for one workload at size n (an
     int or an integer ndarray), b_rate = B, holding the given kinds only.
     The only place the six closed forms are written; a scalar n gives the
     bits of an ndarray element, and a form reads mu only for storage."""
     forms = _FORMS[workload]
-    return {kind.value: forms[kind](n, mu, b_rate) for kind in kinds}
+    return {_KEYS[kind]: forms[kind](n, mu, b_rate) for kind in kinds}
 
 
 def applicable_kinds(scenario: Scenario) -> tuple[BoundKind, ...]:
@@ -184,6 +206,9 @@ def applicable_kinds(scenario: Scenario) -> tuple[BoundKind, ...]:
     return (BoundKind.TIME,)
 
 
+_entry_value = attrgetter("value")
+
+
 def bound_report(params: ClusterParams, scenario: Scenario) -> BoundReport:
     """All three bound kinds for a scenario; binding = min over applicable.
 
@@ -192,9 +217,10 @@ def bound_report(params: ClusterParams, scenario: Scenario) -> BoundReport:
     """
     table = bound_table(params.n, params.mu, params.max_write_rate, scenario.workload)
     applicable = applicable_kinds(scenario)
-    entries = tuple(BoundEntry(kind, float(table[kind.value]), kind in applicable)
-                    for kind in BoundKind)
-    binding = min((e for e in entries if e.applicable), key=lambda e: e.value)
+    # the table holds every kind, in _KINDS order
+    entries = tuple([BoundEntry(kind, float(value), kind in applicable)
+                     for kind, value in zip(_KINDS, table.values())])
+    binding = min([e for e in entries if e.applicable], key=_entry_value)
     return BoundReport(scenario, entries, binding)
 
 
@@ -284,7 +310,7 @@ def min_feasible_n(
         gives the bits of the scan's array element."""
         table = bound_table(n, mu, b_rate, scenario.workload, enforced)
         lam = rate / n if stable else rate
-        return not all(lam < table[k.value] * slack for k in enforced)
+        return not all(lam < bound * slack for bound in table.values())
 
     # all() of no enforced kind is True, and then N = 1 qualifies
     if not misses(1, 1.0):
@@ -307,7 +333,8 @@ def min_feasible_n(
         n = np.arange(start, min(start + block, top + 1))
         table = bound_table(n, mu, b_rate, scenario.workload, enforced)
         lam = rate / n if stable else rate
-        hits = np.flatnonzero(np.all([lam < table[k.value] for k in enforced], axis=0))
+        hits = np.flatnonzero(np.all([lam < bound for bound in table.values()],
+                                     axis=0))
         if hits.size:
             return int(n[hits[0]])
         start += block

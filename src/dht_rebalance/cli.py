@@ -28,7 +28,7 @@ import re
 import signal
 import sys
 from collections import defaultdict
-from itertools import repeat, starmap
+from itertools import chain, repeat, starmap
 
 import numpy as np
 
@@ -128,11 +128,12 @@ _CSV_BLOCK = 4_096     # sizes per CSV write: a block's rows are all in memory
 def _sweep_groups(n_min: int, n_max: int, mu_values, scenarios,
                   bandwidth: float, value_size: float):
     """Check the sweep's inputs, then return an iterator over its curve
-    groups, one block of sizes at a time: (scenario name, bound_kind, n,
-    values) in (scenario, bound_kind, n) order.  ``values`` holds the
-    group's curves at the sizes n: one per mu value with the group's label,
-    for each copy of the scenario, in input order.  It is the curve itself
-    when the group has one, and one column per curve otherwise.
+    groups, one block of sizes at a time: (scenario name, bound_kind, sizes,
+    values) in (scenario, bound_kind, n) order, with sizes the block's n as
+    a list of ints.  ``values`` holds the group's curves at those sizes: one
+    per mu value with the group's label, for each copy of the scenario, in
+    input order.  It is the curve itself when the group has one, and one
+    column per curve otherwise.
 
     A range outside 1 <= n_min < n_max <= 10**6 is rejected, and so are a
     link and a mu that ClusterParams rejects and an empty mu list when a
@@ -155,16 +156,18 @@ def _sweep_groups(n_min: int, n_max: int, mu_values, scenarios,
 
 def _curve_groups(blocks, mu_values, scenarios, b_rate):
     names = [scenario.name for scenario in scenarios]
+    # the first block's sizes as ints once, for every curve that reads them
+    first_sizes = blocks[0].tolist()
     for name, scenario in sorted(dict(zip(names, scenarios)).items()):
         # a repeated scenario repeats its curves
         args = (scenario, mu_values, b_rate, names.count(name))
         first = _curves(blocks[0], *args)
         for label in sorted(first):
-            yield name, label, blocks[0], first[label]
+            yield name, label, first_sizes, first[label]
             # a later block's table is built again per label, so no more
             # than one block is held
             for block in blocks[1:]:
-                yield name, label, block, _curves(block, *args)[label]
+                yield name, label, block.tolist(), _curves(block, *args)[label]
 
 
 def _curves(n, scenario: Scenario, mu_values, b_rate, copies: int) -> dict:
@@ -176,12 +179,12 @@ def _curves(n, scenario: Scenario, mu_values, b_rate, copies: int) -> dict:
     # bandwidth and time forms do not read mu
     table = bnd.bound_table(n[:, None], np.array(mu_values, dtype=float),
                             b_rate, scenario.workload, kinds)
-    for kind in kinds:
-        if kind is BoundKind.STORAGE:
+    for key, values in table.items():
+        if key == "storage":
             for j, mu in enumerate(mu_values):
-                curves[f"storage(mu={mu:g})"].append(table["storage"][:, j])
+                curves[f"storage(mu={mu:g})"].append(values[:, j])
         else:
-            curves[kind.value].append(table[kind.value].ravel())
+            curves[key].append(values.ravel())
     # a lone curve as it is; else the curves of one label as columns, each
     # scenario copy's in turn
     return {label: group[0] if len(group) * copies == 1
@@ -189,13 +192,14 @@ def _curves(n, scenario: Scenario, mu_values, b_rate, copies: int) -> dict:
             for label, group in curves.items()}
 
 
-def _group_rows(name: str, label: str, n, values):
+def _group_rows(name: str, label: str, sizes: list, values):
     """One group's rows (n, scenario, bound_kind, value), its curves
     alternating per n."""
     if values.ndim == 1:
-        return zip(n.tolist(), repeat(name), repeat(label), values.tolist())
-    return zip(np.repeat(n, values.shape[1]).tolist(), repeat(name),
-               repeat(label), values.ravel().tolist())
+        return zip(sizes, repeat(name), repeat(label), values.tolist())
+    # each size once per curve: its n repeated values.shape[1] times
+    return zip(chain.from_iterable(zip(*repeat(sizes, values.shape[1]))),
+               repeat(name), repeat(label), values.ravel().tolist())
 
 
 def sweep_rows(n_min: int, n_max: int, mu_values, scenarios,
@@ -232,9 +236,9 @@ def cmd_sweep(args) -> int:
                            float(args.value_size))
     with open(args.out, "w", newline="") as fh:
         fh.write("n,scenario,bound_kind,lambda_bound_writes_per_s\r\n")
-        for name, label, n, values in groups:
-            for i in range(0, len(n), _CSV_BLOCK):
-                rows = _group_rows(name, label, n[i:i + _CSV_BLOCK],
+        for name, label, sizes, values in groups:
+            for i in range(0, len(sizes), _CSV_BLOCK):
+                rows = _group_rows(name, label, sizes[i:i + _CSV_BLOCK],
                                    values[i:i + _CSV_BLOCK])
                 fh.write("".join(starmap(_CSV_LINE, rows)))
     return EXIT_OK

@@ -423,6 +423,13 @@ def _probe(params: ClusterParams, scenario: Scenario, lam) -> str:
     return rows[-1][-1] if kind == BREAKDOWN else kind
 
 
+def _binding(params: ClusterParams, scenario: Scenario) -> float:
+    """The scenario's binding bound at params, writes/s per node."""
+    return float(min(bound_table(params.n, params.mu, params.max_write_rate,
+                                 scenario.workload,
+                                 applicable_kinds(scenario)).values()))
+
+
 def _threshold_bracket(params: ClusterParams, scenario: Scenario):
     """(threshold, binding bound it seeded from, how its probe at the
     smallest rate shown unstable ended, or ``NO_BREAKDOWN`` if no rate
@@ -437,8 +444,7 @@ def _threshold_bracket(params: ClusterParams, scenario: Scenario):
     # the memo: every rate up to stable_to stabilizes, none from
     # unstable_from up does (its probe ended as above); no probe has run yet
     stable_to, unstable_from, above = 0.0, math.inf, NO_BREAKDOWN
-    binding = float(min(bound_table(params.n, params.mu, top, scenario.workload,
-                                    applicable_kinds(scenario)).values()))
+    binding = _binding(params, scenario)
     for lam in (binding * (1.0 - _SEED_OFFSET), binding * (1.0 + _SEED_OFFSET)):
         if 0 < lam < top:
             ending = _probe(params, scenario, lam)
@@ -517,13 +523,21 @@ def validate_against_bounds(n_values, scenario: Scenario,
     """Compare bisected thresholds to the analytic binding bound per size,
     and name the breakdown just above each threshold.
 
-    Rejects an empty n_values, an n that ClusterParams rejects and a tol
-    below 1e-6 (or NaN) before any bisection."""
+    Rejects an empty n_values, an n that ClusterParams rejects, an n whose
+    binding bound underflows to 0 (a subnormal b/v), against which no
+    relative error exists, and a tol below 1e-6 (or NaN) before any
+    bisection."""
     if not tol >= 1e-6:
         raise ValueError("tol must be >= 1e-6")
     sizes = [replace(base_params, n=n) for n in n_values]
     if not sizes:
         raise ValueError("n-range is empty")
+    for params in sizes:
+        if not _binding(params, scenario) > 0:
+            raise ValueError(
+                f"the binding bound underflows to 0 at n = {params.n}: "
+                f"bandwidth / value_size = {params.max_write_rate:g} is too "
+                "small")
     rows = []
     for params in sizes:
         simulated, analytic, above = _threshold_bracket(params, scenario)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import random
 import sys
 
@@ -581,3 +582,31 @@ def test_scenario_parsing():
     assert len(ALL_SCENARIOS) == 4
     with pytest.raises(ValueError):
         Scenario.parse("bogus")
+
+
+def test_identity_hashing_keeps_enum_and_scenario_semantics():
+    """The enums hash by identity and Scenario caches its name: a lookup by
+    value gives the one member, a pickle round trip gives equal members,
+    scenarios, hashes and names, and bound_table stays keyed by the value
+    strings."""
+    assert BoundKind("storage") is BoundKind.STORAGE
+    assert WorkloadKind("stable") is STB
+    assert StabilizationMode("clear") is StabilizationMode.CLEAR
+    for member in (*BoundKind, *WorkloadKind, *StabilizationMode):
+        copy = pickle.loads(pickle.dumps(member))
+        assert copy is member and hash(copy) == hash(member)
+    for sc in ALL_SCENARIOS:
+        assert Scenario.parse(sc.name) == sc
+        assert hash(Scenario.parse(sc.name)) == hash(sc)
+        fresh = Scenario(sc.workload, sc.mode)
+        cached = pickle.loads(pickle.dumps(sc))
+        assert vars(cached)["name"] == sc.name  # the cache travels along
+        for copy in (cached, pickle.loads(pickle.dumps(fresh))):
+            assert copy == sc and hash(copy) == hash(sc)
+            assert copy.name == sc.name
+        assert {sc: 1}[fresh] == 1
+    for workload in WorkloadKind:
+        assert list(bound_table(4, 0.5, B, workload)) == [
+            "storage", "bandwidth", "time"]
+        assert list(bound_table(4, 0.5, B, workload, (BoundKind.TIME,))) == [
+            "time"]

@@ -557,6 +557,21 @@ def test_validate_bandwidth_too_large(capsys):
     assert "rate" not in captured.err
 
 
+def test_validate_binding_bound_underflow(capsys):
+    """A subnormal B = bandwidth / value_size whose binding bound underflows
+    to 0 at some n has no relative error there: that n is named before any
+    row is printed, even when an earlier n has a bound above 0."""
+    rc = main(["validate", "--n-list", "2,1000", "--bandwidth", "1e-300",
+               "--value-size", "1e23",
+               "--scenario-list", "increasing-concurrent"])
+    assert rc == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: the binding bound underflows to 0 at n = 1000:")
+    assert captured.err.count("\n") == 1
+
+
 def test_validate_nan_tol(capsys):
     rc = main(["validate", "--n-list", "4",
                "--scenario-list", "increasing-concurrent", "--tol", "nan"])
@@ -793,8 +808,11 @@ def test_process_exit_codes(tmp_path):
      "--value-size", "1e-300"],
     # 2**31 nodes on 3 partitions: rejected before a node tuple is built
     ["ring-stats", "--nodes", "2147483648", "--q", "3", "--keys", "10"],
+    # a subnormal B whose binding bound B / 1001 underflows to 0
+    ["validate", "--n-list", "1000", "--bandwidth", "1e-300",
+     "--value-size", "1e23", "--scenario-list", "increasing-concurrent"],
 ], ids=["validate-b-zero", "bounds-b-inf", "sweep-b-inf", "case-study-b-inf",
-        "validate-b-inf", "ring-stats-huge"])
+        "validate-b-inf", "ring-stats-huge", "validate-binding-zero"])
 def test_process_rejects_a_degenerate_link_or_ring(tmp_path, argv):
     """Exit 2 with one error line, no traceback and no output."""
     proc = _run_process(*argv, cwd=tmp_path)
