@@ -24,7 +24,6 @@ from .ring import (
     join,
     leave,
     lookup,
-    lookup_many,
 )
 from .sim import (
     EventTable,

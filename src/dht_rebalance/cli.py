@@ -317,20 +317,19 @@ def cmd_validate(args) -> int:
     base = ClusterParams(n=1, bandwidth=parse_bandwidth(args.bandwidth),
                          value_size=float(args.value_size), mu=args.mu,
                          storage=args.storage)
-    # every report before any output, so bad input prints no partial table
-    reports = [sim_mod.validate_against_bounds(n_values, scenario, base,
-                                               tol=args.tol)
-               for scenario in scenarios]
+    # every row before any output, so bad input prints no partial table
+    rows = [row for scenario in scenarios
+            for row in sim_mod.validate_against_bounds(n_values, scenario, base,
+                                                       tol=args.tol)]
     print(f"{'n':>4} {'scenario':<22} {'analytic':>14} {'simulated':>14} "
           f"{'rel_err':>10}  result  breakdown_above")
-    for scenario, report in zip(scenarios, reports):
-        for row in report.rows:
-            status = "pass" if row.passed else "FAIL"
-            print(f"{row.n:>4} {scenario.name:<22} {row.analytic_bound:>14.6g} "
-                  f"{row.simulated_threshold:>14.6g} "
-                  f"{row.relative_error:>10.3e}  {status:<6}  "
-                  f"{row.breakdown_above}")
-    return EXIT_OK if all(r.all_passed for r in reports) else EXIT_VALIDATION
+    for row in rows:
+        status = "pass" if row.passed else "FAIL"
+        print(f"{row.n:>4} {row.scenario.name:<22} {row.analytic_bound:>14.6g} "
+              f"{row.simulated_threshold:>14.6g} "
+              f"{row.relative_error:>10.3e}  {status:<6}  "
+              f"{row.breakdown_above}")
+    return EXIT_OK if all(row.passed for row in rows) else EXIT_VALIDATION
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     # the link options of bounds, sweep and validate
     link = argparse.ArgumentParser(add_help=False)
     link.add_argument("--bandwidth", default=DEFAULT_BANDWIDTH)
-    link.add_argument("--value-size", default=16.0, dest="value_size")
+    link.add_argument("--value-size", default=16.0)
 
     p = sub.add_parser("bounds", parents=[link],
                        help="evaluate the feasibility bounds")
@@ -458,10 +457,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[link],
                        help="emit bound curves over N as CSV")
-    p.add_argument("--n-min", type=int, required=True, dest="n_min")
-    p.add_argument("--n-max", type=int, required=True, dest="n_max")
-    p.add_argument("--mu-list", default="0.3,0.5,0.7", dest="mu_list")
-    p.add_argument("--scenario-list", default="all", dest="scenario_list")
+    p.add_argument("--n-min", type=int, required=True)
+    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--mu-list", default="0.3,0.5,0.7")
+    p.add_argument("--scenario-list", default="all")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 
@@ -473,22 +472,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", parents=[link],
                        help="cross-check simulated thresholds against the bounds")
-    p.add_argument("--n-list", required=True, dest="n_list")
-    p.add_argument("--scenario-list", default="all", dest="scenario_list")
+    p.add_argument("--n-list", required=True)
+    p.add_argument("--scenario-list", default="all")
     p.add_argument("--tol", type=float, default=0.02)
     p.add_argument("--mu", type=float, default=0.5)
     p.add_argument("--storage", type=float, default=ClusterParams.storage)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("case-study", help="metro-IoT sizing analysis")
-    p.add_argument("--override-total-rate", type=float, default=4_800_000.0,
-                   dest="override_total_rate")
-    p.add_argument("--override-value-size", type=float, default=240.0,
-                   dest="override_value_size")
-    p.add_argument("--override-bandwidth", default="1Gbps",
-                   dest="override_bandwidth")
-    p.add_argument("--override-mu", type=float, default=0.5,
-                   dest="override_mu")
+    p.add_argument("--override-total-rate", type=float, default=4_800_000.0)
+    p.add_argument("--override-value-size", type=float, default=240.0)
+    p.add_argument("--override-bandwidth", default="1Gbps")
+    p.add_argument("--override-mu", type=float, default=0.5)
     p.set_defaults(func=cmd_case_study)
 
     p = sub.add_parser("ring-stats",

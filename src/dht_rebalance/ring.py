@@ -21,11 +21,11 @@ positions in ``nodes`` are cached too, and ``join`` and ``leave`` carry them
 forward from the parent ring.  The replica owner table (the first r
 distinct nodes clockwise from every slot) is built from them with numpy
 once per ring and replication factor, level-major, and cached on the state;
-``lookup``, ``lookup_many`` and ``balance_stats`` all read it.  ``lookup``
-checks r once per ring and r and caches a resolver holding the table, the
-nodes and the slot finder: the key's top bits on a ring of 2**b equal
-partitions, arithmetic on other equal-part rings, a bisection of a cached
-memoryview of the points on a random-part ring.  A key sample is hashed,
+``lookup`` and ``balance_stats`` both read it.  ``lookup`` checks r once per
+ring and r and caches a resolver holding the table, the nodes and the slot
+finder: the key's top bits on a ring of 2**b equal partitions, arithmetic on
+other equal-part rings, a bisection of a memoryview of the points on a
+random-part ring.  A key sample is hashed,
 placed and counted in the one array that hashing allocates: a key's
 partition is arithmetic (for Q = 2**b, b <= 31, the top b bits of the hash
 taken before SplitMix64's last step, which does not change them), and
@@ -80,10 +80,10 @@ def _premix64(x: int) -> int:
     return ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
 
 
-def hash_key(key: int, seed: int = 0) -> int:
+def hash_key(key: int) -> int:
     """Circle position of a key, any integer (numpy ones too) taken modulo
-    2**64 as ``lookup_many`` takes it; the seed perturbs the input word."""
-    return mix64((operator.index(key) ^ seed) & MASK64)
+    2**64."""
+    return mix64(operator.index(key) & MASK64)
 
 
 _C_ADD = np.uint64(0x9E3779B97F4A7C15)
@@ -121,11 +121,6 @@ def _key_words(k: int, seed: int) -> np.ndarray:
     return words
 
 
-def _hash_keys(k: int, seed: int) -> np.ndarray:
-    """``hash_key(i, seed)`` for i in 0..k-1, in one new array."""
-    return _mix64_array(_key_words(k, seed))
-
-
 # ---------------------------------------------------------------------------
 # strategies and state
 
@@ -160,9 +155,8 @@ class RingState:
     ``owners`` (equal-part: the owner per partition) and ``tokens``
     (random-part: the sorted (token_point, owner) pairs) are tuple-of-int
     views, built on first access and never by the operations of this module.
-    Derived arrays, the replica tables, ``lookup``'s resolver per r and,
-    for a random-part ``lookup``, a memoryview of the points are cached on
-    the state.
+    Derived arrays, the replica tables and ``lookup``'s resolver per r are
+    cached on the state.
     """
 
     strategy: Strategy
@@ -191,8 +185,8 @@ class RingState:
         return hash((self.strategy, self.nodes, self.seed))
 
     def __getstate__(self):
-        # the cache is derived, and its memoryview of the points and lookup
-        # closures cannot be pickled or deep-copied
+        # the cache is derived, and its lookup closures (which hold a
+        # memoryview of the points) cannot be pickled or deep-copied
         return {**self.__dict__, "_cache": {}}
 
     def __setstate__(self, state):
@@ -231,12 +225,6 @@ class RingState:
         return self._cached("tokens", lambda: tuple(
             zip(self.points.tolist(), self.slot_owner.tolist())))
 
-    def _point_view(self) -> memoryview:
-        """Random-part: a memoryview of the token points.  Its items read as
-        Python ints, so ``bisect`` searches it for one key several times
-        faster than numpy does, and it copies nothing."""
-        return self._cached("point_view", lambda: memoryview(self.points))
-
     def _slot_index(self) -> np.ndarray:
         """Position in ``nodes`` of each slot's owner: set by the operations
         of this module, searched for on a ring built by hand."""
@@ -252,7 +240,8 @@ class RingState:
         return dict(zip(self.nodes, self._node_slot_counts().tolist()))
 
     def _sample_counts(self, k: int, seed: int) -> np.ndarray:
-        """Number of the keys ``hash_key(i, seed)``, i < k, in each slot."""
+        """Number of the keys i < k, hashed as ``hash_key(i ^ seed)``, in
+        each slot."""
         words = _key_words(k, seed)
         if self.is_equal_part:
             return np.bincount(_partitions_of_words(words, self.q),
@@ -299,8 +288,6 @@ def partition_of(h: int, q: int) -> int:
     Partitions are equal-width ranges of 2**64 // q positions; the last
     partition absorbs the division remainder.
     """
-    if q == 1:
-        return 0
     return min(h // (CIRCLE // q), q - 1)
 
 
@@ -419,7 +406,8 @@ def build_ring(n: int, strategy: Strategy, seed: int) -> RingState:
         q = strategy.tokens_per_node * n
     if q < n:
         raise RingError(f"q={q} < n={n}")
-    _check_slot_count(q)
+    if q > MAX_SLOTS:
+        raise RingError(f"{q} slots exceed the cap of {MAX_SLOTS}")
     rng = random.Random(seed)
     nodes = tuple(range(n))
 
@@ -472,11 +460,6 @@ def _draw_tokens(rng: random.Random, t: int, used: set[int]) -> np.ndarray:
     return np.array(out, dtype=np.uint64)
 
 
-def _check_slot_count(slots: int) -> None:
-    if slots > MAX_SLOTS:
-        raise RingError(f"{slots} slots exceed the cap of {MAX_SLOTS}")
-
-
 def _check_node_id(node: int) -> None:
     lo, hi = _NODE_ID_RANGE
     if not lo <= node <= hi:
@@ -514,10 +497,12 @@ def _lookup_resolver(ring: RingState, r: int):
     """``lookup(ring, ·, r)`` for an r already checked, with ``hash_key``
     inlined: the slot is the key's top bits on a ring of 2**b equal
     partitions, arithmetic on other equal-part rings, and a bisection of the
-    cached point view on a random-part ring."""
+    points on a random-part ring.  The points are bisected as a memoryview:
+    its items read as Python ints, so ``bisect`` searches it for one key
+    several times faster than numpy does, and it copies nothing."""
     table, nodes = ring.replica_table(r), ring.nodes
     if not ring.is_equal_part:
-        points = ring._point_view()
+        points = memoryview(ring.points)
         n_points = len(points)
 
         def resolve(key):
@@ -540,27 +525,6 @@ def _lookup_resolver(ring: RingState, r: int):
         return [nodes[i] for i in
                 table[partition_of(hash_key(key), q)].tolist()]
     return resolve
-
-
-def lookup_many(ring: RingState, keys, r: int = 1) -> np.ndarray:
-    """Replica owners of many keys: row i equals ``lookup(ring, keys[i], r)``.
-
-    ``keys`` is a sequence or array of integers; returns an int64 array of
-    shape (len(keys), r).
-    """
-    _check_lookup_replication(ring, r)
-    if isinstance(keys, np.ndarray) and keys.dtype.kind in "iu":
-        words = keys.astype(np.uint64)   # a copy; wraps as ``& MASK64`` does
-    else:
-        words = np.array([operator.index(k) & MASK64 for k in keys],
-                         dtype=np.uint64)
-    if ring.is_equal_part:
-        slots = _partitions_of_words(words, ring.q)
-    else:
-        slots = (np.searchsorted(ring.points, _mix64_array(words))
-                 % len(ring.points))
-    node_ids = np.asarray(ring.nodes, dtype=np.int64)
-    return node_ids[ring.replica_table(r)[slots]]
 
 
 # ---------------------------------------------------------------------------
@@ -741,8 +705,8 @@ def _movement_estimate(ring: RingState, slots: np.ndarray, k: int,
     if ring.is_equal_part:
         in_slots = int(ring._sample_counts(k, sample_seed)[slots].sum())
     else:
-        in_slots = _count_in_tokens(_hash_keys(k, sample_seed), ring.points,
-                                    slots)
+        in_slots = _count_in_tokens(_mix64_array(_key_words(k, sample_seed)),
+                                    ring.points, slots)
     moved_keys = in_slots * r
     return moved_keys, moved_keys * v
 

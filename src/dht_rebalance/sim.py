@@ -212,9 +212,6 @@ class EventTable(Sequence[SimEvent]):
     def __iter__(self) -> Iterator[SimEvent]:
         return starmap(SimEvent, self.rows)
 
-    def __reversed__(self) -> Iterator[SimEvent]:
-        return starmap(SimEvent, reversed(self.rows))
-
     def __eq__(self, other):
         if not isinstance(other, EventTable):
             return NotImplemented
@@ -423,13 +420,6 @@ def _probe(params: ClusterParams, scenario: Scenario, lam) -> str:
     return rows[-1][-1] if kind == BREAKDOWN else kind
 
 
-def _binding(params: ClusterParams, scenario: Scenario) -> float:
-    """The scenario's binding bound at params, writes/s per node."""
-    return float(min(bound_table(params.n, params.mu, params.max_write_rate,
-                                 scenario.workload,
-                                 applicable_kinds(scenario)).values()))
-
-
 def _threshold_bracket(params: ClusterParams, scenario: Scenario):
     """(threshold, binding bound it seeded from, how its probe at the
     smallest rate shown unstable ended, or ``NO_BREAKDOWN`` if no rate
@@ -444,7 +434,13 @@ def _threshold_bracket(params: ClusterParams, scenario: Scenario):
     # the memo: every rate up to stable_to stabilizes, none from
     # unstable_from up does (its probe ended as above); no probe has run yet
     stable_to, unstable_from, above = 0.0, math.inf, NO_BREAKDOWN
-    binding = _binding(params, scenario)
+    binding = float(min(bound_table(params.n, params.mu, top,
+                                    scenario.workload,
+                                    applicable_kinds(scenario)).values()))
+    if not binding > 0:
+        raise ValueError(
+            f"the binding bound underflows to 0 at n = {params.n}: "
+            f"bandwidth / value_size = {top:g} is too small")
     for lam in (binding * (1.0 - _SEED_OFFSET), binding * (1.0 + _SEED_OFFSET)):
         if 0 < lam < top:
             ending = _probe(params, scenario, lam)
@@ -475,7 +471,8 @@ def feasibility_threshold(params: ClusterParams, scenario: Scenario) -> float:
 
     The write inflow rises with the rate, so checking the probe at b/v
     checks every probe: they run the kernel unchecked.  At b/v the inflow
-    is about b * (n + 1), so a bandwidth too large for that is named.
+    is about b * (n + 1), so a bandwidth too large for that is named, and so
+    is a binding bound that underflows to 0 (a subnormal b/v).
 
     Each midpoint is decided by a memo of monotone facts where it can be:
     one at or below the largest rate a probe showed stabilizes is stable,
@@ -507,44 +504,28 @@ class ValidationRow:
     breakdown_above: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    rows: tuple[ValidationRow, ...]
-    tol: float
-
-    @property
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.rows)
-
-
 def validate_against_bounds(n_values, scenario: Scenario,
                             base_params: ClusterParams,
-                            tol: float = 0.02) -> ValidationReport:
+                            tol: float = 0.02) -> tuple[ValidationRow, ...]:
     """Compare bisected thresholds to the analytic binding bound per size,
-    and name the breakdown just above each threshold.
+    and name the breakdown just above each threshold; one row per size.
 
-    Rejects an empty n_values, an n that ClusterParams rejects, an n whose
-    binding bound underflows to 0 (a subnormal b/v), against which no
-    relative error exists, and a tol below 1e-6 (or NaN) before any
-    bisection."""
+    Rejects an empty n_values, an n that ClusterParams rejects and a tol
+    below 1e-6 (or NaN) before any bisection, and an n whose binding bound
+    underflows to 0 (a subnormal b/v), against which no relative error
+    exists, at its bisection."""
     if not tol >= 1e-6:
         raise ValueError("tol must be >= 1e-6")
     sizes = [replace(base_params, n=n) for n in n_values]
     if not sizes:
         raise ValueError("n-range is empty")
-    for params in sizes:
-        if not _binding(params, scenario) > 0:
-            raise ValueError(
-                f"the binding bound underflows to 0 at n = {params.n}: "
-                f"bandwidth / value_size = {params.max_write_rate:g} is too "
-                "small")
     rows = []
     for params in sizes:
         simulated, analytic, above = _threshold_bracket(params, scenario)
         rel = abs(simulated - analytic) / analytic
         rows.append(ValidationRow(params.n, scenario, analytic, simulated,
                                   rel, rel <= tol, above))
-    return ValidationReport(tuple(rows), tol)
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dht_rebalance import lookup_many
 from dht_rebalance.ring import (
     CIRCLE,
     LimitedTokenEqualPart,
@@ -33,7 +32,8 @@ from dht_rebalance.ring import (
     ring_to_json,
     strategy_from_dict,
     strategy_to_dict,
-    _hash_keys,
+    _key_words,
+    _mix64_array,
     _partitions_of_words,
 )
 
@@ -53,6 +53,8 @@ def test_partition_ranges_cover_circle():
     # the last partition absorbs the remainder
     assert partition_of(CIRCLE - 1, q) == q - 1
     assert partition_of(q * w, q) == q - 1
+    # one partition takes the whole circle
+    assert partition_of(CIRCLE - 1, 1) == 0
 
 
 def test_build_single_node_owns_everything():
@@ -271,8 +273,6 @@ def test_replication_below_one_rejected():
             with pytest.raises(RingError):
                 lookup(ring, 5, bad)
             with pytest.raises(RingError):
-                lookup_many(ring, [5], bad)
-            with pytest.raises(RingError):
                 balance_stats(ring, 100, r=bad)
             with pytest.raises(RingError):
                 join(ring, 4, 1, key_sample=100, replication=bad)
@@ -333,39 +333,14 @@ def test_replica_tables_match_reference_walk(layout, keys):
             start = bisect.bisect_left([t for t, _ in ring.tokens], h) % len(seq)
         expect.append(_reference_walk(seq, start, r))
     assert [lookup(ring, key, r) for key in keys] == expect
-    assert lookup_many(ring, keys, r).tolist() == expect
 
 
-def test_lookup_many_matches_lookup():
-    keys = [0, 1, 2**63, CIRCLE - 1, -5] + list(range(100, 160))
-    for strategy in ALL_STRATEGIES:
-        ring = build_ring(6, strategy, 21)
-        for r in (1, 3, 6):
-            expect = [lookup(ring, k, r) for k in keys]
-            got = lookup_many(ring, keys, r)
-            assert got.shape == (len(keys), r)
-            assert got.tolist() == expect
-            as_array = lookup_many(ring, np.array(keys[5:], dtype=np.uint64), r)
-            assert as_array.tolist() == expect[5:]
-            assert lookup_many(ring, np.array([-5]), r).tolist() == [expect[4]]
-        assert lookup_many(ring, [], 2).shape == (0, 2)
-
-
-def test_hashing_leaves_caller_arrays_unchanged():
-    # the hash runs in place, on a copy that lookup_many makes of the keys
-    ring = build_ring(5, LimitedTokenRandomPart(4), 3)
-    for keys in (np.array([0, 7, 2**63, CIRCLE - 1], dtype=np.uint64),
-                 np.array([0, 7, 2**62, 2**63 - 1], dtype=np.int64),
-                 np.array([-1, -5, -2**63, 3], dtype=np.int64)):
-        before = keys.copy()
-        got = lookup_many(ring, keys, 2)
-        assert np.array_equal(keys, before) and keys.dtype == before.dtype
-        assert got.tolist() == [lookup(ring, k, 2) for k in before.tolist()]
+def test_sample_hash_matches_mix64_in_every_block():
     # 20 000 keys are hashed in three blocks, the last one short
     for seed in (0, 5, 2**64 - 1, -3):
-        h = _hash_keys(20_000, seed)
+        h = _mix64_array(_key_words(20_000, seed))
         for i in (0, 1, 17, 1234, 8191, 8192, 16383, 16384, 19999):
-            assert int(h[i]) == hash_key(i, seed)
+            assert int(h[i]) == mix64((i ^ seed) & MASK64)
 
 
 # equal-part partition counts: powers of two, read from the hash's top bits,
@@ -403,11 +378,10 @@ def membership_histories(draw):
 @given(ring=membership_histories(),
        keys=st.lists(st.integers(-2**63, CIRCLE - 1), min_size=1, max_size=6),
        k=st.integers(0, 300), seed=st.integers(0, MASK64))
-def test_cached_lookup_matches_lookup_many_and_reference_walk(ring, keys, k,
-                                                              seed):
-    """lookup caches a resolver per (ring, r); every r's answers equal
-    lookup_many's rows and a walk of the owners, a bad r still raises once a
-    good one is cached, and the sample counts equal a key-by-key count."""
+def test_cached_lookup_matches_reference_walk(ring, keys, k, seed):
+    """lookup caches a resolver per (ring, r); every r's answers equal a
+    walk of the owners, a bad r still raises once a good one is cached, and
+    the sample counts equal a key-by-key count."""
     seq = ring.slot_owner.tolist()
     if ring.is_equal_part:
         def slot_of(h):
@@ -419,15 +393,14 @@ def test_cached_lookup_matches_lookup_many_and_reference_walk(ring, keys, k,
             return bisect.bisect_left(points, h) % len(points)
     starts = [slot_of(hash_key(key)) for key in keys]
     for r in range(1, ring.n + 1):
-        rows = lookup_many(ring, keys, r).tolist()
-        for key, start, row in zip(keys, starts, rows):
-            assert lookup(ring, key, r) == row == _reference_walk(seq, start, r)
+        for key, start in zip(keys, starts):
+            assert lookup(ring, key, r) == _reference_walk(seq, start, r)
     for bad in (0, ring.n + 1):
         with pytest.raises(RingError):
             lookup(ring, keys[0], bad)
     want = [0] * len(seq)
     for i in range(k):
-        want[slot_of(hash_key(i, seed))] += 1
+        want[slot_of(mix64((i ^ seed) & MASK64))] += 1
     assert ring._sample_counts(k, seed).tolist() == want
 
 
@@ -462,32 +435,28 @@ def test_partitions_of_words_at_partition_boundaries(q):
         ring = build_ring(2, ManyTokenEqualPart(q), 1)
         owners = [ring.owners[p] for p in want]
         assert [lookup(ring, w) for w in words] == [[o] for o in owners]
-        assert lookup_many(ring, words).ravel().tolist() == owners
 
 
 def test_lookup_and_hash_key_take_numpy_integers():
-    """A key is any integer taken modulo 2**64, as in lookup_many: numpy
-    integers give the owners of the Python int (no OverflowError, and no
-    overflow RuntimeWarning, an error under the test settings); a float is
-    a TypeError."""
+    """A key is any integer taken modulo 2**64: numpy integers give the
+    owners of the Python int (no OverflowError, and no overflow
+    RuntimeWarning, an error under the test settings); a float is a
+    TypeError."""
     for strategy in ALL_STRATEGIES:
         ring = build_ring(4, strategy, 3)
         for key in (5, -5, 2**63 - 1, 2**63, CIRCLE - 1):
-            want, h = lookup(ring, key, 2), hash_key(key, 7)
+            want, h = lookup(ring, key, 2), hash_key(key)
             typed = [np.uint64(key & MASK64)]
             if key < 2**63:
                 typed.append(np.int64(key))
             for k in typed:
                 assert lookup(ring, k, 2) == want
-                assert hash_key(k, 7) == h
-                assert lookup_many(ring, np.array([k]), 2).tolist() == [want]
+                assert hash_key(k) == h
         for bad in (5.0, np.float64(5.0)):
             with pytest.raises(TypeError):
                 lookup(ring, bad, 2)
             with pytest.raises(TypeError):
                 hash_key(bad)
-            with pytest.raises(TypeError):
-                lookup_many(ring, [bad], 2)
 
 
 def _strategies_and_sizes():
@@ -554,8 +523,8 @@ def test_movement_estimate_matches_key_by_key_count(
                                   value_size=value_size)
         else:
             continue
-        moved = lookup_many(ring, words, 1) != lookup_many(after, words, 1)
-        assert report.moved_key_estimate == r * int(moved.sum())
+        moved = sum(lookup(ring, w) != lookup(after, w) for w in words.tolist())
+        assert report.moved_key_estimate == r * moved
         assert report.moved_byte_estimate == report.moved_key_estimate * value_size
         ring = after
 

@@ -277,11 +277,12 @@ def test_threshold_matches_bounds_spot():
 
 def test_validate_report():
     base = params(1)
-    report = validate_against_bounds([4, 8], INCR_CLEAR, base, tol=0.02)
-    assert report.all_passed
-    assert len(report.rows) == 2
-    assert {r.n for r in report.rows} == {4, 8}
-    assert {r.breakdown_above for r in report.rows} == {CATCHUP_STARVATION}
+    rows = validate_against_bounds([4, 8], INCR_CLEAR, base, tol=0.02)
+    assert all(r.passed for r in rows)
+    assert len(rows) == 2
+    assert {r.n for r in rows} == {4, 8}
+    assert {r.scenario for r in rows} == {INCR_CLEAR}
+    assert {r.breakdown_above for r in rows} == {CATCHUP_STARVATION}
     with pytest.raises(ValueError, match="n-range is empty"):
         validate_against_bounds([], INCR_CLEAR, base)
 
@@ -1128,6 +1129,15 @@ def test_threshold_checks_the_top_of_its_range():
     for scenario in ALL_SCENARIOS:
         with pytest.raises(ValueError):
             feasibility_threshold(p, scenario)
+
+
+def test_threshold_rejects_a_binding_bound_that_underflows():
+    """A subnormal b/v whose binding bound is 0 has no threshold to check
+    against it: the bisection names the size, as validate does."""
+    p = ClusterParams(n=1000, bandwidth=1e-300, value_size=1e23, mu=0.5)
+    with pytest.raises(ValueError, match="the binding bound underflows to 0 "
+                                         "at n = 1000: "):
+        feasibility_threshold(p, INCR_CONC)
 
 
 @settings(max_examples=300, deadline=None)
