@@ -62,10 +62,6 @@ from typing import Optional
 import numpy as np
 
 
-class InsufficientBandwidth(RuntimeError):
-    """The write share alone saturates the joining node's bandwidth."""
-
-
 class WorkloadKind(Enum):
     INCREASING_PER_NODE = "increasing"
     STABLE_TOTAL = "stable"

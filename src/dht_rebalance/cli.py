@@ -5,11 +5,13 @@ Commands: bounds, sweep, simulate, validate, case-study, ring-stats.
 ``main`` is the one error boundary: the commands raise, and it turns the
 exception into an exit code and, for 2 and 3, one ``error:`` line on stderr.
 
-* 0 ok, 4 simulated breakdown, 5 validation failure.
+* 0 ok, 4 simulated breakdown, 5 validation failure.  A simulated write
+  share at or above the bandwidth is a breakdown (expansion_overlap), not
+  bad input.
 * 2 bad input: ``ValueError`` (which covers ``RingError`` and
-  ``JSONDecodeError``), ``OverflowError`` and ``InsufficientBandwidth``.
-  A ``--config`` that cannot be read is bad input too: ``cmd_simulate``
-  raises it as a ``ValueError``.
+  ``JSONDecodeError``) and ``OverflowError``.  A ``--config`` that cannot
+  be read is bad input too: ``cmd_simulate`` raises it as a
+  ``ValueError``.
 * 3 an output file (``--out``, ``--trace``) could not be written:
   ``OSError``.
 * Any other exception is a bug and propagates with its traceback.
@@ -121,8 +123,7 @@ def cmd_bounds(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
-_TABLE_BLOCK = 65_536  # sizes per bound_table call: keeps a sweep's memory flat
-_CSV_BLOCK = 4_096     # sizes per CSV write: a block's rows are all in memory
+_BLOCK = 4_096  # sizes per bound_table call and per CSV write
 
 
 def _sweep_groups(n_min: int, n_max: int, mu_values, scenarios,
@@ -150,7 +151,7 @@ def _sweep_groups(n_min: int, n_max: int, mu_values, scenarios,
         raise ValueError("mu list is empty: the storage bound of a "
                          "concurrent scenario needs at least one mu")
     n = np.arange(n_min, n_max + 1)
-    blocks = [n[i:i + _TABLE_BLOCK] for i in range(0, len(n), _TABLE_BLOCK)]
+    blocks = [n[i:i + _BLOCK] for i in range(0, len(n), _BLOCK)]
     return _curve_groups(blocks, mu_values, scenarios, b_rate)
 
 
@@ -236,11 +237,8 @@ def cmd_sweep(args) -> int:
                            float(args.value_size))
     with open(args.out, "w", newline="") as fh:
         fh.write("n,scenario,bound_kind,lambda_bound_writes_per_s\r\n")
-        for name, label, sizes, values in groups:
-            for i in range(0, len(sizes), _CSV_BLOCK):
-                rows = _group_rows(name, label, sizes[i:i + _CSV_BLOCK],
-                                   values[i:i + _CSV_BLOCK])
-                fh.write("".join(starmap(_CSV_LINE, rows)))
+        for group in groups:
+            fh.write("".join(starmap(_CSV_LINE, _group_rows(*group))))
     return EXIT_OK
 
 
@@ -509,7 +507,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, OverflowError, bnd.InsufficientBandwidth) as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

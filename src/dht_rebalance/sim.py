@@ -62,15 +62,20 @@ event time and level is exact.  ``math.inf`` stands for an event that never
 comes; the ``0.0`` backlog and ``joining_level`` of events that have none
 are the only float constants it stores.
 
-The physics has no time-limit guards.  The kernel stops at the first event
-later than ``max_sim_time``, drops it, computes nothing after it and returns
-``True``.  One rule, ``_decide``, turns the rows into the outcome: a run cut
-by the limit is max_time_exceeded; a breakdown event gives breakdown; a run
-that ends at ``n_target`` is stabilized, and any other end is
-max_time_exceeded.  ``run`` builds its ``SimOutcome`` from that rule, and a
-threshold probe returns its kind, or the breakdown kind.  A validation row
-is one bisection: its seed bound, its threshold, and how its own probe at
-the smallest rate it showed unstable ended.
+The kernel compares times with ``max_sim_time`` twice: it stops in place
+of an expansion trigger later than the limit, and a clear join looks for a
+storage crossing only up to ``horizon``, the earlier of the next trigger
+and the limit.  One rule, ``_decide``, turns the rows into the outcome: it
+drops the rows later than the limit from the end, and a run that lost one
+is max_time_exceeded; a breakdown event gives breakdown; a run that ends
+at ``n_target`` is stabilized, and any other end is max_time_exceeded.
+``horizon`` hides an overflow past the limit, so a cut clear run is not
+always the uncut run up to its limit.  A concurrent write share at or
+above b ends in expansion_overlap at the first trigger.  ``run`` builds
+its ``SimOutcome`` from that rule, and a threshold probe returns its kind,
+or the breakdown kind.  A validation row is one bisection: its seed bound,
+its threshold, and how its own probe at the smallest rate it showed
+unstable ended.
 """
 
 from __future__ import annotations
@@ -85,7 +90,6 @@ from typing import Optional
 
 from .bounds import (
     ClusterParams,
-    InsufficientBandwidth,
     Scenario,
     StabilizationMode,
     WorkloadKind,
@@ -222,14 +226,14 @@ class EventTable(Sequence[SimEvent]):
 
 
 def _kernel(params: ClusterParams, scenario: Scenario, rate, n_target: int,
-            initial_fill, limit, rows: list[tuple]) -> bool:
+            initial_fill, limit, rows: list[tuple]) -> None:
     """Append the run's events to ``rows`` in time order, one ``SimEvent``
     field tuple each.  The arguments are ``SimConfig``'s fields, checked by
     the caller (``limit`` is ``max_sim_time``).
 
-    Returns ``True`` in place of appending the first event later than
-    ``limit``, and ``False`` at ``n_target``, after a breakdown, or when no
-    further expansion can fire.
+    Returns at ``n_target``, after a breakdown, when no further expansion
+    can fire, or in place of an expansion trigger later than ``limit``.
+    Other rows later than ``limit`` are appended; ``_decide`` drops them.
     """
     add = rows.append
 
@@ -250,11 +254,11 @@ def _kernel(params: ClusterParams, scenario: Scenario, rate, n_target: int,
         # ---- fill to the expansion trigger at size n ----
         if stored < mu_s:
             if w <= 0:
-                return False
+                return
             t += (mu_s - stored) / w
             stored = mu_s
         if t > limit:
-            return True
+            return
         add((t, "expansion_triggered", n, stored, None, 0.0, None, None))
 
         # ---- join: n -> n + 1 ----
@@ -263,18 +267,15 @@ def _kernel(params: ClusterParams, scenario: Scenario, rate, n_target: int,
         w = inflow / (n + 1) if stable else inflow
 
         if not clear:
-            if w >= b:
-                raise InsufficientBandwidth(
-                    "per-node write share meets or exceeds bandwidth")
             b_join = b - w
-            t_join = migration_total / b_join
             old_rate = w - b_join / n  # net per old node during the join
             if old_rate >= 0:
                 # the trigger level is never left behind: the next expansion
-                # fires before this join completes
+                # fires before this join completes (w >= b gives old_rate > 0)
                 add((t, "breakdown", n + 1, stored, 0.0, 0.0, None,
                      EXPANSION_OVERLAP))
-                return False
+                return
+            t_join = migration_total / b_join
             # all n+1 nodes end symmetric at this level: the joining node
             # holds the migrated share plus its writes, the old nodes drained
             # to the same level
@@ -284,17 +285,13 @@ def _kernel(params: ClusterParams, scenario: Scenario, rate, n_target: int,
             # point this fires at mu = 1 a few ulps below the bandwidth bound
             if level > s_cap:
                 t_full = t + s_cap / b
-                if t_full > limit:
-                    return True
                 add((t_full, "breakdown", n + 1,
                      stored + old_rate * (t_full - t), s_cap, 0.0, None,
                      STORAGE_OVERFLOW))
-                return False
+                return
             t += t_join
             stored = level
             n += 1
-            if t > limit:
-                return True
             add((t, "join_completed", n, stored, None, 0.0, t_join, None))
             continue
 
@@ -304,11 +301,9 @@ def _kernel(params: ClusterParams, scenario: Scenario, rate, n_target: int,
         d_acc = n * w * t_join
         t0 = t + t_join
         s_base = migration_total  # per-node stored right after the join
-        if t0 > limit:
-            return True
         add((t0, "join_completed", n, s_base, None, d_acc, t_join, None))
         if t0 == math.inf:
-            return False  # no later event has a time; inf - inf would give NaN
+            return  # no later event has a time; inf - inf would give NaN
 
         drain_total = n * (b - w)
         catchup_end = (t0 + d_acc / drain_total if drain_total > 0
@@ -332,36 +327,36 @@ def _kernel(params: ClusterParams, scenario: Scenario, rate, n_target: int,
         if t_full <= horizon and t_full < math.inf:  # horizon may be inf
             add((t_full, "breakdown", n, s_cap, None, 0.0, None,
                  STORAGE_OVERFLOW))
-            return False
+            return
 
         if t_trig <= catchup_end and d_acc > 0:
             remaining = (d_acc - drain_total * (t_trig - t0) if drain_total > 0
                          else d_acc)
-            if t_trig > limit:
-                return True
             add((t_trig, "breakdown", n,
                  s_base + (d_acc - remaining) / n + w * (t_trig - t0),
                  None, remaining, None, CATCHUP_STARVATION))
-            return False
+            return
         if d_acc > 0:
-            if catchup_end > limit:
-                return True
             add((catchup_end, "catchup_completed", n, s_at_catchup, None, 0.0,
                  catchup_end - t0, None))
 
         # resume filling; drained bytes count towards stored, the trigger
         # clock keeps running on live writes from t0
         if t_trig == math.inf:
-            return False
+            return
         t = t_trig
         stored = s_base + d_acc / n + w * (t_trig - t0)
-    return False
 
 
-def _decide(rows: list[tuple], cut: bool, n0: int,
+def _decide(rows: list[tuple], limit, n0: int,
             n_target: int) -> tuple[str, int]:
     """The outcome rule: (outcome kind, final_n) of the kernel's rows, where
-    ``cut`` is its return value and ``n0`` the initial size."""
+    ``n0`` is the initial size.  It first drops every row later than
+    ``limit`` from the end of ``rows``; a run that lost a row is
+    max_time_exceeded."""
+    cut = bool(rows) and rows[-1][0] > limit
+    while rows and rows[-1][0] > limit:
+        rows.pop()
     i = len(rows) - 1  # the last join_completed, a few rows from the end
     while i >= 0 and rows[i][1] != "join_completed":
         i -= 1
@@ -378,9 +373,10 @@ def _decide(rows: list[tuple], cut: bool, n0: int,
 def run(cfg: SimConfig) -> tuple[EventTable, SimOutcome]:
     """Replay the scale-out and decide its outcome (see ``SimOutcome``)."""
     rows: list[tuple] = []
-    cut = _kernel(cfg.params, cfg.scenario, cfg.rate, cfg.n_target,
-                  cfg.initial_fill, cfg.max_sim_time, rows)
-    kind, final_n = _decide(rows, cut, cfg.params.n, cfg.n_target)
+    _kernel(cfg.params, cfg.scenario, cfg.rate, cfg.n_target,
+            cfg.initial_fill, cfg.max_sim_time, rows)
+    kind, final_n = _decide(rows, cfg.max_sim_time, cfg.params.n,
+                            cfg.n_target)
     if kind == BREAKDOWN:
         time, *_, breakdown_kind = rows[-1]
         outcome = SimOutcome(kind, final_n, time, breakdown_kind,
@@ -406,17 +402,14 @@ def _probe_rate(params: ClusterParams, scenario: Scenario, lam):
 def _probe(params: ClusterParams, scenario: Scenario, lam) -> str:
     """How one n -> n+1 expansion from a full trigger level ends at per-node
     rate lam, on inputs the bisection checked.  ``STABILIZED``, its breakdown
-    kind, or ``MAX_TIME_EXCEEDED``; a per-node write share at or above b is
-    ``EXPANSION_OVERLAP``, as the old nodes never stop filling."""
+    kind, or ``MAX_TIME_EXCEEDED``."""
     rows: list[tuple] = []
-    try:
-        # SimConfig's default time limit: at mu = 1 it sets the clear modes'
-        # thresholds
-        cut = _kernel(params, scenario, _probe_rate(params, scenario, lam),
-                      params.n + 1, 1, SimConfig.max_sim_time, rows)
-    except InsufficientBandwidth:
-        return EXPANSION_OVERLAP
-    kind = _decide(rows, cut, params.n, params.n + 1)[0]
+    # SimConfig's default time limit: at mu = 1 it sets the clear modes'
+    # thresholds
+    limit = SimConfig.max_sim_time
+    _kernel(params, scenario, _probe_rate(params, scenario, lam),
+            params.n + 1, 1, limit, rows)
+    kind = _decide(rows, limit, params.n, params.n + 1)[0]
     return rows[-1][-1] if kind == BREAKDOWN else kind
 
 

@@ -451,9 +451,16 @@ def test_simulate_bad_mu(tmp_path, capsys):
         assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_simulate_insufficient_bandwidth(tmp_path, capsys):
+def test_simulate_share_at_bandwidth_is_a_breakdown(tmp_path, capsys):
+    """A write share of b per node is a breakdown at the first trigger,
+    not bad input: exit 4, the summary names the overlap, no error line."""
     cfg = write_config(tmp_path, rate=1.25e8 / 16)
-    assert main(["simulate", "--config", cfg]) == EXIT_USAGE
+    assert main(["simulate", "--config", cfg]) == EXIT_BREAKDOWN
+    captured = capsys.readouterr()
+    summary = json.loads(captured.out)
+    assert (summary["breakdown_kind"], summary["at_n"]) == (
+        "expansion_overlap", 8)
+    assert captured.err == ""
 
 
 def test_simulate_unwritable_trace(tmp_path, capsys):
