@@ -766,8 +766,8 @@ def strategy_to_dict(strategy: Strategy) -> dict:
 
 
 def strategy_from_dict(d: dict) -> Strategy:
-    """Inverse of ``strategy_to_dict``; a size field that is missing or None
-    is a ``RingError``."""
+    """Inverse of ``strategy_to_dict``; a size field that is missing or None,
+    or the other kind's size field set, is a ``RingError``."""
     kind = d["kind"]
     cls = next((c for c, name in _STRATEGY_NAMES.items() if name == kind), None)
     if cls is None:
@@ -775,6 +775,9 @@ def strategy_from_dict(d: dict) -> Strategy:
     field = _size_field(cls)
     if d.get(field) is None:
         raise RingError(f"{kind} needs {field}")
+    unread = "tokens_per_node" if field == "q" else "q"
+    if d.get(unread) is not None:
+        raise RingError(f"{kind} does not read {unread}")
     return cls(d[field])
 
 

@@ -672,6 +672,21 @@ def test_ring_stats_missing_q(capsys):
     assert rc == EXIT_USAGE
 
 
+def test_ring_stats_size_the_strategy_does_not_read(capsys):
+    # --q with a token strategy, or --t with many-token-equal-part, is bad
+    # input, not a flag silently dropped
+    for args in (["--strategy", "limited-token-random-part", "--t", "8",
+                  "--q", "4096"],
+                 ["--strategy", "limited-token-equal-part", "--t", "8",
+                  "--q", "64"],
+                 ["--q", "64", "--t", "8"]):
+        assert main(["ring-stats", "--nodes", "4", "--keys", "100",
+                     *args]) == EXIT_USAGE, args
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 def test_ring_stats_huge_q(capsys):
     # a slot count past the cap fails before anything is allocated
     for size in (["--q", HUGE],

@@ -627,6 +627,11 @@ def test_strategy_dict_round_trip_and_rejects():
         for bad in ({"kind": d["kind"]}, dict(d, **{field: None})):
             with pytest.raises(RingError, match=field):
                 strategy_from_dict(bad)
+        # the other kind's size field is not read, so it is not accepted
+        unread = "tokens_per_node" if field == "q" else "q"
+        assert strategy_from_dict(dict(d, **{unread: None})) == strategy
+        with pytest.raises(RingError, match=f"does not read {unread}"):
+            strategy_from_dict(dict(d, **{unread: 8}))
     with pytest.raises(RingError, match="unknown strategy"):
         strategy_from_dict({"kind": "bogus", "q": 8})
 

@@ -366,14 +366,25 @@ def test_float_edge_concurrent_storage_overflow():
 
 
 def test_trace_lines_match_event_to_dict(tmp_path):
-    tables = (_run_at(4, 0.5, INCR_CONC, 0.5, 7),      # joins, stabilized
+    # 190 joins that stabilize (the CI trace config), over two blocks: the
+    # mu*S level object recurs in every block, and as the first table it
+    # puts an expansion_triggered/join_started pair across a boundary
+    scale_out = run(SimConfig(params(10), INCR_CONC, 1000.0, 200,
+                              initial_fill=1.0))[0]
+    tables = (scale_out,
+              _run_at(4, 0.5, INCR_CONC, 0.5, 7),      # joins, stabilized
               _run_at(1, 0.5, STAB_CLEAR, 0.5, 3),     # catch-up, n = 1
               _run_at(4, 0.5, STAB_CONC, 1.05, 6),     # expansion_overlap
               _run_at(4, 0.9, INCR_CLEAR, 0.5, 6),     # clear storage_overflow
               _run_at(4, 0.5, STAB_CLEAR, 0.95, 6),    # catchup_starvation
               # concurrent storage_overflow: old nodes' level, joining node at S
               run(_float_edge_config())[0])
+    block = sim_mod._TRACE_BLOCK
+    assert len(scale_out) > 2 * block
     events = EventTable([row for table in tables for row in table.rows])
+    assert ("expansion_triggered", "join_started") in {
+        (events[i - 1].kind, events[i].kind)
+        for i in range(block, len(events), block)}
     kinds = {(ev.kind, ev.breakdown_kind, ev.joining_level is not None)
              for ev in events}
     assert kinds == {
@@ -523,18 +534,21 @@ def test_trace_lines_match_json_dumps_across_blocks(tmp_path):
 
 
 def test_trace_memory_stays_flat_in_the_row_count():
-    # several blocks of rows, each with four numbers of its own: the writer
-    # holds one block's number texts at a time, so its peak does not grow
-    # with the row count (all 6000 rows' texts at once took about 4.5 MB)
-    events = EventTable([(i + 0.5, "join_completed", 2, i * 1.1, None,
-                          i * 0.3, i * 0.7, None) for i in range(6000)])
-    tracemalloc.start()
-    try:
-        write_trace(events, os.devnull)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3e6
+    # many blocks of rows, each with four numbers of its own: the writer
+    # holds one block's number texts at a time, so its peak grows neither
+    # with the row count nor with the stored length n (6000 rows at n = 2:
+    # all texts at once took about 4.5 MB, 1024-row blocks about 1.1 MB and
+    # 256-row blocks about 0.34 MB; 3000 rows at n = 500 about the same)
+    for n, count in ((2, 6000), (500, 3000)):
+        events = EventTable([(i + 0.5, "join_completed", n, i * 1.1, None,
+                              i * 0.3, i * 0.7, None) for i in range(count)])
+        tracemalloc.start()
+        try:
+            write_trace(events, os.devnull)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e5, (n, count, peak)
 
 
 def test_clear_run_at_time_inf_holds_no_nan():
