@@ -247,7 +247,7 @@ def cmd_sweep(args) -> int:
 
 _CONFIG_FIELDS = {
     "n", "bandwidth", "value_size", "mu", "storage",
-    "workload", "rate", "mode", "n_target", "initial_fill", "max_sim_time",
+    "workload", "rate", "mode", "n_target", "initial_fill",
 }
 _CONFIG_REQUIRED = {"n", "bandwidth", "value_size", "mu", "workload", "rate",
                     "mode", "n_target"}
@@ -283,7 +283,7 @@ def load_sim_config(doc: dict) -> sim_mod.SimConfig:
             scenario=scenario,
             rate=float(doc["rate"]),
             n_target=int(doc["n_target"]),
-            **_given(doc, "initial_fill", "max_sim_time"),
+            **_given(doc, "initial_fill"),
         )
     except OverflowError as exc:
         # float() met an integer too large for a float: name its field
@@ -400,9 +400,14 @@ def cmd_case_study(args) -> int:
 # ---------------------------------------------------------------------------
 # ring stats
 
+# the ring-stats flag of each strategy size field, for its error messages
+_SIZE_FLAGS = {"q": "--q", "tokens_per_node": "--t"}
+
+
 def cmd_ring_stats(args) -> int:
     strategy = rng_mod.strategy_from_dict(
-        {"kind": args.strategy, "q": args.q, "tokens_per_node": args.tokens_per_node})
+        {"kind": args.strategy, "q": args.q, "tokens_per_node": args.tokens_per_node},
+        _SIZE_FLAGS)
     ring = rng_mod.build_ring(args.nodes, strategy, args.seed)
     stats = rng_mod.balance_stats(ring, args.keys, r=args.replication,
                                   seed=args.seed)

@@ -765,19 +765,21 @@ def strategy_to_dict(strategy: Strategy) -> dict:
     return {"kind": _STRATEGY_NAMES[type(strategy)], field: getattr(strategy, field)}
 
 
-def strategy_from_dict(d: dict) -> Strategy:
+def strategy_from_dict(d: dict, names: Optional[dict] = None) -> Strategy:
     """Inverse of ``strategy_to_dict``; a size field that is missing or None,
-    or the other kind's size field set, is a ``RingError``."""
+    or the other kind's size field set, is a ``RingError``.  Its message
+    calls a field by its entry in ``names`` if it has one (a CLI flag)."""
     kind = d["kind"]
     cls = next((c for c, name in _STRATEGY_NAMES.items() if name == kind), None)
     if cls is None:
         raise RingError(f"unknown strategy kind: {kind}")
     field = _size_field(cls)
+    name = (names or {}).get
     if d.get(field) is None:
-        raise RingError(f"{kind} needs {field}")
+        raise RingError(f"{kind} needs {name(field, field)}")
     unread = "tokens_per_node" if field == "q" else "q"
     if d.get(unread) is not None:
-        raise RingError(f"{kind} does not read {unread}")
+        raise RingError(f"{kind} does not read {name(unread, unread)}")
     return cls(d[field])
 
 

@@ -59,22 +59,22 @@ disagree (ROADMAP item 1) the seeds are two more probes.
 The kernel's arithmetic is + - * / and comparisons only: no square root,
 and no float literal enters a computed quantity.  So it runs on any numeric
 type with those operations, and on ``fractions.Fraction`` inputs every
-event time and level is exact.  ``math.inf`` stands for an event that never
-comes; the ``0.0`` backlog and ``joining_level`` of events that have none
-are the only float constants it stores.
+event time and level is exact.  The ``0.0`` backlog and ``joining_level``
+of events that have none are the only float constants it stores.
 
-The kernel compares times with ``max_sim_time`` twice: it stops in place
-of an expansion trigger later than the limit, and a clear join looks for a
-storage crossing only up to ``horizon``, the earlier of the next trigger
-and the limit.  One rule, ``_decide``, turns the rows into the outcome: it
-drops the rows later than the limit from the end, and a run that lost one
-is max_time_exceeded; a breakdown event gives breakdown; a run that ends
-at ``n_target`` is stabilized, and any other end is max_time_exceeded.
-``horizon`` hides an overflow past the limit, so a cut clear run is not
-always the uncut run up to its limit.  A concurrent write share at or
-above b ends in expansion_overlap at the first trigger.  ``run`` builds
-its ``SimOutcome`` from that rule, and a threshold probe returns its kind,
-or the breakdown kind.  A validation row is one bisection: its seed bound,
+A run ends by its physics alone, with no cut in time.  ``math.inf``
+stands for an event that never comes, so the kernel stops in place of an
+expansion trigger at time inf (a zero write share never reaches it, or its
+time overflows) and of a join that would complete at time inf.  A clear
+join looks for a storage crossing up to its next trigger.  One rule,
+``_decide``, turns the rows into the outcome: a breakdown event gives
+breakdown, a run that ends at ``n_target`` is stabilized, and a run whose
+next expansion never comes is max_time_exceeded.  A concurrent write share
+at or above b ends in expansion_overlap at the first trigger.  ``run``
+builds its ``SimOutcome`` from that rule, and a threshold probe returns its
+kind, or the breakdown kind.  At mu = 1 every positive rate ends a clear
+run in storage_overflow before its next trigger, so the clear modes'
+threshold there is 0.  A validation row is one bisection: its seed bound,
 its threshold, and how its own probe at the smallest rate it showed
 unstable ended.
 """
@@ -128,13 +128,10 @@ class SimConfig:
     rate: float
     n_target: int
     initial_fill: float = 0.0
-    max_sim_time: float = 1e18
 
     def __post_init__(self):
         if self.n_target <= self.params.n:
             raise ValueError("n_target must exceed the initial node count")
-        if not self.max_sim_time > 0:
-            raise ValueError("max_sim_time must be positive")
         if not 0 <= self.rate < math.inf:
             raise ValueError("rate must be finite and >= 0")
         # the largest system-wide write inflow (bytes/s) the run can reach
@@ -179,9 +176,9 @@ class SimEvent:
 class SimOutcome:
     """How a run ended; ``final_n`` is the size after the last join_completed.
 
-    ``total_time`` is ``max_sim_time`` for max_time_exceeded and the last
-    kept event's time otherwise; a breakdown sets ``at_n == final_n`` and
-    ``at_time == total_time``.
+    ``total_time`` is inf for max_time_exceeded, whose next expansion never
+    comes, and the last event's time otherwise; a breakdown sets
+    ``at_n == final_n`` and ``at_time == total_time``.
     """
 
     kind: str  # stabilized | breakdown | max_time_exceeded
@@ -227,14 +224,13 @@ class EventTable(Sequence[SimEvent]):
 
 
 def _kernel(params: ClusterParams, scenario: Scenario, rate, n_target: int,
-            initial_fill, limit, rows: list[tuple]) -> None:
+            initial_fill, rows: list[tuple]) -> None:
     """Append the run's events to ``rows`` in time order, one ``SimEvent``
     field tuple each.  The arguments are ``SimConfig``'s fields, checked by
-    the caller (``limit`` is ``max_sim_time``).
+    the caller.
 
-    Returns at ``n_target``, after a breakdown, when no further expansion
-    can fire, or in place of an expansion trigger later than ``limit``.
-    Other rows later than ``limit`` are appended; ``_decide`` drops them.
+    Returns at ``n_target``, after a breakdown, or in place of an expansion
+    trigger or a join completion at time inf, which never comes.
     """
     add = rows.append
 
@@ -254,11 +250,9 @@ def _kernel(params: ClusterParams, scenario: Scenario, rate, n_target: int,
     while n < n_target:
         # ---- fill to the expansion trigger at size n ----
         if stored < mu_s:
-            if w <= 0:
-                return
-            t += (mu_s - stored) / w
+            t += (mu_s - stored) / w if w > 0 else math.inf
             stored = mu_s
-        if t > limit:
+        if t == math.inf:
             return
         add((t, "expansion_triggered", n, stored, None, 0.0, None, None))
 
@@ -277,6 +271,8 @@ def _kernel(params: ClusterParams, scenario: Scenario, rate, n_target: int,
                      EXPANSION_OVERLAP))
                 return
             t_join = migration_total / b_join
+            if t + t_join == math.inf:
+                return  # the join never completes; 0 * inf would give NaN
             # all n+1 nodes end symmetric at this level: the joining node
             # holds the migrated share plus its writes, the old nodes drained
             # to the same level
@@ -298,13 +294,13 @@ def _kernel(params: ClusterParams, scenario: Scenario, rate, n_target: int,
 
         # ---- clear join ----
         t_join = migration_total / b
+        t0 = t + t_join
+        if t0 == math.inf:
+            return  # the join never completes; inf - inf would give NaN
         n += 1
         d_acc = n * w * t_join
-        t0 = t + t_join
         s_base = migration_total  # per-node stored right after the join
         add((t0, "join_completed", n, s_base, None, d_acc, t_join, None))
-        if t0 == math.inf:
-            return  # no later event has a time; inf - inf would give NaN
 
         drain_total = n * (b - w)
         catchup_end = (t0 + d_acc / drain_total if drain_total > 0
@@ -314,18 +310,17 @@ def _kernel(params: ClusterParams, scenario: Scenario, rate, n_target: int,
         s_at_catchup = s_base + d_acc / n + w * (catchup_end - t0)
 
         # storage crossing: the level rises at b during catch-up, then at w
-        horizon = min(t_trig, limit)
         cross = t0 + (s_cap - s_base) / b
         if catchup_end > t0 and cross <= catchup_end:
             t_full = cross
-        elif catchup_end >= horizon:
+        elif catchup_end >= t_trig:
             t_full = math.inf
         elif s_at_catchup >= s_cap:
             t_full = catchup_end
         else:
             t_full = (catchup_end + (s_cap - s_at_catchup) / w if w > 0
                       else math.inf)
-        if t_full <= horizon and t_full < math.inf:  # horizon may be inf
+        if t_full <= t_trig and t_full < math.inf:  # t_trig may be inf
             add((t_full, "breakdown", n, s_cap, None, 0.0, None,
                  STORAGE_OVERFLOW))
             return
@@ -349,21 +344,15 @@ def _kernel(params: ClusterParams, scenario: Scenario, rate, n_target: int,
         stored = s_base + d_acc / n + w * (t_trig - t0)
 
 
-def _decide(rows: list[tuple], limit, n0: int,
-            n_target: int) -> tuple[str, int]:
+def _decide(rows: list[tuple], n0: int, n_target: int) -> tuple[str, int]:
     """The outcome rule: (outcome kind, final_n) of the kernel's rows, where
-    ``n0`` is the initial size.  It first drops every row later than
-    ``limit`` from the end of ``rows``; a run that lost a row is
+    ``n0`` is the initial size.  A run that ends neither in a breakdown nor
+    at ``n_target`` stopped because its next expansion never comes: it is
     max_time_exceeded."""
-    cut = bool(rows) and rows[-1][0] > limit
-    while rows and rows[-1][0] > limit:
-        rows.pop()
     i = len(rows) - 1  # the last join_completed, a few rows from the end
     while i >= 0 and rows[i][1] != "join_completed":
         i -= 1
     final_n = rows[i][2] if i >= 0 else n0
-    if cut:
-        return MAX_TIME_EXCEEDED, final_n
     if rows and rows[-1][1] == "breakdown":
         return BREAKDOWN, final_n
     if final_n >= n_target:
@@ -375,9 +364,8 @@ def run(cfg: SimConfig) -> tuple[EventTable, SimOutcome]:
     """Replay the scale-out and decide its outcome (see ``SimOutcome``)."""
     rows: list[tuple] = []
     _kernel(cfg.params, cfg.scenario, cfg.rate, cfg.n_target,
-            cfg.initial_fill, cfg.max_sim_time, rows)
-    kind, final_n = _decide(rows, cfg.max_sim_time, cfg.params.n,
-                            cfg.n_target)
+            cfg.initial_fill, rows)
+    kind, final_n = _decide(rows, cfg.params.n, cfg.n_target)
     if kind == BREAKDOWN:
         time, *_, breakdown_kind = rows[-1]
         outcome = SimOutcome(kind, final_n, time, breakdown_kind,
@@ -385,7 +373,7 @@ def run(cfg: SimConfig) -> tuple[EventTable, SimOutcome]:
     elif kind == STABILIZED:
         outcome = SimOutcome(kind, final_n, rows[-1][0])
     else:
-        outcome = SimOutcome(kind, final_n, cfg.max_sim_time)
+        outcome = SimOutcome(kind, final_n, math.inf)
     return EventTable(rows), outcome
 
 
@@ -405,12 +393,9 @@ def _probe(params: ClusterParams, scenario: Scenario, lam) -> str:
     rate lam, on inputs the bisection checked.  ``STABILIZED``, its breakdown
     kind, or ``MAX_TIME_EXCEEDED``."""
     rows: list[tuple] = []
-    # SimConfig's default time limit: at mu = 1 it sets the clear modes'
-    # thresholds
-    limit = SimConfig.max_sim_time
     _kernel(params, scenario, _probe_rate(params, scenario, lam),
-            params.n + 1, 1, limit, rows)
-    kind = _decide(rows, limit, params.n, params.n + 1)[0]
+            params.n + 1, 1, rows)
+    kind = _decide(rows, params.n, params.n + 1)[0]
     return rows[-1][-1] if kind == BREAKDOWN else kind
 
 

@@ -390,13 +390,15 @@ def test_simulate_breakdown_exit_code(tmp_path, capsys):
 
 
 def test_simulate_max_time_is_not_breakdown(tmp_path, capsys):
-    cfg = write_config(tmp_path, initial_fill=0.0, rate=1.0,
-                       max_sim_time=10.0)
+    # zero writes from empty never reach the first trigger
+    cfg = write_config(tmp_path, initial_fill=0.0, rate=0.0)
     rc = main(["simulate", "--config", cfg])
     assert rc == EXIT_OK
-    assert json.loads(capsys.readouterr().out)["outcome"] == "max_time_exceeded"
-    # the limit cuts the run before its first event: the trace has no rows,
-    # and writing it still empties a file that held text
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["outcome"], summary["total_time"]) == (
+        "max_time_exceeded", math.inf)
+    # the run has no event: the trace has no rows, and writing it still
+    # empties a file that held text
     trace = tmp_path / "trace.jsonl"
     trace.write_text("stale\n")
     rc = main(["simulate", "--config", cfg, "--trace", str(trace)])
@@ -418,8 +420,9 @@ def test_simulate_malformed_json(tmp_path, capsys):
 
 
 def test_simulate_unknown_field(tmp_path, capsys):
-    # replication is the ring's parameter: no simulated quantity reads it
-    for field in ("typo_field", "replication"):
+    # replication is the ring's parameter: no simulated quantity reads it;
+    # the simulator has no time limit
+    for field in ("typo_field", "replication", "max_sim_time"):
         cfg = write_config(tmp_path, **{field: 1})
         rc = main(["simulate", "--config", cfg])
         assert rc == EXIT_USAGE
@@ -437,10 +440,10 @@ def test_simulate_missing_field(tmp_path, capsys):
 
 def test_simulate_bad_mu(tmp_path, capsys):
     # mu out of range, and the other values a config must not let through:
-    # a non-finite rate, sizes that int() would truncate and a NaN time limit
-    # and integers too large for a float, and a write inflow that overflows
+    # a non-finite rate, sizes that int() would truncate, integers too
+    # large for a float, and a write inflow that overflows
     for bad in ({"mu": 1.5}, {"rate": math.nan}, {"rate": math.inf},
-                {"n_target": 9.7}, {"n": 8.5}, {"max_sim_time": math.nan},
+                {"n_target": 9.7}, {"n": 8.5}, {"initial_fill": math.nan},
                 {"n": int(HUGE)}, {"bandwidth": int(HUGE)},
                 {"rate": int(HUGE)}, {"replication": int(HUGE)},
                 {"n": 4, "value_size": 1e10, "mode": "clear", "rate": 1e300,
@@ -513,12 +516,15 @@ def test_validate_names_the_breakdown_above_each_threshold(capsys):
         ["--n-list", "1", "--scenario-list", "stable-clear"], capsys)
     assert rc == EXIT_VALIDATION
     assert kinds == {(1, "stable-clear"): NO_BREAKDOWN}
-    # on a 1 B/s link with 1e20 B nodes every probe runs past the 1e18 s
-    # time limit, so no rate stabilizes and each row names the cut
+    # on a 1 B/s link with 1e20 B nodes every probe's events fall past
+    # 1e18 s; the physics is that of any link, so every row passes
     rc, kinds = _breakdowns_above(
         ["--n-list", "4", "--bandwidth", "1B/s", "--storage", "1e20"], capsys)
-    assert rc == EXIT_VALIDATION
-    assert kinds == {(4, sc.name): "max_time_exceeded" for sc in ALL_SCENARIOS}
+    assert rc == EXIT_OK
+    assert kinds == {(4, "increasing-concurrent"): "expansion_overlap",
+                     (4, "stable-concurrent"): "expansion_overlap",
+                     (4, "increasing-clear"): "catchup_starvation",
+                     (4, "stable-clear"): "catchup_starvation"}
 
 
 def test_validate_fail_with_tiny_tol(capsys):
@@ -687,6 +693,22 @@ def test_ring_stats_size_the_strategy_does_not_read(capsys):
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("args, message", [
+    ([], "many-token-equal-part needs --q"),
+    (["--q", "64", "--t", "8"], "many-token-equal-part does not read --t"),
+    (["--strategy", "limited-token-random-part"],
+     "limited-token-random-part needs --t"),
+    (["--strategy", "limited-token-random-part", "--t", "8", "--q", "4096"],
+     "limited-token-random-part does not read --q"),
+])
+def test_ring_stats_size_errors_name_the_flags(capsys, args, message):
+    """A missing or unread strategy size is named by the flag the user
+    types, not by the strategy's field."""
+    assert main(["ring-stats", "--nodes", "4", "--keys", "100",
+                 *args]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_ring_stats_huge_q(capsys):
     # a slot count past the cap fails before anything is allocated
     for size in (["--q", HUGE],
@@ -736,7 +758,6 @@ GOOD_CONFIG = {
     "n": 8, "bandwidth": "1Gbps", "value_size": 16.0, "mu": 0.5,
     "workload": "increasing", "mode": "concurrent", "rate": 100000.0,
     "n_target": 9, "initial_fill": 1.0, "storage": 1e12,
-    "max_sim_time": 1e18,
 }
 
 
