@@ -43,18 +43,16 @@ of about 0.3 MB, below what a long run's summary takes.
 ``summary_json`` gives a summary the text of ``json.dumps(..., indent=2)``,
 but every value is formatted by the C encoder, so the CLI does not run
 json's pure-Python indenting encoder.
-``feasibility_threshold`` bisects to a fixed relative width of 1e-4.  It
-checks its inputs once, as the ``SimConfig`` of its fastest rate b/v: the
-write inflow rises with the rate, so that check covers every probe, and each
-probe runs the kernel on the checked fields with no config, table or
-outcome object.  The bisection keeps a memo of monotone facts, the
+``feasibility_threshold`` bisects to a fixed relative width of 1e-4, in
+units of B = b/v: each probe runs the kernel, with no config or outcome
+object, on one unit link b = v = 1 with the node's S and mu, whose largest
+byte total (n + 1) * S one check covers.  A memo of monotone facts, the
 largest rate a probe showed stabilizes and the smallest one a probe showed
-does not, and decides a midpoint from it without a probe when it can.  Two seed probes
-1e-9 either side of the binding bound fill the memo first.  Where the
-bound and the simulator agree those two probes decide almost every
-midpoint, and because each memo entry is a fact about a monotone outcome,
-the midpoints and the result are bit for bit those of the blind bisection.  Where they
-disagree (ROADMAP item 1) the seeds are two more probes.
+does not, decides a midpoint without a probe when it can; two seed probes
+1e-9 either side of the binding bound fill it first.  Where the bound holds
+they decide almost every midpoint, and as each memo entry is a fact about
+a monotone outcome, the result is the blind bisection's bit for bit; where
+it does not (ROADMAP item 1) the seeds are two more probes.
 
 The kernel's arithmetic is + - * / and comparisons only: no square root,
 and no float literal enters a computed quantity.  So it runs on any numeric
@@ -74,7 +72,7 @@ at or above b ends in expansion_overlap at the first trigger.  ``run``
 builds its ``SimOutcome`` from that rule, and a threshold probe returns its
 kind, or the breakdown kind.  At mu = 1 every positive rate ends a clear
 run in storage_overflow before its next trigger, so the clear modes'
-threshold there is 0.  A validation row is one bisection: its seed bound,
+threshold there is 0.  A validation row is one bisection: its binding bound,
 its threshold, and how its own probe at the smallest rate it showed
 unstable ended.
 """
@@ -130,12 +128,13 @@ class SimConfig:
     initial_fill: float = 0.0
 
     def __post_init__(self):
-        if self.n_target <= self.params.n:
+        p = self.params
+        if self.n_target <= p.n:
             raise ValueError("n_target must exceed the initial node count")
         if not 0 <= self.rate < math.inf:
             raise ValueError("rate must be finite and >= 0")
         # the largest system-wide write inflow (bytes/s) the run can reach
-        inflow = self.rate * self.params.value_size
+        inflow = self.rate * p.value_size
         if self.scenario.workload is WorkloadKind.INCREASING_PER_NODE:
             inflow = self.n_target * inflow
         if not inflow < math.inf:
@@ -143,6 +142,15 @@ class SimConfig:
                              "for an increasing workload) must be finite")
         if not 0.0 <= self.initial_fill <= 1.0:
             raise ValueError("initial_fill must be in [0, 1]")
+        # byte totals: n * S, a clear join's backlog (at most inflow * S / b)
+        # and its drain n * b
+        if not self.n_target * p.storage < math.inf:
+            raise ValueError("storage * n_target overflows a float")
+        if self.scenario.mode is StabilizationMode.CLEAR:
+            if not inflow / p.bandwidth * p.storage < math.inf:
+                raise ValueError("storage * inflow / bandwidth overflows")
+            if not self.n_target * p.bandwidth < math.inf:
+                raise ValueError("bandwidth * n_target overflows a float")
 
 
 @dataclass(frozen=True, slots=True)
@@ -380,88 +388,79 @@ def run(cfg: SimConfig) -> tuple[EventTable, SimOutcome]:
 # ---------------------------------------------------------------------------
 # threshold search
 
-def _probe_rate(params: ClusterParams, scenario: Scenario, lam):
-    """The run's ``rate`` for per-node rate lam: system-wide for a stable
-    workload."""
-    if scenario.workload is WorkloadKind.STABLE_TOTAL:
-        return lam * params.n
-    return lam
-
-
 def _probe(params: ClusterParams, scenario: Scenario, lam) -> str:
     """How one n -> n+1 expansion from a full trigger level ends at per-node
     rate lam, on inputs the bisection checked.  ``STABILIZED``, its breakdown
     kind, or ``MAX_TIME_EXCEEDED``."""
     rows: list[tuple] = []
-    _kernel(params, scenario, _probe_rate(params, scenario, lam),
+    stable = scenario.workload is WorkloadKind.STABLE_TOTAL
+    _kernel(params, scenario, lam * params.n if stable else lam,
             params.n + 1, 1, rows)
     kind = _decide(rows, params.n, params.n + 1)[0]
     return rows[-1][-1] if kind == BREAKDOWN else kind
 
 
 def _threshold_bracket(params: ClusterParams, scenario: Scenario):
-    """(threshold, binding bound it seeded from, how its probe at the
-    smallest rate shown unstable ended, or ``NO_BREAKDOWN`` if no rate
-    below b/v was) of the bisection ``feasibility_threshold`` describes."""
-    if not params.bandwidth * (params.n + 1) < math.inf:
-        raise ValueError(f"bandwidth {params.bandwidth:g} B/s is too large at "
-                         f"n = {params.n}: bandwidth * (n + 1) overflows a float")
+    """(threshold, binding bound, how the probe at the smallest rate shown
+    unstable ended, or ``NO_BREAKDOWN`` if no rate below b/v was) of the
+    bisection ``feasibility_threshold`` describes."""
+    n, mu, storage = params.n, params.mu, params.storage
+    if not (n + 1) * storage < math.inf:
+        raise ValueError(f"storage {storage:g} B is too large at n = {n}: "
+                         f"storage * (n + 1) overflows a float")
+    kinds = applicable_kinds(scenario)
     top = params.max_write_rate
-    # the probe at b/v as a run: its check covers every slower probe
-    SimConfig(params, scenario, _probe_rate(params, scenario, top),
-              params.n + 1, initial_fill=1)
+    binding = float(min(bound_table(n, mu, top, scenario.workload,
+                                    kinds).values()))
+    if not binding > 0:
+        raise ValueError(
+            f"the binding bound underflows to 0 at n = {n}: "
+            f"bandwidth / value_size = {top:g} is too small")
+    # on the unit link b = v = 1 a per-node rate is alpha = lambda / B
+    unit = ClusterParams(n, 1, 1, mu, storage)
+    seed = float(min(bound_table(n, mu, 1, scenario.workload,
+                                 kinds).values()))
     # the memo: every rate up to stable_to stabilizes, none from
     # unstable_from up does (its probe ended as above); no probe has run yet
     stable_to, unstable_from, above = 0.0, math.inf, NO_BREAKDOWN
-    binding = float(min(bound_table(params.n, params.mu, top,
-                                    scenario.workload,
-                                    applicable_kinds(scenario)).values()))
-    if not binding > 0:
-        raise ValueError(
-            f"the binding bound underflows to 0 at n = {params.n}: "
-            f"bandwidth / value_size = {top:g} is too small")
-    for lam in (binding * (1.0 - _SEED_OFFSET), binding * (1.0 + _SEED_OFFSET)):
-        if 0 < lam < top:
-            ending = _probe(params, scenario, lam)
+    for alpha in (seed * (1.0 - _SEED_OFFSET), seed * (1.0 + _SEED_OFFSET)):
+        if alpha < 1:
+            ending = _probe(unit, scenario, alpha)
             if ending == STABILIZED:
-                stable_to = max(stable_to, lam)
-            elif lam < unstable_from:
-                unstable_from, above = lam, ending
-    lo, hi = 0.0, top
+                stable_to = max(stable_to, alpha)
+            elif alpha < unstable_from:
+                unstable_from, above = alpha, ending
+    lo, hi = 0.0, 1.0
     for _ in range(_THRESHOLD_PROBES):
         mid = 0.5 * (lo + hi)
         if mid <= stable_to:
             lo = mid
         elif mid >= unstable_from:
             hi = mid
-        elif (ending := _probe(params, scenario, mid)) == STABILIZED:
+        elif (ending := _probe(unit, scenario, mid)) == STABILIZED:
             lo = stable_to = mid
         else:
             hi = unstable_from = mid
             above = ending
         if lo > 0 and (hi - lo) <= _THRESHOLD_WIDTH * lo:
             break
-    return lo, binding, above
+    return lo * top, binding, above
 
 
 def feasibility_threshold(params: ClusterParams, scenario: Scenario) -> float:
     """Bisect the largest feasible per-node write rate over (0, b/v), to a
     bracket 1e-4 wide relative to its feasible end or for 60 probes.
 
-    The write inflow rises with the rate, so checking the probe at b/v
-    checks every probe: they run the kernel unchecked.  At b/v the inflow
-    is about b * (n + 1), so a bandwidth too large for that is named, and so
-    is a binding bound that underflows to 0 (a subnormal b/v).
+    The probes run on the unit link b = v = 1 with the node's S and mu, at
+    alpha = lambda/B in (0, 1), and the feasible end is scaled by B.  A
+    storage whose (n + 1) * S overflows is named, and so is a binding bound
+    that underflows to 0 (a subnormal b/v).
 
-    Each midpoint is decided by a memo of monotone facts where it can be:
-    one at or below the largest rate a probe showed stabilizes is stable,
-    one at or above the smallest rate a probe showed does not is not.  Two
-    seed probes, 1e-9 either side of the binding bound and each only inside
-    (0, b/v), fill the memo before the loop, so where the bound holds the
-    loop seldom runs the kernel at all.  The midpoints, the stop
-    rule and the result are the blind bisection's wherever stabilizing is
-    monotone in the rate, which the bisection assumes anyway; where the
-    bound is off, the seeds are two more probes."""
+    A memo of monotone facts, seeded by two probes 1e-9 either side of the
+    binding bound, decides a midpoint without a probe where it can (see the
+    module docstring): the midpoints, the stop rule and the result are the
+    blind bisection's wherever stabilizing is monotone in the rate, which
+    the bisection assumes anyway."""
     return _threshold_bracket(params, scenario)[0]
 
 
@@ -490,9 +489,9 @@ def validate_against_bounds(n_values, scenario: Scenario,
     and name the breakdown just above each threshold; one row per size.
 
     Rejects an empty n_values, an n that ClusterParams rejects and a tol
-    below 1e-6 (or NaN) before any bisection, and an n whose binding bound
-    underflows to 0 (a subnormal b/v), against which no relative error
-    exists, at its bisection."""
+    below 1e-6 (or NaN) before any bisection, and at its bisection an n
+    whose (n + 1) * S overflows or whose binding bound underflows to 0 (a
+    subnormal b/v), against which no relative error exists."""
     if not tol >= 1e-6:
         raise ValueError("tol must be >= 1e-6")
     sizes = [replace(base_params, n=n) for n in n_values]

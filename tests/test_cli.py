@@ -466,6 +466,21 @@ def test_simulate_share_at_bandwidth_is_a_breakdown(tmp_path, capsys):
     assert captured.err == ""
 
 
+def test_simulate_rejects_a_backlog_that_overflows(tmp_path, capsys):
+    """stable-clear 31 -> 34 at mu = 1 on a link near the float maximum: a
+    join's backlog, up to inflow * S / b, overflows a float, so the config
+    is bad input, not a run whose starvation row holds NaN."""
+    cfg = write_config(tmp_path, n=31, bandwidth=1.391e300,
+                       value_size=3.83e11, mu=1.0, storage=6.75e305,
+                       workload="stable", mode="clear", rate=1.036e291,
+                       n_target=34, initial_fill=0.0)
+    assert main(["simulate", "--config", cfg]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad config: storage")
+    assert captured.err.count("\n") == 1
+
+
 def test_simulate_unwritable_trace(tmp_path, capsys):
     cfg = write_config(tmp_path)
     rc = main(["simulate", "--config", cfg,
@@ -558,16 +573,47 @@ def test_validate_n_below_one(capsys):
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+def _validate_rows(argv, capsys):
+    """The exit code and the rows of one validate run, split on spaces."""
+    rc = main(["validate", *argv])
+    lines = capsys.readouterr().out.splitlines()
+    return rc, [line.split() for line in lines[1:]]
+
+
 def test_validate_bandwidth_too_large(capsys):
-    """At b/v the threshold's write inflow is about b * (N + 1): a bandwidth
-    that overflows it is named, not a write rate the user never gave."""
-    rc = main(["validate", "--n-list", "2", "--bandwidth", "1e308"])
+    """No bandwidth is too large: the threshold probes run in units of
+    B = bandwidth / value_size, so a link at the top of the float range
+    validates as any other, four rows that pass."""
+    rc, rows = _validate_rows(["--n-list", "2", "--bandwidth", "1e308"],
+                              capsys)
+    assert rc == EXIT_OK
+    assert [row[5] for row in rows] == ["pass"] * 4
+
+
+def test_validate_on_a_subnormal_link(capsys):
+    """A 3e-300 B/s link with 1e15 B values: B and every binding bound are
+    subnormal, and a join's time M/b in physical units overflows.  In units
+    of B every row passes, each threshold within a bracket width of its
+    bound."""
+    rc, rows = _validate_rows(["--n-list", "2", "--bandwidth", "3e-300",
+                               "--value-size", "1e15"], capsys)
+    assert rc == EXIT_OK
+    assert [row[5] for row in rows] == ["pass"] * 4
+    assert [float(row[3]) for row in rows] == pytest.approx(
+        [1e-315, 1.5e-315, 1.5e-315, 2.25e-315], rel=1e-4)
+
+
+def test_validate_storage_too_large(capsys):
+    """At n = 4 a probe's byte total (n + 1) * S = 5e308 overflows, and
+    with it the migration, so no join could complete: the storage is named
+    before any row is printed."""
+    rc = main(["validate", "--n-list", "4,100", "--storage", "1e308"])
     assert rc == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: bandwidth 1e+308 B/s is too large")
+    assert captured.err.startswith("error: storage 1e+308 B is too large "
+                                   "at n = 4")
     assert captured.err.count("\n") == 1
-    assert "rate" not in captured.err
 
 
 def test_validate_binding_bound_underflow(capsys):

@@ -15,7 +15,7 @@ from dht_rebalance.bounds import (
 from dht_rebalance.cli import sweep_rows
 from dht_rebalance.sim import feasibility_threshold
 
-GOLDEN_PLAN_SHA256 = "0795d9a651537b42d68a46c05c30a4fad7b4684590fa2d9b31eafb69ad6098c0"
+GOLDEN_PLAN_SHA256 = "8b8a9bc5d30f36f9fbe95dad34d3791bbf46e57334a63fe1ac5df60490f93ac9"
 
 
 def _plan_queries():
@@ -49,9 +49,10 @@ def test_plan_outputs_match_golden_digest():
     feasibility_threshold and sweep_rows of every golden query, plus one
     sweep longer than a bound_table block.  A query with no answer is
     reported and swept at a seeded size instead.  The digest was recorded
-    when the simulator's time limit went: against the simulator before,
-    only the clear thresholds at mu = 1 moved, to 0.0 (46 of the 240
-    queries)."""
+    when the threshold bisection moved to the unit link b = v = 1: against
+    the bisection in physical units only thresholds moved, 81 of the 240
+    by at most 1e-12 relative and 2 at N <= 2, where one side sat exactly
+    on the strict binding bound, by at most 1e-4."""
     h = hashlib.sha256()
     for (sc, rate, bandwidth, value_size, mu, kinds, window, mu_list, twice,
          fallback_n) in _plan_queries():

@@ -8,7 +8,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dht_rebalance import sim as sim_mod
 from dht_rebalance.bounds import (
@@ -265,6 +265,59 @@ def test_config_validation():
         with pytest.raises(ValueError, match="inflow"):
             SimConfig(big, scenario, rate, n_target=n_target)
     SimConfig(big, STAB_CONC, 1e290, n_target=10**9)  # finite system-wide
+
+
+def test_config_rejects_byte_totals_that_overflow():
+    """The kernel's largest byte totals are the migration n * S, and in
+    clear mode a join's backlog, at most inflow * S / b, and its drain
+    n * b.  A config where one overflows a float is rejected, naming
+    storage or bandwidth: an overflowing backlog would write a NaN level,
+    and an overflowing migration would leave the join never complete."""
+    # stable-clear 31 -> 34 at mu = 1: the backlog would overflow to inf
+    # and the starvation row's level would be inf - inf
+    found = ClusterParams(n=31, bandwidth=1.391e300, value_size=3.83e11,
+                          mu=1.0, storage=6.75e305)
+    with pytest.raises(ValueError, match="storage"):
+        SimConfig(found, STAB_CLEAR, 1.036e291, 34)
+    # n * S: 4 * 1e308 overflows in every scenario
+    huge_s = ClusterParams(n=3, bandwidth=1e6, value_size=1.0, mu=0.5,
+                           storage=1e308)
+    for scenario in ALL_SCENARIOS:
+        with pytest.raises(ValueError, match="storage"):
+            SimConfig(huge_s, scenario, 1.0, 4)
+    # n * b: a clear join drains at 4 * 1e308 B/s; a concurrent one does not
+    huge_b = ClusterParams(n=3, bandwidth=1e308, value_size=1.0, mu=0.5,
+                           storage=1.0)
+    with pytest.raises(ValueError, match="bandwidth"):
+        SimConfig(huge_b, INCR_CLEAR, 1.0, 4)
+    SimConfig(huge_b, INCR_CONC, 1.0, 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenario=st.sampled_from(ALL_SCENARIOS),
+       n=st.integers(1, 40),
+       joins=st.integers(1, 5),
+       mu=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+       log_b=st.floats(-300, 308.25),
+       log_v=st.floats(-10, 20),
+       log_s=st.one_of(st.floats(0, 308.25), st.floats(290, 308.25)),
+       log_frac=st.floats(-8, 8),
+       fill=st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)))
+def test_runs_on_extreme_links_hold_no_nan(scenario, n, joins, mu, log_b,
+                                           log_v, log_s, log_frac, fill):
+    """Links with b and S up to the float maximum and rates up to 1e8 B:
+    every config SimConfig accepts runs to rows that hold no NaN."""
+    try:
+        p = ClusterParams(n=n, bandwidth=10 ** log_b, value_size=10 ** log_v,
+                          mu=mu, storage=10 ** log_s)
+        rate = 10 ** log_frac * p.max_write_rate
+        if scenario.workload is WorkloadKind.STABLE_TOTAL:
+            rate *= n
+        cfg = SimConfig(p, scenario, rate, n + joins, fill)
+    except ValueError:
+        return  # a link or a config the checks reject
+    events, _ = run(cfg)
+    assert not any(x != x for row in events.rows for x in row), events
 
 
 def test_threshold_matches_bounds_spot():
@@ -1010,15 +1063,17 @@ def test_outcome_rule(scenario, n, mu, bandwidth, value_size, storage, frac,
 # threshold search
 
 GOLDEN_THRESHOLDS_SHA256 = (
-    "cf8ff48338ffe1e321a90552ebf1e708d142505c46fc50048334e05e09ce4c31")
+    "56a8ccbd02f1e9d18a8153bef852694e22756502244eb5d9361390376a237573")
 
 
 def test_thresholds_match_golden_digest():
     """sha256 over the repr of feasibility_threshold, one line per config of
     a seeded grid: all four scenarios, N from 1 to 10^4, mu up to 1.0
     (the known-defect regions included) and random links.  The digest was
-    recorded when the time limit went: against the simulator before, only
-    the clear thresholds at mu = 1 moved, to 0.0 (77 of the 400 configs)."""
+    recorded when the bisection moved to the unit link b = v = 1: against
+    the bisection in physical units, 247 of the 400 thresholds kept their
+    bits, 132 moved by at most 1e-12 relative, and 21 at N <= 2, where one
+    side sat exactly on the strict binding bound, by at most 1e-4."""
     rnd = random.Random(20261019)
     h = hashlib.sha256()
     for i in range(400):
@@ -1034,14 +1089,18 @@ def test_thresholds_match_golden_digest():
 
 
 def _threshold_oracle(p, scenario):
-    """feasibility_threshold as a bisection over a full run of a checked
-    SimConfig per probe."""
-    def feasible(lam):
-        rate = lam * p.n if scenario.workload is WorkloadKind.STABLE_TOTAL else lam
-        cfg = SimConfig(p, scenario, rate, n_target=p.n + 1, initial_fill=1.0)
+    """feasibility_threshold as a blind bisection over alpha = lambda / B in
+    (0, 1), one full run of a checked SimConfig per probe on the unit link
+    b = v = 1 with p's S and mu, scaled by B."""
+    unit = ClusterParams(p.n, 1, 1, p.mu, p.storage)
+
+    def feasible(alpha):
+        stable = scenario.workload is WorkloadKind.STABLE_TOTAL
+        cfg = SimConfig(unit, scenario, alpha * p.n if stable else alpha,
+                        n_target=p.n + 1, initial_fill=1)
         return run(cfg)[1].kind == STABILIZED
 
-    lo, hi = 0.0, p.max_write_rate
+    lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if feasible(mid):
@@ -1050,7 +1109,7 @@ def _threshold_oracle(p, scenario):
             hi = mid
         if lo > 0 and (hi - lo) <= 1e-4 * lo:
             break
-    return lo
+    return lo * p.max_write_rate
 
 
 def test_threshold_matches_per_probe_config_bisection():
@@ -1155,12 +1214,21 @@ def test_validate_runs_the_kernel_only_inside_the_bisection(monkeypatch):
        mu=st.one_of(st.floats(0.05, 0.95), st.just(1.0)),
        links=st.lists(st.tuples(st.floats(3, 11), st.floats(-1, 4),
                                 st.floats(6, 14)), min_size=2, max_size=2))
+@example(scenario=INCR_CONC, log_n=3.0, mu=0.5,
+         links=[(9.0, 1.0, 300.0), (6.0, 0.0, 12.0)])
+@example(scenario=INCR_CLEAR, log_n=3.0, mu=0.5,
+         links=[(9.0, 1.0, 300.0), (6.0, 0.0, 12.0)])
+@example(scenario=STAB_CONC, log_n=3.0, mu=0.5,
+         links=[(9.0, 1.0, 300.0), (6.0, 0.0, 12.0)])
+@example(scenario=STAB_CLEAR, log_n=3.0, mu=0.5,
+         links=[(9.0, 1.0, 300.0), (6.0, 0.0, 12.0)])
 def test_threshold_over_b_does_not_depend_on_the_link(scenario, log_n, mu,
                                                       links):
     """Scaling b, v and S scales every time and level of the kernel, so
     threshold / B is a function of (scenario, N, mu) alone: two links agree
     to within one bracket width.  That holds at mu = 1 too, where the clear
-    modes' threshold is 0 on every link."""
+    modes' threshold is 0 on every link, and at S = 1e300 and N = 1000,
+    where a probe's times on the unit link are bytes / alpha."""
     ratios = []
     for log_b, log_v, log_s in links:
         p = ClusterParams(n=int(10 ** log_n), bandwidth=10 ** log_b,
@@ -1169,12 +1237,49 @@ def test_threshold_over_b_does_not_depend_on_the_link(scenario, log_n, mu,
     assert abs(ratios[0] - ratios[1]) <= 1e-4 * max(ratios), ratios
 
 
+@settings(max_examples=150, deadline=None)
+@given(scenario=st.sampled_from(ALL_SCENARIOS),
+       log_n=st.floats(0, 4),
+       mu=st.one_of(st.floats(0.05, 0.95), st.just(1.0)),
+       log_s=st.floats(6, 14),
+       links=st.lists(st.tuples(st.floats(-3, 11), st.floats(-1, 4)),
+                      min_size=2, max_size=2))
+def test_threshold_over_b_is_exact_across_bandwidth_and_value_size(
+        scenario, log_n, mu, log_s, links):
+    """Two links with the same (n, mu, S) run the same bisection on the
+    unit link, so threshold / B agrees to within 2 ulps: the roundings of
+    scaling the result by B and of dividing it by B again."""
+    ratios = []
+    for log_b, log_v in links:
+        p = ClusterParams(n=int(10 ** log_n), bandwidth=10 ** log_b,
+                          value_size=10 ** log_v, mu=mu, storage=10 ** log_s)
+        ratios.append(feasibility_threshold(p, scenario) / p.max_write_rate)
+    assert abs(ratios[0] - ratios[1]) <= 2 * math.ulp(max(ratios)), ratios
+
+
 def test_threshold_checks_the_top_of_its_range():
-    """One check at b/v covers every probe: a write inflow that overflows
-    there is rejected before the first probe."""
+    """A bandwidth at the top of the float range is a link like any other:
+    the probes run on the unit link, so no probe's inflow overflows, and
+    each threshold is within a bracket width of its binding bound and
+    within 2 ulps of a 1 B/s link's, scaled by B."""
     p = ClusterParams(n=2, bandwidth=1e308, value_size=1.0, mu=0.5)
+    slow = replace(p, bandwidth=1.0)
     for scenario in ALL_SCENARIOS:
-        with pytest.raises(ValueError):
+        thr = feasibility_threshold(p, scenario)
+        assert thr == pytest.approx(bound_report(p, scenario).binding.value,
+                                    rel=1e-4)
+        ratio = feasibility_threshold(slow, scenario)
+        assert abs(thr / 1e308 - ratio) <= 2 * math.ulp(ratio)
+
+
+def test_threshold_rejects_a_storage_whose_totals_overflow():
+    """On the unit link the probes' largest byte total is (n + 1) * S: a
+    storage for which it overflows is named before the first probe."""
+    p = ClusterParams(n=4, bandwidth=1e6, value_size=1.0, mu=0.5,
+                      storage=1e308)
+    for scenario in ALL_SCENARIOS:
+        with pytest.raises(ValueError, match="storage 1e.308 B is too large "
+                                             "at n = 4"):
             feasibility_threshold(p, scenario)
 
 
