@@ -22,15 +22,19 @@ next expansion fires (catchup_starvation).
 Each size n has one per-node write share w: the per-node rate, or the
 system-wide rate over n for a stable workload.  In clear mode the next-trigger
 clock counts live write arrivals only: after a join the system triggers again
-once new writes fill the mu*S headroom, while the drained backlog adds to
-stored bytes without advancing that clock.  With M = mu*S*n/(n+1) migrated
+once new writes alone fill the gap to mu*S, while the drained backlog adds
+to stored bytes without advancing that clock.  With M = mu*S*n/(n+1) migrated
 per old node and alpha = w/b, the trigger interval after a clear join is
 (mu*S - M)/(alpha*b) and catch-up takes alpha*M/((1-alpha)*b); the rate at
 which they are equal is ``bounds._FORMS``' time entry.  A node's level rises
-at b during catch-up and at w after it.  A level that reaches S at or
-before the next trigger is a storage overflow.  A backlog still present at
-the trigger is starvation, and that includes a backlog that drains exactly
-then: at exactly the time bound the run starves, as the strict bounds say.
+at b during catch-up and at w after it.  If catch-up has not ended by the
+next trigger, a level that reaches S by then overflows storage, else the
+backlog left starves, also one that drains exactly then: at exactly the time
+bound the run starves, as the strict bounds say.  If catch-up ends first,
+the level at the trigger is mu*S + alpha*M, and the run overflows iff alpha*M
+fills the headroom (1 - mu)*S, tested on the headroom itself, as rounding a
+level near S costs as much near mu = 1: a float row may show a level that
+rounds to S while the outcome follows the headroom.
 
 Under symmetry every old node holds the same bytes, so an event stores that
 one ``level`` plus the joining node's ``joining_level`` while a join is in
@@ -49,7 +53,8 @@ object, on one unit link b = v = 1 with the node's S and mu, whose largest
 byte total (n + 1) * S one check covers.  A memo of monotone facts, the
 largest rate a probe showed stabilizes and the smallest one a probe showed
 does not, decides a midpoint without a probe when it can; two seed probes
-1e-9 either side of the binding bound fill it first.  Where the bound holds
+1e-9 either side of the binding bound, in units of B from the one bound
+table the bracket evaluates, fill it first.  Where the bound holds
 they decide almost every midpoint, and as each memo entry is a fact about
 a monotone outcome, the result is the blind bisection's bit for bit; where
 it does not (ROADMAP item 1) the seeds are two more probes.
@@ -310,46 +315,37 @@ def _kernel(params: ClusterParams, scenario: Scenario, rate, n_target: int,
         s_base = migration_total  # per-node stored right after the join
         add((t0, "join_completed", n, s_base, None, d_acc, t_join, None))
 
-        drain_total = n * (b - w)
-        catchup_end = (t0 + d_acc / drain_total if drain_total > 0
-                       else math.inf if d_acc > 0 else t0)
-        # next-trigger clock: live writes refilling the mu*S headroom
-        t_trig = t0 + max(mu_s - s_base, 0 * mu_s) / w if w > 0 else math.inf
-        s_at_catchup = s_base + d_acc / n + w * (catchup_end - t0)
-
-        # storage crossing: the level rises at b during catch-up, then at w
-        cross = t0 + (s_cap - s_base) / b
-        if catchup_end > t0 and cross <= catchup_end:
-            t_full = cross
-        elif catchup_end >= t_trig:
-            t_full = math.inf
-        elif s_at_catchup >= s_cap:
-            t_full = catchup_end
-        else:
-            t_full = (catchup_end + (s_cap - s_at_catchup) / w if w > 0
-                      else math.inf)
-        if t_full <= t_trig and t_full < math.inf:  # t_trig may be inf
-            add((t_full, "breakdown", n, s_cap, None, 0.0, None,
-                 STORAGE_OVERFLOW))
+        if w == 0:
+            return  # the next trigger never comes
+        # x is the time since t0: live writes fill the gap to mu*S by the
+        # trigger, the backlog a = alpha*M per node drains at b - w, and the
+        # level rises at b until it has drained
+        a = d_acc / n
+        x_trig = max(mu_s - s_base, 0 * mu_s) / w
+        x_up = d_acc / (n * (b - w)) if w < b else math.inf
+        x_full = (s_cap - s_base) / b  # S reached during catch-up
+        if x_trig <= x_up:  # a backlog is left at the trigger
+            if x_full <= x_trig:
+                add((t0 + x_full, "breakdown", n, s_cap, None, 0.0, None,
+                     STORAGE_OVERFLOW))
+            else:
+                drained = n * (b - w) * x_trig if w < b else 0 * d_acc
+                add((t0 + x_trig, "breakdown", n,
+                     s_base + drained / n + w * x_trig, None, d_acc - drained,
+                     None, CATCHUP_STARVATION))
             return
-
-        if t_trig <= catchup_end and d_acc > 0:
-            remaining = (d_acc - drain_total * (t_trig - t0) if drain_total > 0
-                         else d_acc)
-            add((t_trig, "breakdown", n,
-                 s_base + (d_acc - remaining) / n + w * (t_trig - t0),
-                 None, remaining, None, CATCHUP_STARVATION))
+        # the level at the trigger is mu*S + a: it reaches S iff a fills the
+        # headroom, which s_cap - mu_s would lose to rounding near mu = 1
+        if a >= (1 - params.mu) * s_cap:
+            t_full = t0 + max(x_full, (s_cap - s_base - a) / w)
+            if t_full < math.inf:  # a crossing past the float range never comes
+                add((t_full, "breakdown", n, s_cap, None, 0.0, None,
+                     STORAGE_OVERFLOW))
             return
-        if d_acc > 0:
-            add((catchup_end, "catchup_completed", n, s_at_catchup, None, 0.0,
-                 catchup_end - t0, None))
-
-        # resume filling; drained bytes count towards stored, the trigger
-        # clock keeps running on live writes from t0
-        if t_trig == math.inf:
-            return
-        t = t_trig
-        stored = s_base + d_acc / n + w * (t_trig - t0)
+        add((t0 + x_up, "catchup_completed", n, s_base + a + w * x_up, None,
+             0.0, x_up, None))
+        t = t0 + x_trig
+        stored = mu_s + a  # the drained backlog on top of the trigger level
 
 
 def _decide(rows: list[tuple], n0: int, n_target: int) -> tuple[str, int]:
@@ -418,8 +414,7 @@ def _threshold_bracket(params: ClusterParams, scenario: Scenario):
             f"bandwidth / value_size = {top:g} is too small")
     # on the unit link b = v = 1 a per-node rate is alpha = lambda / B
     unit = ClusterParams(n, 1, 1, mu, storage)
-    seed = float(min(bound_table(n, mu, 1, scenario.workload,
-                                 kinds).values()))
+    seed = binding / top  # the binding bound in units of B
     # the memo: every rate up to stable_to stabilizes, none from
     # unstable_from up does (its probe ended as above); no probe has run yet
     stable_to, unstable_from, above = 0.0, math.inf, NO_BREAKDOWN
