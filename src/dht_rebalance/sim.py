@@ -17,7 +17,11 @@ step and no discretization error.  One expansion cycle:
 Three breakdown conditions are detected: a node exceeding its storage S
 (storage_overflow), an old node hitting the expansion trigger again before
 the join finishes (expansion_overlap), and a backlog still nonzero when the
-next expansion fires (catchup_starvation).
+next expansion fires (catchup_starvation).  storage_overflow is a clear-mode
+ending: a concurrent join that completes leaves every node below mu*S, as
+its old nodes drain, so a concurrent run breaks down only in
+expansion_overlap.  A float row at the bandwidth bound may show that level
+an ulp above mu*S, and so at mu = 1 above S, where the exact level is below.
 
 Each size n has one per-node write share w: the per-node rate, or the
 system-wide rate over n for a stable workload.  In clear mode the next-trigger
@@ -69,7 +73,9 @@ A run ends by its physics alone, with no cut in time.  ``math.inf``
 stands for an event that never comes, so the kernel stops in place of an
 expansion trigger at time inf (a zero write share never reaches it, or its
 time overflows) and of a join that would complete at time inf.  A clear
-join looks for a storage crossing up to its next trigger.  One rule,
+join looks for a storage crossing up to its next trigger; an overflow the
+headroom test has decided is written even at time inf, where its crossing
+time overflows as the exact one would.  One rule,
 ``_decide``, turns the rows into the outcome: a breakdown event gives
 breakdown, a run that ends at ``n_target`` is stabilized, and a run whose
 next expansion never comes is max_time_exceeded.  A concurrent write share
@@ -286,21 +292,12 @@ def _kernel(params: ClusterParams, scenario: Scenario, rate, n_target: int,
             t_join = migration_total / b_join
             if t + t_join == math.inf:
                 return  # the join never completes; 0 * inf would give NaN
+            t += t_join
             # all n+1 nodes end symmetric at this level: the joining node
             # holds the migrated share plus its writes, the old nodes drained
-            # to the same level
-            level = migration_total + w * t_join
-            # joining node fills at the full b (writes + migration); in exact
-            # arithmetic the overlap above always comes first, in floating
-            # point this fires at mu = 1 a few ulps below the bandwidth bound
-            if level > s_cap:
-                t_full = t + s_cap / b
-                add((t_full, "breakdown", n + 1,
-                     stored + old_rate * (t_full - t), s_cap, 0.0, None,
-                     STORAGE_OVERFLOW))
-                return
-            t += t_join
-            stored = level
+            # to the same level; old_rate < 0 puts it below mu*S, which a
+            # float level at the bandwidth bound may pass by an ulp
+            stored = migration_total + w * t_join
             n += 1
             add((t, "join_completed", n, stored, None, 0.0, t_join, None))
             continue
@@ -337,10 +334,8 @@ def _kernel(params: ClusterParams, scenario: Scenario, rate, n_target: int,
         # the level at the trigger is mu*S + a: it reaches S iff a fills the
         # headroom, which s_cap - mu_s would lose to rounding near mu = 1
         if a >= (1 - params.mu) * s_cap:
-            t_full = t0 + max(x_full, (s_cap - s_base - a) / w)
-            if t_full < math.inf:  # a crossing past the float range never comes
-                add((t_full, "breakdown", n, s_cap, None, 0.0, None,
-                     STORAGE_OVERFLOW))
+            add((t0 + max(x_full, (s_cap - s_base - a) / w), "breakdown", n,
+                 s_cap, None, 0.0, None, STORAGE_OVERFLOW))
             return
         add((t0 + x_up, "catchup_completed", n, s_base + a + w * x_up, None,
              0.0, x_up, None))
@@ -386,8 +381,10 @@ def run(cfg: SimConfig) -> tuple[EventTable, SimOutcome]:
 
 def _probe(params: ClusterParams, scenario: Scenario, lam) -> str:
     """How one n -> n+1 expansion from a full trigger level ends at per-node
-    rate lam, on inputs the bisection checked.  ``STABILIZED``, its breakdown
-    kind, or ``MAX_TIME_EXCEEDED``."""
+    rate lam, on inputs the bisection checked: ``STABILIZED`` or its
+    breakdown kind.  From a full level the trigger comes at t = 0, and on
+    the unit link with (n + 1) * S checked every join time is finite, so a
+    probe's next expansion always comes."""
     rows: list[tuple] = []
     stable = scenario.workload is WorkloadKind.STABLE_TOTAL
     _kernel(params, scenario, lam * params.n if stable else lam,
@@ -464,8 +461,8 @@ class ValidationRow:
     """One size's bound against its simulated threshold.
 
     ``breakdown_above`` names how the bisection's own probe at the smallest
-    rate it showed unstable ended: its breakdown kind, or max_time_exceeded.
-    It is ``NO_BREAKDOWN`` when no rate below b/v was shown unstable.
+    rate it showed unstable ended: its breakdown kind.  It is
+    ``NO_BREAKDOWN`` when no rate below b/v was shown unstable.
     """
 
     n: int

@@ -32,7 +32,6 @@ from dht_rebalance.sim import (
     CATCHUP_STARVATION,
     EXPANSION_OVERLAP,
     STABILIZED,
-    STORAGE_OVERFLOW,
     SimConfig,
     run,
 )
@@ -166,8 +165,7 @@ def test_criterion_4_breakdown_taxonomy():
                     else:
                         assert outcome.kind == BREAKDOWN, (n, scenario.name)
                         if scenario.mode is StabilizationMode.CONCURRENT:
-                            assert outcome.breakdown_kind in (
-                                EXPANSION_OVERLAP, STORAGE_OVERFLOW)
+                            assert outcome.breakdown_kind == EXPANSION_OVERLAP
                         else:
                             assert outcome.breakdown_kind == CATCHUP_STARVATION
 

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -390,9 +391,10 @@ def _run_at(n, mu, scenario, frac, n_target):
 
 def _float_edge_config(rate=1132.185717735206, initial_fill=1.0):
     """increasing-concurrent at mu = 1, where the storage and bandwidth bounds
-    meet.  In exact arithmetic the joining node reaches S only above the
-    bandwidth bound, where the join overlaps the next expansion; in floating
-    point this rate, one ulp below the bound, fills it first."""
+    meet.  In exact arithmetic the joining node ends below S whenever the
+    join completes before the next expansion; in floating point, at this
+    rate one ulp below the bound and down to ten ulps below it, its level
+    rounds an ulp above S."""
     p = ClusterParams(n=100, bandwidth=45669206.033838026,
                       value_size=399.37825542896167, mu=1.0,
                       storage=12101084162.998093)
@@ -400,20 +402,34 @@ def _float_edge_config(rate=1132.185717735206, initial_fill=1.0):
                      initial_fill=initial_fill)
 
 
-def test_float_edge_concurrent_storage_overflow():
-    cfg = _float_edge_config()
-    p = cfg.params
-    assert cfg.rate < bound_table(p.n, p.mu, p.max_write_rate,
-                                  WorkloadKind.INCREASING_PER_NODE)["bandwidth"]
-    events, outcome = run(cfg)
-    assert outcome.kind == BREAKDOWN
-    assert outcome.breakdown_kind == STORAGE_OVERFLOW
-    assert (outcome.at_n, outcome.final_n) == (100, 100)
-    last = events[-1]
-    assert (last.kind, last.n) == ("breakdown", 101)
-    assert last.joining_level == cfg.params.storage
-    assert outcome.total_time == last.time == pytest.approx(
-        cfg.params.storage / cfg.params.bandwidth, rel=1e-12)
+def _float_edge_configs():
+    """The float-edge config at 12 ulp steps down from its rate, each with
+    initial_fill 0 and 1."""
+    configs = []
+    rate = _float_edge_config().rate
+    for _ in range(12):
+        configs += [_float_edge_config(rate, fill) for fill in (0.0, 1.0)]
+        rate = math.nextafter(rate, 0.0)
+    return configs
+
+
+def test_float_edge_configs_end_as_their_exact_runs():
+    """A concurrent run breaks down only in expansion_overlap: a float level
+    an ulp above S at the bandwidth bound is rounding, not an overflow, and
+    each float-edge run ends as its run on Fraction inputs."""
+    p = _float_edge_config().params
+    assert _float_edge_config().rate < bound_table(
+        p.n, p.mu, p.max_write_rate,
+        WorkloadKind.INCREASING_PER_NODE)["bandwidth"]
+    exact_p = replace(p, bandwidth=Fraction(p.bandwidth),
+                      value_size=Fraction(p.value_size), mu=Fraction(p.mu),
+                      storage=Fraction(p.storage))
+    for cfg in _float_edge_configs():
+        exact = run(replace(cfg, params=exact_p, rate=Fraction(cfg.rate),
+                            initial_fill=Fraction(cfg.initial_fill)))[1]
+        outcome = run(cfg)[1]
+        assert (outcome.kind, outcome.breakdown_kind, outcome.final_n) == (
+            exact.kind, exact.breakdown_kind, exact.final_n), cfg
 
 
 def test_trace_lines_match_event_to_dict(tmp_path):
@@ -427,9 +443,7 @@ def test_trace_lines_match_event_to_dict(tmp_path):
               _run_at(1, 0.5, STAB_CLEAR, 0.5, 3),     # catch-up, n = 1
               _run_at(4, 0.5, STAB_CONC, 1.05, 6),     # expansion_overlap
               _run_at(4, 0.9, INCR_CLEAR, 0.5, 6),     # clear storage_overflow
-              _run_at(4, 0.5, STAB_CLEAR, 0.95, 6),    # catchup_starvation
-              # concurrent storage_overflow: old nodes' level, joining node at S
-              run(_float_edge_config())[0])
+              _run_at(4, 0.5, STAB_CLEAR, 0.95, 6))    # catchup_starvation
     block = sim_mod._TRACE_BLOCK
     assert len(scale_out) > 2 * block
     events = EventTable([row for table in tables for row in table.rows])
@@ -442,7 +456,6 @@ def test_trace_lines_match_event_to_dict(tmp_path):
         ("expansion_triggered", None, False), ("join_started", None, True),
         ("join_completed", None, False), ("catchup_completed", None, False),
         ("breakdown", EXPANSION_OVERLAP, True),
-        ("breakdown", STORAGE_OVERFLOW, True),
         ("breakdown", STORAGE_OVERFLOW, False),
         ("breakdown", CATCHUP_STARVATION, False)}
     path = tmp_path / "trace.jsonl"
@@ -475,8 +488,8 @@ def test_event_table_is_a_list_of_rows():
 
 def test_trace_lines_match_json_dumps_for_non_finite_and_int_values(tmp_path):
     # integer-valued inputs give integer levels, which json writes as ints;
-    # no run keeps an event at time inf, so the hand-built rows below hold
-    # the non-finite values
+    # a run keeps no non-finite value but a clear overflow's time past the
+    # float range, so the hand-built rows below hold them
     p = ClusterParams(n=4, bandwidth=10**8, value_size=16, mu=1,
                       storage=10**12)
     rows = run(SimConfig(p, INCR_CLEAR, 1000, n_target=6,
@@ -896,13 +909,15 @@ def test_float_run_resolves_a_sub_ulp_storage_headroom():
 # ---------------------------------------------------------------------------
 # physics past 1e18 s: no cut in time decides an outcome
 
-def test_clear_thresholds_at_mu_1_are_zero():
+@pytest.mark.parametrize("storage", [1e9, 1e300, 1e306])
+def test_clear_thresholds_at_mu_1_are_zero(storage):
     """At mu = 1 the level at the next trigger is S plus the drained
     backlog, so every positive rate overflows storage before it: the clear
-    thresholds are exactly 0, however late the crossing comes.  The
-    concurrent thresholds keep their bandwidth bound."""
+    thresholds are exactly 0, however late the crossing comes, also past
+    the float range on a node of 1e300 or 1e306 B.  The concurrent
+    thresholds keep their bandwidth bound."""
     p = ClusterParams(n=10, bandwidth=1e6, value_size=1.0, mu=1.0,
-                      storage=1e9)
+                      storage=storage)
     assert feasibility_threshold(p, INCR_CLEAR) == 0.0
     assert feasibility_threshold(p, STAB_CLEAR) == 0.0
     for scenario in (INCR_CONC, STAB_CONC):
@@ -928,6 +943,28 @@ def test_clear_run_at_mu_1_overflows_after_1e18_s(exact):
     assert (outcome.kind, outcome.breakdown_kind, outcome.final_n) == (
         BREAKDOWN, STORAGE_OVERFLOW, 11)
     assert outcome.total_time == pytest.approx(1.0079e18, rel=1e-4)
+    assert events[-1].level == p.storage
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("n_target", [11, 12])
+def test_clear_run_at_mu_1_overflows_past_the_float_range(exact, n_target):
+    """increasing-clear at mu = 1, 1e-301 writes/s, 10 -> 11 from a full
+    trigger level: the headroom test decides the overflow before the next
+    trigger, and the level crosses S at about 9e308 s, past the largest
+    float.  The run is a storage overflow, at time inf in float, whatever
+    its n_target, as in exact arithmetic."""
+    num = Fraction if exact else float
+    p = ClusterParams(n=10, bandwidth=num(10 ** 6), value_size=num(1),
+                      mu=num(1), storage=num(10 ** 9))
+    events, outcome = run(SimConfig(p, INCR_CLEAR, num(1e-301), n_target,
+                                    initial_fill=1))
+    assert [ev.kind for ev in events] == ["expansion_triggered",
+                                          "join_started", "join_completed",
+                                          "breakdown"]
+    assert (outcome.kind, outcome.breakdown_kind, outcome.final_n) == (
+        BREAKDOWN, STORAGE_OVERFLOW, 11)
+    assert outcome.total_time > sys.float_info.max
     assert events[-1].level == p.storage
 
 
@@ -957,7 +994,7 @@ def _rate_scale(p, scenario):
     return float(bound_table(p.n, p.mu, p.max_write_rate, scenario.workload)[kind])
 
 
-GOLDEN_RUNS_SHA256 = "f40e21c4f2b1c0fe95a5183c79ba5445f14e471a4f302d862b6621274e891520"
+GOLDEN_RUNS_SHA256 = "fea5d2d4e9ec1a046fd5c71197f1675c53af49a313a7262542375841e444c58d"
 # the bytes the digest holds for a _no_bandwidth_left config: the recording
 # simulator raised an exception there and hashed the name of its class,
 # since removed
@@ -978,8 +1015,8 @@ def _no_bandwidth_left(cfg):
 
 def _golden_configs():
     """624 seeded configs: all four scenarios, mu up to 1.0, initial_fill
-    0, 1 or random, rates from 0 to 3x the scenario's bound, the float-edge
-    overflow and ulp steps below it."""
+    0, 1 or random, rates from 0 to 3x the scenario's bound, and the
+    float-edge configs."""
     rnd = random.Random(20261018)
     bases = []
     for i in range(600):
@@ -995,22 +1032,18 @@ def _golden_configs():
         rate = lam if sc.workload is WorkloadKind.INCREASING_PER_NODE else lam * n
         fill = rnd.choice((0.0, 1.0, rnd.random()))
         bases.append(SimConfig(p, sc, rate, n + rnd.randint(1, 5), fill))
-    rate = _float_edge_config().rate
-    for _ in range(12):
-        bases += [_float_edge_config(rate, fill) for fill in (0.0, 1.0)]
-        rate = math.nextafter(rate, 0.0)
-    return bases
+    return bases + _float_edge_configs()
 
 
 def test_runs_match_golden_digest():
     """sha256 over repr((events, outcome)), or the exception name, of every
     golden config, which together reach every outcome kind.  The digest was
-    recorded when the clear cycle's storage test moved to the headroom
-    (1 - mu) * S: against the crossing-time rule before, every run on
-    Fraction inputs kept its rows and outcome bit for bit, and in float 95
-    runs moved through 276 values, no outcome, breakdown kind or final_n
-    among them, while the worst relative error of a row against its exact
-    run fell from 2.2e-12 to 1.9e-14.  A config with no bandwidth left
+    recorded when the concurrent join lost its storage branch, which only
+    float rounding reached: against the kernel before, every run on
+    Fraction inputs kept its rows and outcome bit for bit, and in float the
+    20 float-edge runs within 10 ulps of the bound moved from
+    storage_overflow at 100 to stabilized at 101, each to its exact run's
+    outcome; no other run moved.  A config with no bandwidth left
     after its first join was recorded as the exception it raised before
     run() was split into an event stream and one outcome rule: it is hashed
     as that token, and its run must now end in expansion_overlap at its
@@ -1042,6 +1075,9 @@ def test_runs_match_golden_digest():
        frac=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
        fill=st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)),
        joins=st.integers(1, 6))
+# a storage overflow past the float range, at time inf
+@example(scenario=INCR_CLEAR, n=10, mu=1.0, bandwidth=1e6, value_size=1.0,
+         storage=1e13, frac=5e-324, fill=1.0, joins=2)
 def test_outcome_rule(scenario, n, mu, bandwidth, value_size, storage, frac,
                       fill, joins):
     p = ClusterParams(n=n, bandwidth=bandwidth, value_size=value_size, mu=mu,
@@ -1052,7 +1088,12 @@ def test_outcome_rule(scenario, n, mu, bandwidth, value_size, storage, frac,
     events, outcome = run(cfg)
     times = [ev.time for ev in events]
     assert times == sorted(times)
-    assert all(math.isfinite(t) for t in times)
+    # a clear overflow the headroom test decided is the one event whose
+    # crossing time may pass the float range
+    assert all(math.isfinite(t) for t in times[:-1])
+    if times and not math.isfinite(times[-1]):
+        assert scenario.mode is StabilizationMode.CLEAR
+        assert events[-1].breakdown_kind == STORAGE_OVERFLOW
     final_n = next((ev.n for ev in reversed(events)
                     if ev.kind == "join_completed"), n)
     assert outcome.final_n == final_n
@@ -1156,7 +1197,7 @@ def test_threshold_matches_the_bisection_where_the_seeds_are_wrong():
     """The seeds beside the binding bound are two wasted probes where the
     bound is not the threshold: clear modes near and at mu = 1 (item 1b, and
     a threshold of 0 at mu = 1), stable-clear at N = 1 (item 1a), and the
-    float-edge overflow.  The threshold is still the blind bisection's, bit for bit."""
+    float-edge link.  The threshold is still the blind bisection's, bit for bit."""
     rnd = random.Random(20261023)
     clear = [sc for sc in ALL_SCENARIOS if sc.mode is StabilizationMode.CLEAR]
     configs = []
