@@ -313,8 +313,7 @@ def cmd_validate(args) -> int:
     n_values = [int(x) for x in args.n_list.split(",") if x]
     scenarios = _parse_scenarios(args.scenario_list)
     base = ClusterParams(n=1, bandwidth=parse_bandwidth(args.bandwidth),
-                         value_size=float(args.value_size), mu=args.mu,
-                         storage=args.storage)
+                         value_size=float(args.value_size), mu=args.mu)
     # every row before any output, so bad input prints no partial table
     rows = [row for scenario in scenarios
             for row in sim_mod.validate_against_bounds(n_values, scenario, base,
@@ -479,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario-list", default="all")
     p.add_argument("--tol", type=float, default=0.02)
     p.add_argument("--mu", type=float, default=0.5)
-    p.add_argument("--storage", type=float, default=ClusterParams.storage)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("case-study", help="metro-IoT sizing analysis")

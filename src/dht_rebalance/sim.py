@@ -20,8 +20,7 @@ the join finishes (expansion_overlap), and a backlog still nonzero when the
 next expansion fires (catchup_starvation).  storage_overflow is a clear-mode
 ending: a concurrent join that completes leaves every node below mu*S, as
 its old nodes drain, so a concurrent run breaks down only in
-expansion_overlap.  A float row at the bandwidth bound may show that level
-an ulp above mu*S, and so at mu = 1 above S, where the exact level is below.
+expansion_overlap.
 
 Each size n has one per-node write share w: the per-node rate, or the
 system-wide rate over n for a stable workload.  In clear mode the next-trigger
@@ -53,8 +52,8 @@ but every value is formatted by the C encoder, so the CLI does not run
 json's pure-Python indenting encoder.
 ``feasibility_threshold`` bisects to a fixed relative width of 1e-4, in
 units of B = b/v: each probe runs the kernel, with no config or outcome
-object, on one unit link b = v = 1 with the node's S and mu, whose largest
-byte total (n + 1) * S one check covers.  A memo of monotone facts, the
+object, on one unit link b = v = S = 1 with the node's mu, so a threshold
+is B times a function of (scenario, n, mu).  A memo of monotone facts, the
 largest rate a probe showed stabilizes and the smallest one a probe showed
 does not, decides a midpoint without a probe when it can; two seed probes
 1e-9 either side of the binding bound, in units of B from the one bound
@@ -295,9 +294,12 @@ def _kernel(params: ClusterParams, scenario: Scenario, rate, n_target: int,
             t += t_join
             # all n+1 nodes end symmetric at this level: the joining node
             # holds the migrated share plus its writes, the old nodes drained
-            # to the same level; old_rate < 0 puts it below mu*S, which a
-            # float level at the bandwidth bound may pass by an ulp
+            # to the same level; old_rate < 0 puts it below mu*S, and a
+            # float level at the bandwidth bound that rounds above is held
+            # there (a comparison costs less than a call to min)
             stored = migration_total + w * t_join
+            if stored > mu_s:
+                stored = mu_s
             n += 1
             add((t, "join_completed", n, stored, None, 0.0, t_join, None))
             continue
@@ -383,8 +385,8 @@ def _probe(params: ClusterParams, scenario: Scenario, lam) -> str:
     """How one n -> n+1 expansion from a full trigger level ends at per-node
     rate lam, on inputs the bisection checked: ``STABILIZED`` or its
     breakdown kind.  From a full level the trigger comes at t = 0, and on
-    the unit link with (n + 1) * S checked every join time is finite, so a
-    probe's next expansion always comes."""
+    the unit link every join time is finite, so a probe's next expansion
+    always comes."""
     rows: list[tuple] = []
     stable = scenario.workload is WorkloadKind.STABLE_TOTAL
     _kernel(params, scenario, lam * params.n if stable else lam,
@@ -397,10 +399,7 @@ def _threshold_bracket(params: ClusterParams, scenario: Scenario):
     """(threshold, binding bound, how the probe at the smallest rate shown
     unstable ended, or ``NO_BREAKDOWN`` if no rate below b/v was) of the
     bisection ``feasibility_threshold`` describes."""
-    n, mu, storage = params.n, params.mu, params.storage
-    if not (n + 1) * storage < math.inf:
-        raise ValueError(f"storage {storage:g} B is too large at n = {n}: "
-                         f"storage * (n + 1) overflows a float")
+    n, mu = params.n, params.mu
     kinds = applicable_kinds(scenario)
     top = params.max_write_rate
     binding = float(min(bound_table(n, mu, top, scenario.workload,
@@ -409,8 +408,8 @@ def _threshold_bracket(params: ClusterParams, scenario: Scenario):
         raise ValueError(
             f"the binding bound underflows to 0 at n = {n}: "
             f"bandwidth / value_size = {top:g} is too small")
-    # on the unit link b = v = 1 a per-node rate is alpha = lambda / B
-    unit = ClusterParams(n, 1, 1, mu, storage)
+    # on the unit link b = v = S = 1 a per-node rate is alpha = lambda / B
+    unit = ClusterParams(n, 1, 1, mu, 1)
     seed = binding / top  # the binding bound in units of B
     # the memo: every rate up to stable_to stabilizes, none from
     # unstable_from up does (its probe ended as above); no probe has run yet
@@ -443,10 +442,10 @@ def feasibility_threshold(params: ClusterParams, scenario: Scenario) -> float:
     """Bisect the largest feasible per-node write rate over (0, b/v), to a
     bracket 1e-4 wide relative to its feasible end or for 60 probes.
 
-    The probes run on the unit link b = v = 1 with the node's S and mu, at
-    alpha = lambda/B in (0, 1), and the feasible end is scaled by B.  A
-    storage whose (n + 1) * S overflows is named, and so is a binding bound
-    that underflows to 0 (a subnormal b/v).
+    The probes run on the unit link b = v = S = 1 with the node's mu, at
+    alpha = lambda/B in (0, 1), and the feasible end is scaled by B; no
+    probe reads S.  A binding bound that underflows to 0 (a subnormal b/v)
+    is named.
 
     A memo of monotone facts, seeded by two probes 1e-9 either side of the
     binding bound, decides a midpoint without a probe where it can (see the
@@ -482,8 +481,8 @@ def validate_against_bounds(n_values, scenario: Scenario,
 
     Rejects an empty n_values, an n that ClusterParams rejects and a tol
     below 1e-6 (or NaN) before any bisection, and at its bisection an n
-    whose (n + 1) * S overflows or whose binding bound underflows to 0 (a
-    subnormal b/v), against which no relative error exists."""
+    whose binding bound underflows to 0 (a subnormal b/v), against which no
+    relative error exists."""
     if not tol >= 1e-6:
         raise ValueError("tol must be >= 1e-6")
     sizes = [replace(base_params, n=n) for n in n_values]

@@ -531,10 +531,10 @@ def test_validate_names_the_breakdown_above_each_threshold(capsys):
         ["--n-list", "1", "--scenario-list", "stable-clear"], capsys)
     assert rc == EXIT_VALIDATION
     assert kinds == {(1, "stable-clear"): NO_BREAKDOWN}
-    # on a 1 B/s link with 1e20 B nodes every probe's events fall past
-    # 1e18 s; the physics is that of any link, so every row passes
-    rc, kinds = _breakdowns_above(
-        ["--n-list", "4", "--bandwidth", "1B/s", "--storage", "1e20"], capsys)
+    # the probes run in units of B, so a 1 B/s link is any link: every
+    # row passes
+    rc, kinds = _breakdowns_above(["--n-list", "4", "--bandwidth", "1B/s"],
+                                  capsys)
     assert rc == EXIT_OK
     assert kinds == {(4, "increasing-concurrent"): "expansion_overlap",
                      (4, "stable-concurrent"): "expansion_overlap",
@@ -603,17 +603,15 @@ def test_validate_on_a_subnormal_link(capsys):
         [1e-315, 1.5e-315, 1.5e-315, 2.25e-315], rel=1e-4)
 
 
-def test_validate_storage_too_large(capsys):
-    """At n = 4 a probe's byte total (n + 1) * S = 5e308 overflows, and
-    with it the migration, so no join could complete: the storage is named
-    before any row is printed."""
-    rc = main(["validate", "--n-list", "4,100", "--storage", "1e308"])
-    assert rc == EXIT_USAGE
+def test_validate_has_no_storage_flag(capsys):
+    """No threshold reads S, so validate takes no --storage: argparse
+    rejects it as a usage error, exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--n-list", "4", "--storage", "1e12"])
+    assert exc.value.code == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: storage 1e+308 B is too large "
-                                   "at n = 4")
-    assert captured.err.count("\n") == 1
+    assert "unrecognized arguments: --storage 1e12" in captured.err
 
 
 def test_validate_binding_bound_underflow(capsys):
@@ -791,7 +789,7 @@ GOOD_ARGVS = (
     GOOD_SIMULATE,
     ["validate", "--n-list", "4", "--scenario-list", "increasing-concurrent",
      "--tol", "0.02", "--mu", "0.5", "--bandwidth", "1Gbps",
-     "--value-size", "16", "--storage", "1e12"],
+     "--value-size", "16"],
     ["case-study", "--override-total-rate", "4800000",
      "--override-value-size", "240", "--override-bandwidth", "1Gbps",
      "--override-mu", "0.5"],

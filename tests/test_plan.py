@@ -52,7 +52,8 @@ def test_plan_outputs_match_golden_digest():
     when the threshold bisection moved to the unit link b = v = 1: against
     the bisection in physical units only thresholds moved, 81 of the 240
     by at most 1e-12 relative and 2 at N <= 2, where one side sat exactly
-    on the strict binding bound, by at most 1e-4."""
+    on the strict binding bound, by at most 1e-4.  It held when the probe
+    link became b = v = S = 1."""
     h = hashlib.sha256()
     for (sc, rate, bandwidth, value_size, mu, kinds, window, mu_list, twice,
          fallback_n) in _plan_queries():

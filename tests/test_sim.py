@@ -393,8 +393,8 @@ def _float_edge_config(rate=1132.185717735206, initial_fill=1.0):
     """increasing-concurrent at mu = 1, where the storage and bandwidth bounds
     meet.  In exact arithmetic the joining node ends below S whenever the
     join completes before the next expansion; in floating point, at this
-    rate one ulp below the bound and down to ten ulps below it, its level
-    rounds an ulp above S."""
+    rate one ulp below the bound and down to ten ulps below it, the sum for
+    its level rounds an ulp above S, and the kernel clamps it to mu*S."""
     p = ClusterParams(n=100, bandwidth=45669206.033838026,
                       value_size=399.37825542896167, mu=1.0,
                       storage=12101084162.998093)
@@ -415,8 +415,9 @@ def _float_edge_configs():
 
 def test_float_edge_configs_end_as_their_exact_runs():
     """A concurrent run breaks down only in expansion_overlap: a float level
-    an ulp above S at the bandwidth bound is rounding, not an overflow, and
-    each float-edge run ends as its run on Fraction inputs."""
+    an ulp above S at the bandwidth bound is rounding, not an overflow, so
+    each float-edge run ends as its run on Fraction inputs, and its join
+    completes at a level no higher than S."""
     p = _float_edge_config().params
     assert _float_edge_config().rate < bound_table(
         p.n, p.mu, p.max_write_rate,
@@ -427,9 +428,11 @@ def test_float_edge_configs_end_as_their_exact_runs():
     for cfg in _float_edge_configs():
         exact = run(replace(cfg, params=exact_p, rate=Fraction(cfg.rate),
                             initial_fill=Fraction(cfg.initial_fill)))[1]
-        outcome = run(cfg)[1]
+        events, outcome = run(cfg)
         assert (outcome.kind, outcome.breakdown_kind, outcome.final_n) == (
             exact.kind, exact.breakdown_kind, exact.final_n), cfg
+        assert events[-1].kind == "join_completed"
+        assert events[-1].level <= p.storage, cfg
 
 
 def test_trace_lines_match_event_to_dict(tmp_path):
@@ -994,7 +997,7 @@ def _rate_scale(p, scenario):
     return float(bound_table(p.n, p.mu, p.max_write_rate, scenario.workload)[kind])
 
 
-GOLDEN_RUNS_SHA256 = "fea5d2d4e9ec1a046fd5c71197f1675c53af49a313a7262542375841e444c58d"
+GOLDEN_RUNS_SHA256 = "e579ad9b1146c3e66efbb551b576d5bad5356fe93f9bca767de3fcd50cfdfcb6"
 # the bytes the digest holds for a _no_bandwidth_left config: the recording
 # simulator raised an exception there and hashed the name of its class,
 # since removed
@@ -1038,16 +1041,15 @@ def _golden_configs():
 def test_runs_match_golden_digest():
     """sha256 over repr((events, outcome)), or the exception name, of every
     golden config, which together reach every outcome kind.  The digest was
-    recorded when the concurrent join lost its storage branch, which only
-    float rounding reached: against the kernel before, every run on
-    Fraction inputs kept its rows and outcome bit for bit, and in float the
-    20 float-edge runs within 10 ulps of the bound moved from
-    storage_overflow at 100 to stabilized at 101, each to its exact run's
-    outcome; no other run moved.  A config with no bandwidth left
-    after its first join was recorded as the exception it raised before
-    run() was split into an event stream and one outcome rule: it is hashed
-    as that token, and its run must now end in expansion_overlap at its
-    first trigger."""
+    recorded when the concurrent join's level was clamped to mu*S: against
+    the kernel before, every run on Fraction inputs kept its rows and
+    outcome bit for bit, and in float only the 20 float-edge runs within 10
+    ulps of the bound moved, each in one row, its join_completed level from
+    an ulp above S to S, with its outcome unchanged.  A config with no
+    bandwidth left after its first join was recorded as the exception it
+    raised before run() was split into an event stream and one outcome
+    rule: it is hashed as that token, and its run must now end in
+    expansion_overlap at its first trigger."""
     configs = _golden_configs()
     assert len(configs) == 624
     h = hashlib.sha256()
@@ -1094,6 +1096,10 @@ def test_outcome_rule(scenario, n, mu, bandwidth, value_size, storage, frac,
     if times and not math.isfinite(times[-1]):
         assert scenario.mode is StabilizationMode.CLEAR
         assert events[-1].breakdown_kind == STORAGE_OVERFLOW
+    # a completed concurrent join leaves every node at or below mu*S
+    if scenario.mode is StabilizationMode.CONCURRENT:
+        assert all(ev.level <= mu * storage for ev in events
+                   if ev.kind == "join_completed")
     final_n = next((ev.n for ev in reversed(events)
                     if ev.kind == "join_completed"), n)
     assert outcome.final_n == final_n
@@ -1119,17 +1125,18 @@ def test_outcome_rule(scenario, n, mu, bandwidth, value_size, storage, frac,
 # threshold search
 
 GOLDEN_THRESHOLDS_SHA256 = (
-    "56a8ccbd02f1e9d18a8153bef852694e22756502244eb5d9361390376a237573")
+    "e6e4e58889ec4d7d885bb02a9f637f987e9cda2b362ed08595295563191b2a7a")
 
 
 def test_thresholds_match_golden_digest():
     """sha256 over the repr of feasibility_threshold, one line per config of
     a seeded grid: all four scenarios, N from 1 to 10^4, mu up to 1.0
     (the known-defect regions included) and random links.  The digest was
-    recorded when the bisection moved to the unit link b = v = 1: against
-    the bisection in physical units, 247 of the 400 thresholds kept their
-    bits, 132 moved by at most 1e-12 relative, and 21 at N <= 2, where one
-    side sat exactly on the strict binding bound, by at most 1e-4."""
+    recorded when the probe link became b = v = S = 1, from b = v = 1 with
+    the node's S: 393 of the 400 thresholds kept their bits, and the 7
+    that moved are clear modes at N = 2, each by at most 8.2e-5 relative,
+    where a bisection midpoint can land exactly on the strict binding
+    bound (five now sit on it, two sat on it before)."""
     rnd = random.Random(20261019)
     h = hashlib.sha256()
     for i in range(400):
@@ -1147,8 +1154,8 @@ def test_thresholds_match_golden_digest():
 def _threshold_oracle(p, scenario):
     """feasibility_threshold as a blind bisection over alpha = lambda / B in
     (0, 1), one full run of a checked SimConfig per probe on the unit link
-    b = v = 1 with p's S and mu, scaled by B."""
-    unit = ClusterParams(p.n, 1, 1, p.mu, p.storage)
+    b = v = S = 1 with p's mu, scaled by B."""
+    unit = ClusterParams(p.n, 1, 1, p.mu, 1)
 
     def feasible(alpha):
         stable = scenario.workload is WorkloadKind.STABLE_TOTAL
@@ -1267,9 +1274,9 @@ def test_validate_runs_the_kernel_only_inside_the_bisection(monkeypatch):
 @settings(max_examples=150, deadline=None)
 @given(scenario=st.sampled_from(ALL_SCENARIOS),
        log_n=st.floats(0, 4),
-       mu=st.one_of(st.floats(0.05, 0.95), st.just(1.0)),
-       links=st.lists(st.tuples(st.floats(3, 11), st.floats(-1, 4),
-                                st.floats(6, 14)), min_size=2, max_size=2))
+       mu=st.one_of(st.floats(0.05, 1.0), st.sampled_from((1.0, 1 - 2 ** -53))),
+       links=st.lists(st.tuples(st.floats(-3, 11), st.floats(-1, 4),
+                                st.floats(0, 300)), min_size=2, max_size=2))
 @example(scenario=INCR_CONC, log_n=3.0, mu=0.5,
          links=[(9.0, 1.0, 300.0), (6.0, 0.0, 12.0)])
 @example(scenario=INCR_CLEAR, log_n=3.0, mu=0.5,
@@ -1278,39 +1285,28 @@ def test_validate_runs_the_kernel_only_inside_the_bisection(monkeypatch):
          links=[(9.0, 1.0, 300.0), (6.0, 0.0, 12.0)])
 @example(scenario=STAB_CLEAR, log_n=3.0, mu=0.5,
          links=[(9.0, 1.0, 300.0), (6.0, 0.0, 12.0)])
+# N = 2 in the clear modes, where a midpoint can land exactly on the strict
+# bound, so a rounding that depends on S splits two links by 1e-4
+@example(scenario=INCR_CLEAR, log_n=0.31, mu=0.5,
+         links=[(4.0, 0.0, 300.0), (1.0, -1.0, 129.0)])
+@example(scenario=STAB_CLEAR, log_n=0.31, mu=1 - 2 ** -53,
+         links=[(-3.0, 4.0, 110.0), (1.0, 0.0, 12.0)])
 def test_threshold_over_b_does_not_depend_on_the_link(scenario, log_n, mu,
                                                       links):
-    """Scaling b, v and S scales every time and level of the kernel, so
-    threshold / B is a function of (scenario, N, mu) alone: two links agree
-    to within one bracket width.  That holds at mu = 1 too, where the clear
-    modes' threshold is 0 on every link, and at S = 1e300 and N = 1000,
-    where a probe's times on the unit link are bytes / alpha."""
+    """Every probe runs on the unit link b = v = S = 1, so threshold / B is
+    a function of (scenario, N, mu) alone: two links, each with its own
+    (b, v, S), agree to within 2 ulps, the roundings of scaling the result
+    by B and of dividing it by B again, and S alone moves no bit.  That
+    holds at mu = 1 too, where the clear modes' threshold is 0."""
     ratios = []
     for log_b, log_v, log_s in links:
         p = ClusterParams(n=int(10 ** log_n), bandwidth=10 ** log_b,
                           value_size=10 ** log_v, mu=mu, storage=10 ** log_s)
-        ratios.append(feasibility_threshold(p, scenario) / p.max_write_rate)
-    assert abs(ratios[0] - ratios[1]) <= 1e-4 * max(ratios), ratios
-
-
-@settings(max_examples=150, deadline=None)
-@given(scenario=st.sampled_from(ALL_SCENARIOS),
-       log_n=st.floats(0, 4),
-       mu=st.one_of(st.floats(0.05, 0.95), st.just(1.0)),
-       log_s=st.floats(6, 14),
-       links=st.lists(st.tuples(st.floats(-3, 11), st.floats(-1, 4)),
-                      min_size=2, max_size=2))
-def test_threshold_over_b_is_exact_across_bandwidth_and_value_size(
-        scenario, log_n, mu, log_s, links):
-    """Two links with the same (n, mu, S) run the same bisection on the
-    unit link, so threshold / B agrees to within 2 ulps: the roundings of
-    scaling the result by B and of dividing it by B again."""
-    ratios = []
-    for log_b, log_v in links:
-        p = ClusterParams(n=int(10 ** log_n), bandwidth=10 ** log_b,
-                          value_size=10 ** log_v, mu=mu, storage=10 ** log_s)
-        ratios.append(feasibility_threshold(p, scenario) / p.max_write_rate)
+        thr = feasibility_threshold(p, scenario)
+        ratios.append(thr / p.max_write_rate)
     assert abs(ratios[0] - ratios[1]) <= 2 * math.ulp(max(ratios)), ratios
+    assert feasibility_threshold(replace(p, storage=10 ** links[0][2]),
+                                 scenario) == thr
 
 
 def test_threshold_checks_the_top_of_its_range():
@@ -1326,17 +1322,6 @@ def test_threshold_checks_the_top_of_its_range():
                                     rel=1e-4)
         ratio = feasibility_threshold(slow, scenario)
         assert abs(thr / 1e308 - ratio) <= 2 * math.ulp(ratio)
-
-
-def test_threshold_rejects_a_storage_whose_totals_overflow():
-    """On the unit link the probes' largest byte total is (n + 1) * S: a
-    storage for which it overflows is named before the first probe."""
-    p = ClusterParams(n=4, bandwidth=1e6, value_size=1.0, mu=0.5,
-                      storage=1e308)
-    for scenario in ALL_SCENARIOS:
-        with pytest.raises(ValueError, match="storage 1e.308 B is too large "
-                                             "at n = 4"):
-            feasibility_threshold(p, scenario)
 
 
 def test_threshold_rejects_a_binding_bound_that_underflows():
