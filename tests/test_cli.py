@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import defaultdict
+from dataclasses import replace
 from itertools import repeat
 from pathlib import Path
 
@@ -38,6 +39,7 @@ from dht_rebalance.cli import (
     parse_bandwidth,
     sweep_rows,
 )
+from dht_rebalance import sim as sim_mod
 from dht_rebalance.sim import NO_BREAKDOWN
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -612,6 +614,29 @@ def test_validate_has_no_storage_flag(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments: --storage 1e12" in captured.err
+
+
+def test_validate_rows_are_those_of_every_storage(capsys, monkeypatch):
+    """validate loses nothing with --storage: the rows it prints are the
+    rows of its link with any S, a subnormal one and the 1e308 B whose byte
+    total at n = 4 once overflowed included."""
+    real = sim_mod.validate_against_bounds
+    calls = []
+
+    def recording(n_values, scenario, base_params, tol):
+        rows = real(n_values, scenario, base_params, tol=tol)
+        calls.append((n_values, scenario, base_params, tol, rows))
+        return rows
+
+    monkeypatch.setattr(sim_mod, "validate_against_bounds", recording)
+    assert main(["validate", "--n-list", "4,100"]) == EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 4
+    assert [call[1] for call in calls] == list(ALL_SCENARIOS)
+    for n_values, scenario, base_params, tol, rows in calls:
+        for storage in (5e-324, 1.0, 1e308):
+            assert real(n_values, scenario,
+                        replace(base_params, storage=storage),
+                        tol=tol) == rows, (scenario, storage)
 
 
 def test_validate_binding_bound_underflow(capsys):

@@ -1309,6 +1309,29 @@ def test_threshold_over_b_does_not_depend_on_the_link(scenario, log_n, mu,
                                  scenario) == thr
 
 
+@settings(max_examples=100, deadline=None)
+@given(scenario=st.sampled_from(ALL_SCENARIOS),
+       log_n=st.floats(0, 4),
+       mu=st.one_of(st.floats(0.05, 1.0), st.sampled_from((1.0, 1 - 2 ** -53))),
+       log_b=st.floats(-3, 11),
+       log_v=st.floats(-1, 4),
+       storages=st.lists(st.one_of(st.floats(5e-324, 1.7e308),
+                                   st.sampled_from((5e-324, 1.0, 1e308))),
+                         min_size=2, max_size=2))
+@example(scenario=INCR_CONC, log_n=math.log10(4), mu=0.5, log_b=6.0,
+         log_v=0.0, storages=[1.0, 1e308])
+def test_threshold_does_not_read_storage(scenario, log_n, mu, log_b, log_v,
+                                         storages):
+    """No probe reads S: the whole bracket, threshold, binding bound and the
+    breakdown above, is bit-identical for any two storages, from a
+    subnormal S to 1e308, where the byte total (n + 1) * S overflows."""
+    p = ClusterParams(n=int(10 ** log_n), bandwidth=10 ** log_b,
+                      value_size=10 ** log_v, mu=mu)
+    first, second = (sim_mod._threshold_bracket(replace(p, storage=s),
+                                                scenario) for s in storages)
+    assert first == second, storages
+
+
 def test_threshold_checks_the_top_of_its_range():
     """A bandwidth at the top of the float range is a link like any other:
     the probes run on the unit link, so no probe's inflow overflows, and
