@@ -34,7 +34,10 @@ alpha = w/b and M = mu*S*N/(N+1) the bytes each old node migrates:
 is rational, N = k(k+1).
 
 The six closed forms are written once, as one entry per workload and kind
-(N an int or an ndarray).  A bound is read in one of two ways:
+(N an int or an ndarray).  A scalar N gives a ``float`` with the bits of an
+ndarray element: the time forms take ``math.sqrt`` of a float and numpy's
+sqrt of an ndarray, so numpy is imported only by ``min_feasible_n``'s block
+scan.  A bound is read in one of two ways:
 ``bound_table(n, mu, B, workload, kinds)[kind]``, which evaluates only the
 kinds asked for (all three by default), or ``bound_report`` for a
 scenario's applicable kinds and the binding one.  ``min_feasible_n`` reads
@@ -58,8 +61,6 @@ from enum import Enum
 from functools import cached_property
 from operator import attrgetter
 from typing import Optional
-
-import numpy as np
 
 
 class WorkloadKind(Enum):
@@ -166,20 +167,26 @@ class BoundReport:
 # ---------------------------------------------------------------------------
 # the six bounds
 
+def _sqrt(x):
+    """math.sqrt of a float; on an ndarray, ``** 0.5``, which numpy
+    evaluates as its sqrt, bit for bit, so this module needs no numpy."""
+    return math.sqrt(x) if isinstance(x, float) else x ** 0.5
+
+
 # One entry per (workload, kind): f(n, mu, B) in writes/s per node.
 _FORMS = {
     WorkloadKind.INCREASING_PER_NODE: {
         BoundKind.STORAGE: lambda n, mu, b_rate: (1.0 - n / (n + 1.0) * mu) * b_rate,
         BoundKind.BANDWIDTH: lambda n, mu, b_rate: b_rate / (n + 1.0),
         BoundKind.TIME: lambda n, mu, b_rate:
-            (np.sqrt(4.0 * n + 1.0) - 1.0) / (2.0 * n) * b_rate,
+            (_sqrt(4.0 * n + 1.0) - 1.0) / (2.0 * n) * b_rate,
     },
     WorkloadKind.STABLE_TOTAL: {
         # (1 + 1/N - mu) * B, grouped so integer-valued cases stay exact
         BoundKind.STORAGE: lambda n, mu, b_rate: (n + 1.0 - n * mu) / n * b_rate,
         BoundKind.BANDWIDTH: lambda n, mu, b_rate: b_rate / n,
         BoundKind.TIME: lambda n, mu, b_rate:
-            (n + 1.0) * (np.sqrt(4.0 * n + 1.0) - 1.0) / (2.0 * n * n) * b_rate,
+            (n + 1.0) * (_sqrt(4.0 * n + 1.0) - 1.0) / (2.0 * n * n) * b_rate,
     },
 }
 
@@ -188,8 +195,9 @@ def bound_table(n, mu, b_rate, workload: WorkloadKind,
                 kinds=_KINDS) -> dict:
     """{BoundKind value: writes/s per node} for one workload at size n (an
     int or an integer ndarray), b_rate = B, holding the given kinds only.
-    The only place the six closed forms are written; a scalar n gives the
-    bits of an ndarray element, and a form reads mu only for storage."""
+    The only place the six closed forms are written; a scalar n gives a
+    ``float`` with the bits of an ndarray element, and a form reads mu only
+    for storage."""
     forms = _FORMS[workload]
     return {_KEYS[kind]: forms[kind](n, mu, b_rate) for kind in kinds}
 
@@ -324,6 +332,8 @@ def min_feasible_n(
             return None
         if not misses(n, 1.0):
             return n
+    import numpy as np  # only a scan past the scalar sizes reads arrays
+
     start, block = lo + _SCALAR_SCAN + 1, 64
     while start <= top:
         n = np.arange(start, min(start + block, top + 1))

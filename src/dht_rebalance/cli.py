@@ -32,10 +32,7 @@ import sys
 from collections import defaultdict
 from itertools import chain, repeat, starmap
 
-import numpy as np
-
 from . import bounds as bnd
-from . import ring as rng_mod
 from . import sim as sim_mod
 from .bounds import (
     ALL_SCENARIOS,
@@ -150,6 +147,8 @@ def _sweep_groups(n_min: int, n_max: int, mu_values, scenarios,
                              for sc in scenarios):
         raise ValueError("mu list is empty: the storage bound of a "
                          "concurrent scenario needs at least one mu")
+    import numpy as np  # only sweep and ring-stats read arrays
+
     n = np.arange(n_min, n_max + 1)
     blocks = [n[i:i + _BLOCK] for i in range(0, len(n), _BLOCK)]
     return _curve_groups(blocks, mu_values, scenarios, b_rate)
@@ -174,6 +173,8 @@ def _curve_groups(blocks, mu_values, scenarios, b_rate):
 def _curves(n, scenario: Scenario, mu_values, b_rate, copies: int) -> dict:
     """{label: values} for one scenario over the sizes n, from one
     bound_table call that evaluates the scenario's applicable kinds only."""
+    import numpy as np
+
     curves = defaultdict(list)
     kinds = bnd.applicable_kinds(scenario)
     # N as a column and mu as a row: one call gives every storage curve; the
@@ -404,6 +405,8 @@ _SIZE_FLAGS = {"q": "--q", "tokens_per_node": "--t"}
 
 
 def cmd_ring_stats(args) -> int:
+    from . import ring as rng_mod  # the only command that builds a ring
+
     strategy = rng_mod.strategy_from_dict(
         {"kind": args.strategy, "q": args.q, "tokens_per_node": args.tokens_per_node},
         _SIZE_FLAGS)

@@ -173,8 +173,10 @@ def test_clear_inequality_chain_round_trip():
 
 def _whole_table(n, mu, b_rate, workload):
     """The six closed forms as one function evaluating all three kinds, as
-    bound_table was written before it assembled per-kind entries."""
-    root = np.sqrt(4.0 * n + 1.0) - 1.0
+    bound_table was written before it assembled per-kind entries.  A scalar
+    n takes math.sqrt, so its table holds floats."""
+    sqrt = math.sqrt if isinstance(n, int) else np.sqrt
+    root = sqrt(4.0 * n + 1.0) - 1.0
     if workload is INC:
         return {"storage": (1.0 - n / (n + 1.0) * mu) * b_rate,
                 "bandwidth": b_rate / (n + 1.0),

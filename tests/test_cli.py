@@ -837,6 +837,12 @@ def test_main_never_lets_an_exception_out(tmp_path, monkeypatch, capsys):
     convert with its usage and one error line.  No size flag gets a large
     valid value."""
     monkeypatch.chdir(tmp_path)
+    # each known-good argv as it is: a stale one would make every case built
+    # from it a usage error
+    (tmp_path / "config.json").write_text(json.dumps(GOOD_CONFIG))
+    for good in GOOD_ARGVS:
+        assert main(good) == EXIT_OK, (good, capsys.readouterr().err)
+    capsys.readouterr()
     cases = []
     for good in GOOD_ARGVS:
         for i in range(1, len(good), 2):
@@ -864,14 +870,51 @@ def test_main_never_lets_an_exception_out(tmp_path, monkeypatch, capsys):
             assert err.startswith("error:") and err.count("\n") == 1, (argv, doc, err)
 
 
-def _run_process(*argv, stdout=subprocess.PIPE, cwd=None):
-    """The CLI as its own process: ``python -m dht_rebalance.cli`` with src
-    first on the path, so entry() and the __main__ guard are exercised."""
+def _run_python(*args, stdout=subprocess.PIPE, cwd=None):
+    """``python *args`` as its own process, with src first on the path."""
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-m", "dht_rebalance.cli", *argv],
+    return subprocess.run([sys.executable, *args],
                           stdout=stdout, stderr=subprocess.PIPE, text=True,
                           timeout=120, cwd=cwd,
                           env=dict(os.environ, PYTHONPATH=path))
+
+
+def _run_process(*argv, stdout=subprocess.PIPE, cwd=None):
+    """The CLI as its own process: ``python -m dht_rebalance.cli``, so
+    entry() and the __main__ guard are exercised."""
+    return _run_python("-m", "dht_rebalance.cli", *argv, stdout=stdout, cwd=cwd)
+
+
+# runs the light argvs, notes which array modules are loaded, then runs the
+# rest; prints the exit codes and those modules as one JSON line
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from dht_rebalance.cli import main
+light, rest = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in light]
+    loaded = sorted({"numpy", "dht_rebalance.ring"} & set(sys.modules))
+    codes += [main(argv) for argv in rest]
+print(json.dumps([codes, loaded]))
+"""
+
+
+def test_only_sweep_and_ring_stats_import_numpy_or_the_ring(tmp_path):
+    """bounds, simulate, validate and case-study, run through main in one
+    process, leave numpy and the ring module unimported; sweep and
+    ring-stats, which read arrays, still exit 0 after them."""
+    (tmp_path / "config.json").write_text(json.dumps(GOOD_CONFIG))
+    arrays = ("sweep", "ring-stats")
+    light = [argv for argv in GOOD_ARGVS if argv[0] not in arrays]
+    rest = [argv for argv in GOOD_ARGVS if argv[0] in arrays]
+    assert sorted({argv[0] for argv in light}) == [
+        "bounds", "case-study", "simulate", "validate"]
+    proc = _run_python("-c", _IMPORT_PROBE, json.dumps([light, rest]),
+                       cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout)
+    assert loaded == []
+    assert codes == [EXIT_OK] * len(GOOD_ARGVS)
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")

@@ -413,6 +413,22 @@ def _float_edge_configs():
     return configs
 
 
+def _exact_config(cfg, scale=1):
+    """cfg on Fraction inputs, each the exact value of its float, with the
+    rate times scale."""
+    p = cfg.params
+    exact_p = replace(p, bandwidth=Fraction(p.bandwidth),
+                      value_size=Fraction(p.value_size), mu=Fraction(p.mu),
+                      storage=Fraction(p.storage))
+    return replace(cfg, params=exact_p, rate=Fraction(cfg.rate) * scale,
+                   initial_fill=Fraction(cfg.initial_fill))
+
+
+def _ending(outcome):
+    """How a run ended: (kind, breakdown_kind, final_n)."""
+    return outcome.kind, outcome.breakdown_kind, outcome.final_n
+
+
 def test_float_edge_configs_end_as_their_exact_runs():
     """A concurrent run breaks down only in expansion_overlap: a float level
     an ulp above S at the bandwidth bound is rounding, not an overflow, so
@@ -422,15 +438,9 @@ def test_float_edge_configs_end_as_their_exact_runs():
     assert _float_edge_config().rate < bound_table(
         p.n, p.mu, p.max_write_rate,
         WorkloadKind.INCREASING_PER_NODE)["bandwidth"]
-    exact_p = replace(p, bandwidth=Fraction(p.bandwidth),
-                      value_size=Fraction(p.value_size), mu=Fraction(p.mu),
-                      storage=Fraction(p.storage))
     for cfg in _float_edge_configs():
-        exact = run(replace(cfg, params=exact_p, rate=Fraction(cfg.rate),
-                            initial_fill=Fraction(cfg.initial_fill)))[1]
         events, outcome = run(cfg)
-        assert (outcome.kind, outcome.breakdown_kind, outcome.final_n) == (
-            exact.kind, exact.breakdown_kind, exact.final_n), cfg
+        assert _ending(outcome) == _ending(run(_exact_config(cfg))[1]), cfg
         assert events[-1].kind == "join_completed"
         assert events[-1].level <= p.storage, cfg
 
@@ -985,6 +995,61 @@ def test_slow_link_runs_stabilize_after_1e18_s():
         assert (outcome.kind, outcome.final_n) == (STABILIZED, 6)
         assert 1e20 < outcome.total_time < 1e21
         assert [ev.n for ev in events if ev.kind == "join_completed"] == [5, 6]
+
+
+def _ulps_from(x, k):
+    """The float k ulps above x (below it for a negative k)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.inf if k > 0 else 0.0)
+    return x
+
+
+_SWITCH = Fraction(1, 10 ** 9)  # the relative distance of a rate from a switch
+
+
+@settings(max_examples=400, deadline=None)
+@given(scenario=st.sampled_from(ALL_SCENARIOS),
+       n=st.integers(1, 60),
+       joins=st.integers(1, 25),
+       mu=st.one_of(st.floats(0.01, 1.0), st.floats(1 - 1e-5, 1.0),
+                    st.just(1.0),
+                    st.integers(1, 64).map(lambda k: 1 - k * 2 ** -53)),
+       log_b=st.floats(3, 10),
+       log_v=st.floats(0, 3),
+       log_s=st.floats(6, 14),
+       fill=st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)),
+       frac_ulps=st.one_of(st.tuples(st.floats(0.0, 2.0), st.just(0)),
+                           st.tuples(st.floats(0.99, 1.01), st.just(0)),
+                           st.tuples(st.just(1.0), st.integers(-30, 30))))
+def test_float_runs_end_as_their_exact_runs_away_from_a_switch(
+        scenario, n, joins, mu, log_b, log_v, log_s, fill, frac_ulps):
+    """A multi-expansion float run ends as its run on Fraction inputs, in
+    the same (kind, breakdown_kind, final_n), at every mu up to 1 and rates
+    up to 2x the binding bound, down to a few ulps from it.  Two rates are
+    exempt.  One within 1e-9 of an exact switch, shown by the exact runs at
+    rate * (1 +- 1e-9) ending differently: there rounding may pick either
+    side.  And one so small that its exact run lasts past the largest
+    float: the float run's time overflows, so it ends in max_time_exceeded,
+    as the simulator documents."""
+    p = ClusterParams(n=n, bandwidth=10 ** log_b, value_size=10 ** log_v,
+                      mu=mu, storage=10 ** log_s)
+    bound = bound_report(p, scenario).binding.value
+    if scenario.workload is WorkloadKind.STABLE_TOTAL:
+        bound *= n
+    frac, ulps = frac_ulps
+    cfg = SimConfig(p, scenario, _ulps_from(frac * bound, ulps), n + joins,
+                    fill)
+    exact = run(_exact_config(cfg))[1]
+    got = _ending(run(cfg)[1])
+    if got == _ending(exact):
+        return
+    # a time past the float range is inf in float: that expansion never comes
+    if exact.total_time > sys.float_info.max:
+        assert got[0] == MAX_TIME_EXCEEDED, (cfg, got)
+        return
+    below, above = (_ending(run(_exact_config(cfg, 1 + d))[1])
+                    for d in (-_SWITCH, _SWITCH))
+    assert below != above, (cfg, got, exact)
 
 
 # ---------------------------------------------------------------------------
