@@ -313,7 +313,7 @@ def min_feasible_n(
         """Does size n miss an enforced bound times slack?  A scalar n
         gives the bits of the scan's array element."""
         table = bound_table(n, mu, b_rate, scenario.workload, enforced)
-        lam = rate / n if stable else rate
+        lam = rate / n  # an increasing query reads n = 1 only: lam is rate
         return not all(lam < bound * slack for bound in table.values())
 
     # all() of no enforced kind is True, and then N = 1 qualifies
@@ -338,7 +338,7 @@ def min_feasible_n(
     while start <= top:
         n = np.arange(start, min(start + block, top + 1))
         table = bound_table(n, mu, b_rate, scenario.workload, enforced)
-        lam = rate / n if stable else rate
+        lam = rate / n
         hits = np.flatnonzero(np.all([lam < bound for bound in table.values()],
                                      axis=0))
         if hits.size:

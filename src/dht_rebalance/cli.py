@@ -29,8 +29,8 @@ import json
 import re
 import signal
 import sys
-from collections import defaultdict
-from itertools import chain, repeat, starmap
+from itertools import repeat, starmap
+from operator import attrgetter
 
 from . import bounds as bnd
 from . import sim as sim_mod
@@ -121,21 +121,21 @@ def cmd_bounds(args) -> int:
 # sweep
 
 _BLOCK = 4_096  # sizes per bound_table call and per CSV write
+_storage_label = "storage(mu={:g})".format  # the bound_kind of a mu's curve
 
 
 def _sweep_groups(n_min: int, n_max: int, mu_values, scenarios,
                   bandwidth: float, value_size: float):
-    """Check the sweep's inputs, then return an iterator over its curve
-    groups, one block of sizes at a time: (scenario name, bound_kind, sizes,
+    """Check the sweep's inputs, then return an iterator over its curves,
+    one block of sizes at a time: (scenario name, bound_kind, sizes,
     values) in (scenario, bound_kind, n) order, with sizes the block's n as
-    a list of ints.  ``values`` holds the group's curves at those sizes: one
-    per mu value with the group's label, for each copy of the scenario, in
-    input order.  It is the curve itself when the group has one, and one
-    column per curve otherwise.
+    a list of ints and values the curve at those sizes.
 
     A range outside 1 <= n_min < n_max <= 10**6 is rejected, and so are a
-    link and a mu that ClusterParams rejects and an empty mu list when a
-    scenario applies the storage bound, before the first group."""
+    link and a mu that ClusterParams rejects and a repeated scenario, before
+    the first group; when a scenario applies the storage bound, so are an
+    empty mu list and two mu values with one ``storage(mu=...)`` label.
+    Each (scenario, bound_kind) key then has one curve."""
     if not 1 <= n_min < n_max <= 10 ** 6:
         raise ValueError("need 1 <= n-min < n-max <= 10^6")
     # the link once, at a mu it accepts; then each mu by the same rule
@@ -143,10 +143,17 @@ def _sweep_groups(n_min: int, n_max: int, mu_values, scenarios,
                            mu=1.0).max_write_rate
     for mu in mu_values:
         bnd.check_mu(mu)
-    if not mu_values and any(BoundKind.STORAGE in bnd.applicable_kinds(sc)
-                             for sc in scenarios):
-        raise ValueError("mu list is empty: the storage bound of a "
-                         "concurrent scenario needs at least one mu")
+    names = [scenario.name for scenario in scenarios]
+    if len(set(names)) < len(names):
+        raise ValueError(f"scenario list repeats a scenario: {', '.join(names)}")
+    if any(BoundKind.STORAGE in bnd.applicable_kinds(sc) for sc in scenarios):
+        if not mu_values:
+            raise ValueError("mu list is empty: the storage bound of a "
+                             "concurrent scenario needs at least one mu")
+        labels = list(map(_storage_label, mu_values))
+        if len(set(labels)) < len(labels):
+            raise ValueError("two mu values print as one label: " + ", ".join(
+                f"{mu!r} as {label}" for mu, label in zip(mu_values, labels)))
     import numpy as np  # only sweep and ring-stats read arrays
 
     n = np.arange(n_min, n_max + 1)
@@ -155,12 +162,10 @@ def _sweep_groups(n_min: int, n_max: int, mu_values, scenarios,
 
 
 def _curve_groups(blocks, mu_values, scenarios, b_rate):
-    names = [scenario.name for scenario in scenarios]
     # the first block's sizes as ints once, for every curve that reads them
     first_sizes = blocks[0].tolist()
-    for name, scenario in sorted(dict(zip(names, scenarios)).items()):
-        # a repeated scenario repeats its curves
-        args = (scenario, mu_values, b_rate, names.count(name))
+    for scenario in sorted(scenarios, key=attrgetter("name")):
+        name, args = scenario.name, (scenario, mu_values, b_rate)
         first = _curves(blocks[0], *args)
         for label in sorted(first):
             yield name, label, first_sizes, first[label]
@@ -170,38 +175,29 @@ def _curve_groups(blocks, mu_values, scenarios, b_rate):
                 yield name, label, block.tolist(), _curves(block, *args)[label]
 
 
-def _curves(n, scenario: Scenario, mu_values, b_rate, copies: int) -> dict:
+def _curves(n, scenario: Scenario, mu_values, b_rate) -> dict:
     """{label: values} for one scenario over the sizes n, from one
     bound_table call that evaluates the scenario's applicable kinds only."""
     import numpy as np
 
-    curves = defaultdict(list)
     kinds = bnd.applicable_kinds(scenario)
     # N as a column and mu as a row: one call gives every storage curve; the
     # bandwidth and time forms do not read mu
     table = bnd.bound_table(n[:, None], np.array(mu_values, dtype=float),
                             b_rate, scenario.workload, kinds)
+    curves = {}
     for key, values in table.items():
         if key == "storage":
             for j, mu in enumerate(mu_values):
-                curves[f"storage(mu={mu:g})"].append(values[:, j])
+                curves[_storage_label(mu)] = values[:, j]
         else:
-            curves[key].append(values.ravel())
-    # a lone curve as it is; else the curves of one label as columns, each
-    # scenario copy's in turn
-    return {label: group[0] if len(group) * copies == 1
-            else np.array(group * copies).T
-            for label, group in curves.items()}
+            curves[key] = values.ravel()
+    return curves
 
 
 def _group_rows(name: str, label: str, sizes: list, values):
-    """One group's rows (n, scenario, bound_kind, value), its curves
-    alternating per n."""
-    if values.ndim == 1:
-        return zip(sizes, repeat(name), repeat(label), values.tolist())
-    # each size once per curve: its n repeated values.shape[1] times
-    return zip(chain.from_iterable(zip(*repeat(sizes, values.shape[1]))),
-               repeat(name), repeat(label), values.ravel().tolist())
+    """One curve's rows (n, scenario, bound_kind, value)."""
+    return zip(sizes, repeat(name), repeat(label), values.tolist())
 
 
 def sweep_rows(n_min: int, n_max: int, mu_values, scenarios,
@@ -209,11 +205,9 @@ def sweep_rows(n_min: int, n_max: int, mu_values, scenarios,
     """CurveCSV rows: (n, scenario, bound_kind, lambda), in (scenario,
     bound_kind, n) order.  The storage bound depends on mu, so its kind column
     carries the mu value; the bandwidth and time bounds are mu-independent
-    and appear once.  Curves that share a (scenario, bound_kind) pair -- a
-    repeated scenario, or mu values with the same label -- alternate per n in
-    input order.  A range outside 1 <= n_min < n_max <= 10**6 is rejected,
-    so are a link or mu that ClusterParams rejects, and so is an empty mu
-    list when a scenario applies the storage bound.
+    and appear once.  The inputs ``_sweep_groups`` rejects -- among them a
+    repeated scenario, and mu values with one label when a scenario applies
+    the storage bound -- raise ``ValueError`` before the first row.
 
     ``sweep`` streams the same rows to its CSV a block of sizes at a time,
     so its memory does not grow with the range."""

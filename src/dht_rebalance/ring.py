@@ -163,7 +163,6 @@ class RingState:
 
     strategy: Strategy
     nodes: tuple[int, ...]
-    seed: int
     slot_owner: np.ndarray
     points: Optional[np.ndarray] = None
     _cache: dict = field(default_factory=dict, init=False, repr=False)
@@ -177,14 +176,13 @@ class RingState:
         if not isinstance(other, RingState):
             return NotImplemented
         return (self.strategy == other.strategy and self.nodes == other.nodes
-                and self.seed == other.seed
                 and (self.points is None) == (other.points is None)
                 and np.array_equal(self.slot_owner, other.slot_owner)
                 and (self.points is None
                      or np.array_equal(self.points, other.points)))
 
     def __hash__(self):
-        return hash((self.strategy, self.nodes, self.seed))
+        return hash((self.strategy, self.nodes))
 
     def __getstate__(self):
         # the cache is derived, and its lookup closures (which hold a
@@ -268,7 +266,6 @@ class RebalanceReport:
     kind: str  # "join" | "leave"
     moved_partitions: tuple[tuple[int, int, int], ...]  # (partition/token, from, to)
     moved_key_estimate: int
-    moved_byte_estimate: float
 
 
 @dataclass(frozen=True)
@@ -420,7 +417,7 @@ def build_ring(n: int, strategy: Strategy, seed: int) -> RingState:
         order = np.argsort(points)
         owner = np.repeat(np.arange(n, dtype=NODE_DTYPE), t)[order]
         # node ids are 0..n-1, so an owner's position equals its id
-        return _ring(strategy, nodes, seed, owner, owner.astype(np.intp),
+        return _ring(strategy, nodes, owner, owner.astype(np.intp),
                      points[order])
 
     # 4 bytes a slot; random.shuffle makes the same swaps as on a list
@@ -430,13 +427,13 @@ def build_ring(n: int, strategy: Strategy, seed: int) -> RingState:
     owner = np.empty(q, dtype=NODE_DTYPE)
     owner[parts] = np.repeat(np.arange(n, dtype=NODE_DTYPE),
                              [base + (1 if i < rem else 0) for i in nodes])
-    return _ring(strategy, nodes, seed, owner, owner.astype(np.intp))
+    return _ring(strategy, nodes, owner, owner.astype(np.intp))
 
 
-def _ring(strategy: Strategy, nodes: tuple[int, ...], seed: int, owner: np.ndarray,
+def _ring(strategy: Strategy, nodes: tuple[int, ...], owner: np.ndarray,
           index: np.ndarray, points: Optional[np.ndarray] = None) -> RingState:
     """A ``RingState`` whose owner positions in ``nodes`` are ``index``."""
-    ring = RingState(strategy, nodes, seed, owner, points)
+    ring = RingState(strategy, nodes, owner, points)
     ring._cache["slot_index"] = index
     return ring
 
@@ -541,7 +538,6 @@ def join(
     key_sample: int = 0,
     sample_seed: int = 0,
     replication: int = 1,
-    value_size: float = 0.0,
 ) -> tuple[RingState, RebalanceReport]:
     """Add a node; tokens move only towards the joining node.
 
@@ -552,8 +548,7 @@ def join(
     its own fresh tokens.
 
     ``key_sample`` > 0 estimates moved keys by hashing that many sample keys
-    and counting ownership changes; the estimate is scaled by ``replication``
-    and ``value_size`` for the byte figure.
+    and counting ownership changes, times ``replication``.
     """
     if new_node in ring.nodes:
         raise RingError(f"node {new_node} already in ring")
@@ -587,7 +582,7 @@ def join(
         slots = np.array([part for part, _, _ in moved])
         owner[slots] = new_node
         index[slots] = pos
-        new_ring = _ring(ring.strategy, nodes, ring.seed, owner, index)
+        new_ring = _ring(ring.strategy, nodes, owner, index)
     else:
         t, points = ring.strategy.tokens_per_node, ring.points
         fresh = np.sort(_draw_tokens(rng, t, set()))
@@ -604,15 +599,14 @@ def join(
         slots = at + np.arange(t)
         kept = np.ones(len(points) + t, dtype=bool)
         kept[slots] = False
-        new_ring = _ring(ring.strategy, nodes, ring.seed,
+        new_ring = _ring(ring.strategy, nodes,
                          _spliced(ring.slot_owner, kept, slots, new_node),
                          _spliced(index, kept, slots, pos),
                          _spliced(points, kept, slots, fresh))
 
-    keys, bytes_ = _movement_estimate(new_ring, slots, key_sample,
-                                      sample_seed, replication, value_size)
-    report = RebalanceReport(new_node, "join", tuple(moved), keys, bytes_)
-    return new_ring, report
+    keys = _movement_estimate(new_ring, slots, key_sample, sample_seed,
+                              replication)
+    return new_ring, RebalanceReport(new_node, "join", tuple(moved), keys)
 
 
 def _spliced(a: np.ndarray, kept: np.ndarray, slots: np.ndarray,
@@ -642,7 +636,6 @@ def leave(
     key_sample: int = 0,
     sample_seed: int = 0,
     replication: int = 1,
-    value_size: float = 0.0,
 ) -> tuple[RingState, RebalanceReport]:
     """Remove a node; its tokens go to the least-loaded survivors (seeded ties)."""
     if node not in ring.nodes:
@@ -675,7 +668,7 @@ def leave(
         owner = ring.slot_owner.copy()
         owner[slots] = heirs
         index[slots] = np.searchsorted(np.asarray(nodes), heirs)
-        new_ring = _ring(ring.strategy, nodes, ring.seed, owner, index)
+        new_ring = _ring(ring.strategy, nodes, owner, index)
         moved = [(part, node, heir) for part, heir in zip(slots.tolist(), heirs)]
     else:
         points = ring.points[~leaving]
@@ -684,17 +677,15 @@ def leave(
         heirs = owner[np.searchsorted(points, gone) % len(points)]
         moved = [(tok, node, heir)
                  for tok, heir in zip(gone.tolist(), heirs.tolist())]
-        new_ring = _ring(ring.strategy, nodes, ring.seed, owner,
-                         index[~leaving], points)
+        new_ring = _ring(ring.strategy, nodes, owner, index[~leaving], points)
 
-    keys, bytes_ = _movement_estimate(ring, slots, key_sample, sample_seed,
-                                      replication, value_size)
-    report = RebalanceReport(node, "leave", tuple(moved), keys, bytes_)
-    return new_ring, report
+    keys = _movement_estimate(ring, slots, key_sample, sample_seed,
+                              replication)
+    return new_ring, RebalanceReport(node, "leave", tuple(moved), keys)
 
 
 def _movement_estimate(ring: RingState, slots: np.ndarray, k: int,
-                       sample_seed: int, r: int, v: float) -> tuple[int, float]:
+                       sample_seed: int, r: int) -> int:
     """Sample keys whose primary owner changed, times r.
 
     ``ring`` is the side of the change that holds every slot boundary: the
@@ -704,14 +695,13 @@ def _movement_estimate(ring: RingState, slots: np.ndarray, k: int,
     it falls in, so the count is the number of sample keys in ``slots``.
     """
     if k <= 0:
-        return 0, 0.0
+        return 0
     if ring.is_equal_part:
         in_slots = int(ring._sample_counts(k, sample_seed)[slots].sum())
     else:
         in_slots = _count_in_tokens(_mix64_array(_key_words(k, sample_seed)),
                                     ring.points, slots)
-    moved_keys = in_slots * r
-    return moved_keys, moved_keys * v
+    return in_slots * r
 
 
 # ---------------------------------------------------------------------------
@@ -787,7 +777,6 @@ def ring_to_dict(ring: RingState) -> dict:
     d = {
         "strategy": strategy_to_dict(ring.strategy),
         "nodes": list(ring.nodes),
-        "seed": ring.seed,
     }
     owners = ring.slot_owner.tolist()
     if ring.is_equal_part:

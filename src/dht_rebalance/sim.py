@@ -242,10 +242,11 @@ class EventTable(Sequence[SimEvent]):
 
 
 def _kernel(params: ClusterParams, scenario: Scenario, rate, n_target: int,
-            initial_fill, rows: list[tuple]) -> None:
+            initial_fill, rows: list[tuple]) -> int:
     """Append the run's events to ``rows`` in time order, one ``SimEvent``
-    field tuple each.  The arguments are ``SimConfig``'s fields, checked by
-    the caller.
+    field tuple each, and return the size after the last join_completed
+    (``params.n`` if there is none).  The arguments are ``SimConfig``'s
+    fields, checked by the caller.
 
     Returns at ``n_target``, after a breakdown, or in place of an expansion
     trigger or a join completion at time inf, which never comes.
@@ -271,7 +272,7 @@ def _kernel(params: ClusterParams, scenario: Scenario, rate, n_target: int,
             t += (mu_s - stored) / w if w > 0 else math.inf
             stored = mu_s
         if t == math.inf:
-            return
+            return n
         add((t, "expansion_triggered", n, stored, None, 0.0, None, None))
 
         # ---- join: n -> n + 1 ----
@@ -287,10 +288,10 @@ def _kernel(params: ClusterParams, scenario: Scenario, rate, n_target: int,
                 # fires before this join completes (w >= b gives old_rate > 0)
                 add((t, "breakdown", n + 1, stored, 0.0, 0.0, None,
                      EXPANSION_OVERLAP))
-                return
+                return n
             t_join = migration_total / b_join
             if t + t_join == math.inf:
-                return  # the join never completes; 0 * inf would give NaN
+                return n  # the join never completes; 0 * inf would give NaN
             t += t_join
             # all n+1 nodes end symmetric at this level: the joining node
             # holds the migrated share plus its writes, the old nodes drained
@@ -308,14 +309,14 @@ def _kernel(params: ClusterParams, scenario: Scenario, rate, n_target: int,
         t_join = migration_total / b
         t0 = t + t_join
         if t0 == math.inf:
-            return  # the join never completes; inf - inf would give NaN
+            return n  # the join never completes; inf - inf would give NaN
         n += 1
         d_acc = n * w * t_join
         s_base = migration_total  # per-node stored right after the join
         add((t0, "join_completed", n, s_base, None, d_acc, t_join, None))
 
         if w == 0:
-            return  # the next trigger never comes
+            return n  # the next trigger never comes
         # x is the time since t0: live writes fill the gap to mu*S by the
         # trigger, the backlog a = alpha*M per node drains at b - w, and the
         # level rises at b until it has drained
@@ -332,41 +333,38 @@ def _kernel(params: ClusterParams, scenario: Scenario, rate, n_target: int,
                 add((t0 + x_trig, "breakdown", n,
                      s_base + drained / n + w * x_trig, None, d_acc - drained,
                      None, CATCHUP_STARVATION))
-            return
+            return n
         # the level at the trigger is mu*S + a: it reaches S iff a fills the
         # headroom, which s_cap - mu_s would lose to rounding near mu = 1
         if a >= (1 - params.mu) * s_cap:
             add((t0 + max(x_full, (s_cap - s_base - a) / w), "breakdown", n,
                  s_cap, None, 0.0, None, STORAGE_OVERFLOW))
-            return
+            return n
         add((t0 + x_up, "catchup_completed", n, s_base + a + w * x_up, None,
              0.0, x_up, None))
         t = t0 + x_trig
         stored = mu_s + a  # the drained backlog on top of the trigger level
+    return n
 
 
-def _decide(rows: list[tuple], n0: int, n_target: int) -> tuple[str, int]:
-    """The outcome rule: (outcome kind, final_n) of the kernel's rows, where
-    ``n0`` is the initial size.  A run that ends neither in a breakdown nor
-    at ``n_target`` stopped because its next expansion never comes: it is
-    max_time_exceeded."""
-    i = len(rows) - 1  # the last join_completed, a few rows from the end
-    while i >= 0 and rows[i][1] != "join_completed":
-        i -= 1
-    final_n = rows[i][2] if i >= 0 else n0
+def _decide(rows: list[tuple], final_n: int, n_target: int) -> str:
+    """The outcome rule: the outcome kind of the kernel's rows, where
+    ``final_n`` is the kernel's return.  A run that ends neither in a
+    breakdown nor at ``n_target`` stopped because its next expansion never
+    comes: it is max_time_exceeded."""
     if rows and rows[-1][1] == "breakdown":
-        return BREAKDOWN, final_n
+        return BREAKDOWN
     if final_n >= n_target:
-        return STABILIZED, final_n
-    return MAX_TIME_EXCEEDED, final_n
+        return STABILIZED
+    return MAX_TIME_EXCEEDED
 
 
 def run(cfg: SimConfig) -> tuple[EventTable, SimOutcome]:
     """Replay the scale-out and decide its outcome (see ``SimOutcome``)."""
     rows: list[tuple] = []
-    _kernel(cfg.params, cfg.scenario, cfg.rate, cfg.n_target,
-            cfg.initial_fill, rows)
-    kind, final_n = _decide(rows, cfg.params.n, cfg.n_target)
+    final_n = _kernel(cfg.params, cfg.scenario, cfg.rate, cfg.n_target,
+                      cfg.initial_fill, rows)
+    kind = _decide(rows, final_n, cfg.n_target)
     if kind == BREAKDOWN:
         time, *_, breakdown_kind = rows[-1]
         outcome = SimOutcome(kind, final_n, time, breakdown_kind,
@@ -389,9 +387,9 @@ def _probe(params: ClusterParams, scenario: Scenario, lam) -> str:
     always comes."""
     rows: list[tuple] = []
     stable = scenario.workload is WorkloadKind.STABLE_TOTAL
-    _kernel(params, scenario, lam * params.n if stable else lam,
-            params.n + 1, 1, rows)
-    kind = _decide(rows, params.n, params.n + 1)[0]
+    final_n = _kernel(params, scenario, lam * params.n if stable else lam,
+                      params.n + 1, 1, rows)
+    kind = _decide(rows, final_n, params.n + 1)
     return rows[-1][-1] if kind == BREAKDOWN else kind
 
 

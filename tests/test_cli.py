@@ -9,7 +9,6 @@ import signal
 import subprocess
 import sys
 import tracemalloc
-from collections import defaultdict
 from dataclasses import replace
 from itertools import repeat
 from pathlib import Path
@@ -192,18 +191,6 @@ def test_sweep_rows_sorted_and_monotone():
         bound_table(17, 0.5, b_rate, WorkloadKind.STABLE_TOTAL)["time"]
     assert by_key[(17, "increasing-concurrent", "storage(mu=0.5)")] == \
         bound_table(17, 0.5, b_rate, WorkloadKind.INCREASING_PER_NODE)["storage"]
-    # a repeated scenario, and two mu values that share the label
-    # storage(mu=0.5): the curves of one label alternate per n in input order
-    mu_close = 0.5000001
-    rows = sweep_rows(2, 30, [0.5, mu_close], list(ALL_SCENARIOS) * 2,
-                      1.25e8, 16.0)
-    assert rows == sorted(rows, key=lambda r: (r[1], r[2], r[0]))
-    assert len(rows) == 2 * (2 * 3 + 2) * 29
-    at_17 = [r[3] for r in rows
-             if r[:3] == (17, "increasing-concurrent", "storage(mu=0.5)")]
-    pair = [float(bound_table(17, mu, b_rate, WorkloadKind.INCREASING_PER_NODE)
-                  ["storage"]) for mu in (0.5, mu_close)]
-    assert pair[0] != pair[1] and at_17 == pair * 2
 
 
 def _sweep_rows_oracle(n_min, n_max, mu_values, scenarios, bandwidth,
@@ -211,19 +198,19 @@ def _sweep_rows_oracle(n_min, n_max, mu_values, scenarios, bandwidth,
     """sweep_rows with one bound_table call per curve, all rows in memory."""
     n = np.arange(n_min, n_max + 1)
     b_rate = bandwidth / value_size
-    curves = defaultdict(list)
+    curves = {}
     for scenario in scenarios:
         for kind in applicable_kinds(scenario):
             labels = ([(f"storage(mu={mu:g})", mu) for mu in mu_values]
                       if kind is BoundKind.STORAGE else [(kind.value, 0.5)])
             for label, mu in labels:
+                assert (scenario.name, label) not in curves
                 table = bound_table(n, mu, b_rate, scenario.workload)
-                curves[scenario.name, label].append(table[kind.value])
+                curves[scenario.name, label] = table[kind.value]
     rows = []
     for name, label in sorted(curves):
-        group = curves[name, label]
-        rows.extend(zip(np.repeat(n, len(group)).tolist(), repeat(name),
-                        repeat(label), np.stack(group, axis=1).ravel().tolist()))
+        rows.extend(zip(n.tolist(), repeat(name), repeat(label),
+                        curves[name, label].tolist()))
     return rows
 
 
@@ -238,20 +225,19 @@ def _oracle_csv(rows) -> bytes:
 
 def test_sweep_rows_match_per_curve_tables():
     """One bound_table call per scenario gives the rows of one call per
-    curve, bit for bit: repeated scenarios, mu values that share a label,
-    an empty mu list and both ends of the range included.  An empty mu list
-    is rejected when a scenario applies the storage bound."""
+    curve, bit for bit: an empty mu list and both ends of the range
+    included.  An empty mu list is rejected when a scenario applies the
+    storage bound."""
     rnd = random.Random(20261021)
     cases = [(1, 2, [0.5], list(ALL_SCENARIOS)),
              (10 ** 6 - 1, 10 ** 6, [0.3, 0.5, 0.7], list(ALL_SCENARIOS)),
-             (2, 40, [], list(ALL_SCENARIOS)),
-             (2, 40, [0.5, 0.5000001, 0.5], list(ALL_SCENARIOS) * 2)]
+             (2, 40, [], list(ALL_SCENARIOS))]
     for _ in range(400):
         n_min = rnd.choice((1, rnd.randint(1, 1000), rnd.randint(1, 10 ** 6 - 1)))
         n_max = min(10 ** 6, n_min + rnd.choice((1, rnd.randint(1, 400))))
-        mus = rnd.sample([0.5, 0.5000001, 1.0, 1e-5, 0.3, rnd.uniform(0.01, 1.0)],
+        mus = rnd.sample([0.5, 1.0, 1e-5, 0.3, rnd.uniform(0.01, 1.0)],
                          rnd.randint(0, 4))
-        scenarios = rnd.choices(ALL_SCENARIOS, k=rnd.randint(0, 5))
+        scenarios = rnd.sample(ALL_SCENARIOS, rnd.randint(0, 4))
         cases.append((n_min, n_max, mus, scenarios))
     cases.append((2, 40, [], [sc for sc in ALL_SCENARIOS
                               if sc.mode is StabilizationMode.CLEAR]))
@@ -273,7 +259,7 @@ def test_sweep_csv_matches_rows(tmp_path):
     stable_clear, incr_conc = Scenario.parse("stable-clear"), ALL_SCENARIOS[0]
     for n_min, n_max, mus, scenarios in (
             (1, 66_000, [0.5], [stable_clear, incr_conc]),
-            (5, 9_000, [0.5, 0.5000001], [stable_clear, incr_conc, stable_clear]),
+            (5, 9_000, [0.5, 0.7], [stable_clear, incr_conc]),
             (2, 300, [], [sc for sc in ALL_SCENARIOS
                           if sc.mode is StabilizationMode.CLEAR])):
         argv = ["sweep", "--n-min", str(n_min), "--n-max", str(n_max),
@@ -283,6 +269,44 @@ def test_sweep_csv_matches_rows(tmp_path):
         assert main(argv) == EXIT_OK
         rows = _sweep_rows_oracle(n_min, n_max, mus, scenarios, 1.25e8, 16.0)
         assert out.read_bytes() == _oracle_csv(rows)
+
+
+# a repeated scenario, and two mu values that print as one label when a
+# scenario applies the storage bound: either gives one (scenario,
+# bound_kind) key two curves
+REPEATED_KEYS = (
+    ([0.5], [ALL_SCENARIOS[3], ALL_SCENARIOS[3]], "repeats a scenario"),
+    ([0.5], [ALL_SCENARIOS[3], ALL_SCENARIOS[0], ALL_SCENARIOS[3]],
+     "repeats a scenario"),
+    ([0.5, 0.5000001], list(ALL_SCENARIOS), "one label"),
+    ([0.3, 0.3], [ALL_SCENARIOS[2]], "one label"),
+)
+
+
+def test_sweep_rows_rejects_a_repeated_key():
+    for mus, scenarios, message in REPEATED_KEYS:
+        with pytest.raises(ValueError, match=message):
+            sweep_rows(2, 30, mus, scenarios, 1.25e8, 16.0)
+    # clear scenarios print no storage curve, so their mu labels may repeat
+    clear = [sc for sc in ALL_SCENARIOS if sc.mode is StabilizationMode.CLEAR]
+    assert sweep_rows(2, 30, [0.5, 0.5000001, 0.5], clear, 1.25e8, 16.0) == \
+        sweep_rows(2, 30, [0.5], clear, 1.25e8, 16.0)
+
+
+def test_sweep_repeated_key_is_bad_input(tmp_path, capsys):
+    """A repeated key exits 2 with one error line before the CSV is
+    opened."""
+    out = tmp_path / "x.csv"
+    for mus, scenarios, message in REPEATED_KEYS:
+        rc = main(["sweep", "--n-min", "2", "--n-max", "5",
+                   "--mu-list", ",".join(map(repr, mus)),
+                   "--scenario-list", ",".join(sc.name for sc in scenarios),
+                   "--out", str(out)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 def test_sweep_streams_its_csv(tmp_path):

@@ -1132,6 +1132,21 @@ def test_runs_match_golden_digest():
     assert h.hexdigest() == GOLDEN_RUNS_SHA256
 
 
+def test_kernel_returns_the_size_after_its_last_join():
+    """The kernel's return, the final_n the outcome rule reads, is the n of
+    its last join_completed row, or the initial size when it has none, on
+    every golden config; both cases occur."""
+    without_join = 0
+    for cfg in _golden_configs():
+        rows = []
+        final_n = sim_mod._kernel(cfg.params, cfg.scenario, cfg.rate,
+                                  cfg.n_target, cfg.initial_fill, rows)
+        joins = [n for _, kind, n, *_ in rows if kind == "join_completed"]
+        without_join += not joins
+        assert final_n == (joins[-1] if joins else cfg.params.n)
+    assert 0 < without_join < 624
+
+
 @settings(max_examples=300, deadline=None)
 @given(scenario=st.sampled_from(ALL_SCENARIOS),
        n=st.integers(1, 30),
