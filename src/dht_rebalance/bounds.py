@@ -234,12 +234,15 @@ def bound_report(params: ClusterParams, scenario: Scenario) -> BoundReport:
 _SCAN_BLOCK = 4_096  # largest min_feasible_n scan block: keeps memory flat
 _SCALAR_SCAN = 4     # sizes min_feasible_n tests one at a time before a block
 
-# A stable workload that misses a bound at N by more than this relative
-# margin misses it at every smaller N (see min_feasible_n).  At every N up
-# to _PROOF_N_MAX the margin exceeds twice the closed forms' rounding error,
-# which is about N * 2**-53 (from n * mu in the storage form).
-_PROOF_MARGIN = 1e-6
+# The largest size min_feasible_n proves infeasible without a scan.
 _PROOF_N_MAX = 10 ** 9
+
+
+def _proof_margin(n: int) -> float:
+    """The relative margin of min_feasible_n's proof over sizes up to n:
+    twice the forms' rounding error at two such sizes, at most about
+    (N + 8) * 2**-53 each at N, N * 2**-53 of it from n * mu in storage."""
+    return 4.0 * (n + 8) * 2.0 ** -53
 
 
 def _stable_missed_size(x: float, mu: float, enforced) -> float:
@@ -289,10 +292,11 @@ def min_feasible_n(
     for time.  Inverting g at x = rate / B / (1 + 2 * margin) gives lo:
     N = (x - 1) / (1 - mu) for storage (every N when mu = 1 and x >= 1), and
     N = (s^2 - 1) / 4 with s = x + sqrt(x^2 + 2x - 3) for time, the largest
-    over the enforced kinds.  One check that lo misses a bound by more than
-    the margin, which exceeds its rounding error, then proves every smaller
-    size infeasible.  If that check fails, or the floats are not normal, the
-    scan starts at 2.
+    over the enforced kinds, at most min(n_max, 10^9).  One check that lo
+    misses a bound by more than the margin then proves every smaller size
+    infeasible: the margin, about 4 * N * 2**-53 at that cap N, exceeds the
+    forms' rounding error at any two sizes up to it.  If that check fails,
+    or the floats are not normal, the scan starts at 2.
     """
     if not 0 < rate < math.inf:
         raise ValueError("rate must be positive and finite")
@@ -323,9 +327,11 @@ def min_feasible_n(
     # min(rate, B) / N.
     lo = 1  # every size up to lo is infeasible
     if stable and min(rate, b_rate) / _PROOF_N_MAX >= sys.float_info.min:
-        x = rate / b_rate / (1.0 + 2.0 * _PROOF_MARGIN)
-        n = int(min(_stable_missed_size(x, mu, enforced), top, _PROOF_N_MAX))
-        if n > 1 and misses(n, 1.0 + _PROOF_MARGIN):
+        cap = min(top, _PROOF_N_MAX)
+        margin = _proof_margin(cap)
+        x = rate / b_rate / (1.0 + 2.0 * margin)
+        n = int(min(_stable_missed_size(x, mu, enforced), cap))
+        if n > 1 and misses(n, 1.0 + margin):
             lo = n
     for n in range(lo + 1, lo + _SCALAR_SCAN + 1):
         if n > top:

@@ -43,10 +43,9 @@ Under symmetry every old node holds the same bytes, so an event stores that
 one ``level`` plus the joining node's ``joining_level`` while a join is in
 progress.  ``run`` returns the events as an ``EventTable`` of plain rows,
 which ``write_trace`` and ``summary_dict`` read directly.  ``write_trace``
-formats the numbers of 256 rows at a time in one call to json's C encoder,
-each distinct time and level object once, so its lines are ``json.dumps``'
-text and its memory holds one block's texts whatever the row count: a peak
-of about 0.3 MB, below what a long run's summary takes.
+walks the rows once and writes each line in ``json.dumps``' text, keeping
+the texts of the number objects the previous row holds, so a line costs a
+few number texts, not n, and memory holds one line, about 40 B per node.
 ``summary_json`` gives a summary the text of ``json.dumps(..., indent=2)``,
 but every value is formatted by the C encoder, so the CLI does not run
 json's pure-Python indenting encoder.
@@ -517,56 +516,58 @@ def event_to_dict(ev: SimEvent) -> dict:
 # by ", ": a float's repr, an int as an int, Infinity, -Infinity and NaN, and
 # with default=float anything else (a Fraction) as the float nearest it
 _encode_numbers = json.JSONEncoder(default=float, check_circular=False).encode
-# rows formatted per encoder call: 256 rows keep the writer's peak near
-# 0.3 MB whatever the row count, below what a long run's summary takes,
-# where 1024 rows held about 1.1 MB; smaller blocks save little more
-_TRACE_BLOCK = 256
+
+
+def _number_text(x) -> str:
+    """json's C encoder's text of one number: the repr of an int or a finite
+    float, and the encoder's own text of anything else (+-inf, NaN, and a
+    ``Fraction`` as the float nearest it)."""
+    if type(x) in (int, float) and x - x == 0:  # not +-inf or NaN
+        return repr(x)
+    return _encode_numbers(x)
 
 
 def write_trace(events: EventTable, path: str) -> None:
-    """JSON-lines trace, one event per line, streamed from the rows.
+    """JSON-lines trace, one event per line, written row by row.
 
     A line is byte-identical to ``json.dumps(event_to_dict(ev))`` wherever
     that call succeeds; an exact run's ``Fraction``, which ``json.dumps``
-    rejects, is written as the float nearest it.  The rows are formatted
-    256 at a time: one encoder call writes every number of the block, and
-    each line repeats its old nodes' text, so a line costs a few number
-    texts, not n, and memory holds one block's texts whatever the row
-    count, about 0.3 MB.  The file is written 64 KiB at a time.  Kinds
-    are plain identifiers and need no JSON escaping.
+    rejects, is written as the float nearest it.  A line repeats its old
+    nodes' level text, and a number object the previous row holds keeps its
+    text, so memory holds one line.  Kinds need no JSON escaping.
     """
-    rows = events.rows
+    text = _number_text
     with open(path, "w", buffering=1 << 16) as fh:  # 64 KiB per write
         write = fh.write
-        for start in range(0, len(rows), _TRACE_BLOCK):
-            block = rows[start:start + _TRACE_BLOCK]
-            m = len(block)
-            times, kinds, ns, levels, joinings, backlogs, durations, \
-                breakdowns = zip(*block)
-            # The kernel puts one time and one level object in two rows
-            # (expansion_triggered and join_started), so those columns are
-            # formatted once per object (the block holds each object, so
-            # its id is unique here); the rest are mostly None or the 0.0
-            # constant, which cost little to format each time.
-            shared = times + levels
-            ids = list(map(id, shared))
-            distinct = dict(zip(ids, shared))
-            k = len(distinct)
-            texts = _encode_numbers([*distinct.values(), *joinings, *backlogs,
-                                     *durations])[1:-1].split(", ")
-            shared_texts = list(map(dict(zip(distinct, texts)).__getitem__,
-                                    ids))
-            for time, kind, n, tok, last, backlog, duration, breakdown in zip(
-                    shared_texts, kinds, ns, shared_texts[m:], texts[k:],
-                    texts[k + m:], texts[k + 2 * m:], breakdowns):
-                # "null" is the text of None, and of no number
-                tail = "" if duration == "null" else f', "duration": {duration}'
-                if breakdown is not None:
-                    tail += f', "breakdown_kind": "{breakdown}"'
-                write(f'{{"time": {time}, "kind": "{kind}", "n": {n}, '
-                      f'"stored": [{(tok + ", ") * (n - 1)}'
-                      f'{tok if last == "null" else last}], '
-                      f'"backlog": {backlog}{tail}}}\n')
+        # a time, level or backlog object the previous row holds keeps its
+        # text, and so does the level before it (a concurrent run's mu*S
+        # every third row) and a joining level that is the row's backlog;
+        # a new time or level that is a finite float skips the call
+        time = level = prior = backlog = None
+        level_text = ""
+        for t, kind, n, lv, joining, bl, duration, breakdown in events.rows:
+            if t is not time:
+                time = t
+                time_text = (repr(t) if type(t) is float and t - t == 0
+                             else text(t))
+            if lv is not level:
+                if lv is prior:
+                    level, prior = prior, level
+                    level_text, prior_text = prior_text, level_text
+                else:
+                    prior, prior_text, level = level, level_text, lv
+                    level_text = (repr(lv) if type(lv) is float and lv - lv == 0
+                                  else text(lv))
+            if bl is not backlog:
+                backlog, backlog_text = bl, text(bl)
+            last = (level_text if joining is None else
+                    backlog_text if joining is bl else text(joining))
+            tail = "" if duration is None else f', "duration": {text(duration)}'
+            if breakdown is not None:
+                tail += f', "breakdown_kind": "{breakdown}"'
+            write(f'{{"time": {time_text}, "kind": "{kind}", "n": {n}, '
+                  f'"stored": [{(level_text + ", ") * (n - 1)}{last}], '
+                  f'"backlog": {backlog_text}{tail}}}\n')
 
 
 def summary_dict(events: EventTable, outcome: SimOutcome) -> dict:

@@ -7,7 +7,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dht_rebalance import bounds
 from dht_rebalance.bounds import (
@@ -344,6 +344,13 @@ def _scan_min_n(scenario, rate, bandwidth, value_size, mu, kinds, n_max):
 _KIND_SUBSETS = [None] + [set(c) for r in range(4)
                           for c in itertools.combinations(BoundKind, r)]
 _MU_EDGES = (1.0, 1 - 1e-12, 1 - 1e-15)
+# (mu, rate) of stable storage-only queries on a 1e5 B/s link with 1 B
+# values, at rates just above B = 1e5 and mu at or within 1e-13 of 1, where
+# no size up to 10^6 qualifies: the storage form's slope N(1 - mu) is at
+# most 1e-7 there, so only a margin below it proves that without a scan
+_NEAR_B_QUERIES = [(1.0, 1.000000001e5), (1.0, 1.0000005e5),
+                   (1.0, 1.0000015e5), (1 - 1e-13, 1.0000005e5),
+                   (1 - 1e-13, 1.0000015e5)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -356,6 +363,12 @@ _MU_EDGES = (1.0, 1 - 1e-12, 1 - 1e-15)
        ulps=st.sampled_from((-1, 0, 1)),
        kinds=st.sampled_from(_KIND_SUBSETS),
        n_max=st.one_of(st.just(10 ** 6), st.integers(1, 10 ** 6)))
+@example(ALL_SCENARIOS[2], 1e5, 1.0, 1.0, math.log10(1 + 5e-7), None, 0,
+         {BoundKind.STORAGE}, 10 ** 6)
+@example(ALL_SCENARIOS[2], 1e5, 1.0, 1 - 1e-13, math.log10(1 + 5e-7), None, 0,
+         {BoundKind.STORAGE}, 10 ** 6)
+@example(ALL_SCENARIOS[2], 1e5, 1.0, 1 - 1e-13, math.log10(1 + 1e-9), None, 0,
+         {BoundKind.STORAGE}, 10 ** 6)  # proven to N = 1 116, first N 9 993
 def test_min_feasible_n_matches_block_scan(scenario, bandwidth, value_size, mu,
                                            log_ratio, edge_n, ulps, kinds,
                                            n_max):
@@ -408,9 +421,10 @@ def _bisect_min_n(scenario, rate, bandwidth, value_size, mu, kinds, n_max):
     lo = 1
     if min(rate, b_rate) / bounds._PROOF_N_MAX >= sys.float_info.min:
         hi = min(top, bounds._PROOF_N_MAX) + 1
+        margin = bounds._proof_margin(hi - 1)
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if misses(mid, 1.0 + bounds._PROOF_MARGIN):
+            if misses(mid, 1.0 + margin):
                 lo = mid
             else:
                 hi = mid
@@ -433,8 +447,8 @@ _N_MAX_EDGES = (1, 50, 10 ** 6, bounds._PROOF_N_MAX + 64)
 def _scans_every_size(bandwidth, value_size, mu, rate, enforced):
     """Queries whose scan may run from N = 2 to n_max under either start:
     nothing is proven on subnormal floats, nor for storage at mu within
-    1e-13 of 1 when rate is within 1e-5 of B (margins of 1e-6 hide the
-    slope N(1 - mu))."""
+    1e-13 of 1 when rate is within 1e-5 of B (a superset of where the
+    proof's margin hides the slope N(1 - mu))."""
     b_rate = bandwidth / value_size
     return (min(rate, b_rate) / bounds._PROOF_N_MAX < sys.float_info.min
             or (BoundKind.STORAGE in enforced and mu > 1 - 1e-13
@@ -551,6 +565,15 @@ def test_min_feasible_n_bound_table_calls(monkeypatch):
         calls.clear()
         assert min_feasible_n(scenario, 4_800_000.0, kinds=kinds, **case) == want
         assert calls == ([] if want is None else [0, 0, 0])
+    # just above B near mu = 1: N = 1, then a proof at n_max and no scan
+    storage = {BoundKind.STORAGE}
+    for mu, rate in _NEAR_B_QUERIES:
+        calls.clear()
+        assert min_feasible_n(ALL_SCENARIOS[2], rate, bandwidth=1e5,
+                              value_size=1.0, mu=mu, kinds=storage) is None
+        assert calls == [0, 0], (mu, rate)
+        assert _scan_min_n(ALL_SCENARIOS[2], rate, 1e5, 1.0, mu, storage,
+                           10 ** 6) is None
 
 
 def test_cluster_params_validation():

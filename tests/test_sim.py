@@ -446,9 +446,10 @@ def test_float_edge_configs_end_as_their_exact_runs():
 
 
 def test_trace_lines_match_event_to_dict(tmp_path):
-    # 190 joins that stabilize (the CI trace config), over two blocks: the
-    # mu*S level object recurs in every block, and as the first table it
-    # puts an expansion_triggered/join_started pair across a boundary
+    # 190 joins that stabilize (the CI trace config), where the writer reuses
+    # texts: each join_started holds the time and level objects of the
+    # expansion_triggered before it, and the mu*S level object recurs every
+    # third row, in both rows of each later pair
     scale_out = run(SimConfig(params(10), INCR_CONC, 1000.0, 200,
                               initial_fill=1.0))[0]
     tables = (scale_out,
@@ -457,12 +458,15 @@ def test_trace_lines_match_event_to_dict(tmp_path):
               _run_at(4, 0.5, STAB_CONC, 1.05, 6),     # expansion_overlap
               _run_at(4, 0.9, INCR_CLEAR, 0.5, 6),     # clear storage_overflow
               _run_at(4, 0.5, STAB_CLEAR, 0.95, 6))    # catchup_starvation
-    block = sim_mod._TRACE_BLOCK
-    assert len(scale_out) > 2 * block
+    rows = scale_out.rows
+    assert len(rows) == 570
+    for i in range(1, len(rows), 3):
+        assert rows[i][1] == "join_started"
+        assert rows[i][0] is rows[i - 1][0] and rows[i][3] is rows[i - 1][3]
+    mu_s = rows[3][3]
+    assert [i for i, row in enumerate(rows) if row[3] is mu_s] == [
+        i for i in range(3, len(rows)) if i % 3 != 2]
     events = EventTable([row for table in tables for row in table.rows])
-    assert ("expansion_triggered", "join_started") in {
-        (events[i - 1].kind, events[i].kind)
-        for i in range(block, len(events), block)}
     kinds = {(ev.kind, ev.breakdown_kind, ev.joining_level is not None)
              for ev in events}
     assert kinds == {
@@ -561,59 +565,71 @@ def test_trace_and_summary_of_an_exact_run(tmp_path):
         float(summary["total_time"])
 
 
-def test_trace_lines_match_json_dumps_across_blocks(tmp_path):
-    """The writer formats its rows a block at a time.  A table of several
-    blocks holds one time and one level object in the two rows that
-    straddle the first boundary, as the kernel's expansion_triggered and
-    join_started share them, and one level object in every block; its
-    levels cycle through floats, ints, Fractions, +-inf, NaN and -0.0."""
-    block = sim_mod._TRACE_BLOCK
+def test_trace_lines_match_json_dumps_where_texts_are_reused(tmp_path):
+    """The writer keeps a number's text while the next row holds the same
+    object: a time and level pair that two rows share, a level object that
+    recurs every third row and one that returns after two other levels, a
+    time or backlog that the next row holds too, and a joining level that
+    is its row's backlog.  Each line is ``json.dumps``' text of its event,
+    with ``default=float``, which only writes a Fraction as the float
+    nearest it."""
     rnd = random.Random(19)
-    levels = [math.inf, -math.inf, math.nan, -0.0, 0, 7, 10**15,
-              Fraction(1, 3), Fraction(-22, 7), 1e-300, 0.1]
-    everywhere = rnd.uniform(0, 1e12)
+    # every type a trace may hold, each one fixed object; 0 and 0.0, 1, 1.0
+    # and Fraction(1), and -0.0 and 0.0 are equal but print differently
+    fixed = [math.inf, -math.inf, math.nan, -0.0, 0.0, 0, 1, 1.0, Fraction(1),
+             7, 10**15, Fraction(1, 3), Fraction(-22, 7), 1e-300, 0.1]
+
+    def number():
+        return rnd.choice(fixed) if rnd.random() < 0.5 else rnd.uniform(0, 1e12)
+
     rows = []
-    for i in range(5000):
-        n = 1 + i % 4
-        level = (everywhere if i % 500 == 0 else levels[i % len(levels)]
-                 if i % 3 == 0 else rnd.uniform(0, 1e12))
-        joining = rnd.choice([None, 0.0, rnd.uniform(0, 1e12)])
-        duration = rnd.choice([None, rnd.uniform(0, 1e6)])
-        breakdown = rnd.choice([None, STORAGE_OVERFLOW])
-        rows.append((rnd.uniform(0, 1e9), "breakdown", n, level, joining,
-                     rnd.choice([0.0, rnd.uniform(0, 1e9)]), duration,
-                     breakdown))
-    assert len(rows) > 2 * block
-    time, level = rnd.uniform(0, 1e9), rnd.uniform(0, 1e12)
-    rows[block - 1] = (time, "expansion_triggered", 3, level, None, 0.0,
-                       None, None)
-    rows[block] = (time, "join_started", 4, level, 0.0, 0.0, None, None)
+    backlog = None
+    for _ in range(600):
+        a, b, c = number(), number(), number()
+        levels = rnd.choice([[a, a], [a, a, b, a, a, c, a], [a, b, c, a]])
+        shared = len(levels) == 2  # as expansion_triggered and join_started
+        time = number()
+        for level in levels:
+            if not shared and rnd.random() < 0.5:
+                time = number()
+            if backlog is None or rnd.random() < 0.5:
+                backlog = number()
+            joining = rnd.choice([None, 0.0, backlog, number()])
+            rows.append((time, "breakdown", 1 + len(rows) % 4, level,
+                         joining, backlog, rnd.choice([None, number()]),
+                         rnd.choice([None, STORAGE_OVERFLOW])))
+
+    def recurs(i, gap):
+        """Row i's level is row i - gap's, and no row between holds it."""
+        level = rows[i][3]
+        return (rows[i - gap][3] is level
+                and all(row[3] is not level for row in rows[i - gap + 1:i]))
+
+    inner = range(3, len(rows))
+    assert sum(rows[i][0] is rows[i - 1][0] and rows[i][3] is rows[i - 1][3]
+               for i in inner) > 100
+    assert sum(recurs(i, 2) for i in inner) > 100
+    assert sum(recurs(i, 3) and rows[i - 1][3] is not rows[i - 2][3]
+               for i in inner) > 100
+    assert sum(row[4] is row[5] for row in rows) > 100
+    assert {type(x) for row in rows for x in row[3:7]} == {
+        type(None), float, int, Fraction}
     events = EventTable(rows)
     path = tmp_path / "trace.jsonl"
     write_trace(events, str(path))
     lines = path.read_text().split("\n")
     assert lines.pop() == ""
     assert len(lines) == len(events)
-    exact = 0
     for ev, line in zip(events, lines):
-        d = event_to_dict(ev)
-        if isinstance(ev.level, Fraction):
-            # json.dumps rejects a Fraction; the line holds the nearest float
-            exact += 1
-            d["stored"] = [float(x) if isinstance(x, Fraction) else x
-                           for x in d["stored"]]
-            assert json.loads(line) == d
-        else:
-            assert line == json.dumps(d)
-    assert exact > 100
+        assert line == json.dumps(event_to_dict(ev), default=float)
+    assert sum(isinstance(ev.level, Fraction) for ev in events) > 100
 
 
 def test_trace_memory_stays_flat_in_the_row_count():
-    # many blocks of rows, each with four numbers of its own: the writer
-    # holds one block's number texts at a time, so its peak grows neither
-    # with the row count nor with the stored length n (6000 rows at n = 2:
-    # all texts at once took about 4.5 MB, 1024-row blocks about 1.1 MB and
-    # 256-row blocks about 0.34 MB; 3000 rows at n = 500 about the same)
+    # rows with four numbers of their own each: the writer holds one line
+    # at a time, so its peak does not grow with the row count (6000 rows at
+    # n = 2 and 3000 at n = 500: 0.09-0.10 MB, where 256-row blocks of
+    # texts took about 0.34 MB)
     for n, count in ((2, 6000), (500, 3000)):
         events = EventTable([(i + 0.5, "join_completed", n, i * 1.1, None,
                               i * 0.3, i * 0.7, None) for i in range(count)])
@@ -623,7 +639,7 @@ def test_trace_memory_stays_flat_in_the_row_count():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6e5, (n, count, peak)
+        assert peak < 2e5, (n, count, peak)
 
 
 def test_join_whose_time_overflows_never_completes():
